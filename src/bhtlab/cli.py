@@ -28,6 +28,8 @@ from .signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble
 from .squarefuncs import cz_decompose, norm_growth_in_shift
 
 USAGE_ERROR = 2
+# criterion 4: relative disagreement allowed between the two trilinear routes
+ROUTE_TOLERANCE = 1e-6
 
 
 def _out_dir(args) -> Path:
@@ -162,6 +164,7 @@ def cmd_decompose(args) -> int:
     rng = np.random.default_rng(args.seed)
     lam_rows = []
     energy_rows = []
+    worst = 0.0
     for idx in range(args.count):
         f, g, h, made = resonant_triple(mach, rng)
         if made == 0:
@@ -169,9 +172,11 @@ def cmd_decompose(args) -> int:
         fs = mach.grid_function(f)
         gs = mach.grid_function(g)
         hs = mach.grid_function(h)
+        scale = lp_norm(fs, 2.0) * lp_norm(gs, 2.0) * lp_norm(hs, 2.0)
         for j in j_list:
             a = mach.lam_spatial(f, g, h, j)
             b = mach.lam_spectral(f, g, h, j)
+            worst = max(worst, abs(a - b) / max(abs(b), 1e-9 * scale))
             rec = make_record(j, m, a, "spatial", (2.0, 2.0, math.inf), fs, gs, hs)
             lam_rows.append((j, m, a.real, a.imag, rec.ratio, "spatial"))
             lam_rows.append((j, m, b.real, b.imag, rec.ratio, "spectral"))
@@ -195,6 +200,10 @@ def cmd_decompose(args) -> int:
                    "max_pair_overlap": ov.max_pair_overlap}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _manifest(out, vars_config(args), [lam_path, en_path, ov_path])
+    if worst > ROUTE_TOLERANCE:
+        print(f"error: spatial and spectral trilinear routes differ by {worst:.2e} "
+              f"relative (tolerance {ROUTE_TOLERANCE:g})", file=sys.stderr)
+        return 1
     return 0
 
 

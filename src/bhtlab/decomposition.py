@@ -296,9 +296,6 @@ class TrilinearMachine:
             self._mults[j] = hit
         return hit
 
-    def drop_cache(self) -> None:
-        self._mults.clear()
-
     # -- trilinear forms ------------------------------------------------------
     def lam_spatial(self, fv, gv, hv, j: int) -> complex:
         fm, gm, hm = self.mults(j)

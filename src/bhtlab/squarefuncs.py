@@ -48,35 +48,136 @@ __all__ = [
 # maximal functions
 # ---------------------------------------------------------------------------
 
-def hardy_littlewood_max(f: SampledFunction, chunk: int = 256) -> SampledFunction:
+def _first_false(rises, hi: np.ndarray) -> np.ndarray:
+    """Per element, the first k in [0, hi] with rises(k) False, by bisection.
+
+    rises must be True on a prefix of each range.  It is called as
+    rises(k, idx) for the still-open elements idx only, and never at k = hi.
+    """
+    lo = np.zeros_like(hi)
+    hi = hi.copy()
+    act = np.flatnonzero(lo < hi)
+    while act.size:
+        mid = (lo[act] + hi[act]) // 2
+        up = rises(mid, act)
+        lo[act[up]] = mid[up] + 1
+        hi[act[~up]] = mid[~up]
+        act = act[lo[act] < hi[act]]
+    return lo
+
+
+def _steepest(pref: np.ndarray, q: np.ndarray, hulls: np.ndarray, lens: np.ndarray,
+              left: bool) -> np.ndarray:
+    """Steepest slope between each prefix-sum point q[r, t] and a vertex of hull
+    row r: an upper hull right of q (left=True) or a lower hull left of q.
+
+    Along such a hull the slope rises to its tangent vertex and then falls.
+    """
+    rows, s = q.shape
+    hx = hulls.ravel()
+    hy = pref[hx]
+    q = q.ravel()
+    qy = pref[q]
+    start = np.repeat(np.arange(rows) * hulls.shape[1], s)
+
+    def slope(k, idx):
+        v = start[idx] + k
+        if left:
+            return (hy[v] - qy[idx]) / (hx[v] - q[idx])
+        return (qy[idx] - hy[v]) / (q[idx] - hx[v])
+
+    k = _first_false(lambda k, idx: slope(k + 1, idx) > slope(k, idx), np.repeat(lens - 1, s))
+    return slope(k, np.arange(rows * s)).reshape(rows, s)
+
+
+def _merge_hulls(pref: np.ndarray, hulls: np.ndarray, lens: np.ndarray,
+                 sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Merge hull rows 2r and 2r+1, of adjacent point ranges that share their
+    middle point, into row r: upper hulls for sign = +1, lower for sign = -1.
+
+    Row r is left[:i+1] + right[j:] for the bridge (i, j).  Let g(i) be the
+    steepest signed slope from left vertex i to a right vertex past the shared
+    point; g falls while the edge leaving vertex i is steeper than g(i), so
+    the bridge's i is the first vertex where it is not, and j attains g(i).
+    Rows are padded with their last vertex.
+    """
+    left, right = hulls[0::2], hulls[1::2]
+    n_left, n_right = lens[0::2], lens[1::2]
+
+    def slope(a, b):
+        return sign * (pref[b] - pref[a]) / (b - a)
+
+    def tangent(i, idx):
+        p = left[idx, i]
+
+        def rises(k, kdx):
+            r = idx[kdx]
+            return slope(p[kdx], right[r, k + 2]) > slope(p[kdx], right[r, k + 1])
+
+        j = 1 + _first_false(rises, n_right[idx] - 2)
+        return j, slope(p, right[idx, j])
+
+    i = _first_false(lambda i, idx: slope(left[idx, i], left[idx, i + 1]) > tangent(i, idx)[1],
+                     n_left - 1)
+    rows = np.arange(len(n_left))
+    j = tangent(i, rows)[0]
+    width = hulls.shape[1]
+    col = np.arange(2 * width - 1)[None, :]
+    rows, i, j, n_right = rows[:, None], i[:, None], j[:, None], n_right[:, None]
+    merged = np.where(col <= i, left[rows, np.minimum(col, width - 1)],
+                      right[rows, np.clip(j + col - i - 1, 0, n_right - 1)])
+    return merged, (i + 1 + n_right - j).ravel()
+
+
+def hardy_littlewood_max(f: SampledFunction) -> SampledFunction:
     """Uncentered maximal function over all grid intervals, exactly.
 
-    M f(x_i) = max over cell ranges [l, r] containing i of the average of |f|;
-    computed from prefix sums in chunked O(N^2) passes (N <= 2^14 here).
+    M f(x_i) = max over cell ranges [a, b) with a <= i < b of the average of
+    |f|: the steepest slope (P[b] - P[a]) / (b - a) between two points of the
+    prefix-sum graph P of |f|.  Divide and conquer over dyadic nodes, one
+    level at a time from single cells up.  An interval whose ends lie in
+    different halves of a node covers a left-half cell i exactly when a <= i,
+    so the left half takes a running max over a of the steepest slope from a
+    to the upper convex hull of the right half's points; the right half
+    mirrors this with the lower hull of the left half's points and a running
+    max over b from the right.  The slope from a point to a hull peaks at its
+    tangent vertex, found by bisection, vectorized over all queries of a
+    level; each level's hulls come from its children's through one bisection
+    for their common tangent.  This is the hull technique of the
+    maximum-density-segment algorithms (Chung & Lu, SIAM J. Comput. 2004;
+    Goldwasser, Kao & Lu, JCSS 2005), and costs O(N log^2 N).  Sampled
+    grids have power-of-two length, so every level splits evenly.
+
+    Exact, not an approximation: the maximizing interval is found and its
+    average is computed as (P[b] - P[a]) / (b - a), the formula of the
+    exhaustive O(N^2) sweep; only the float comparisons of the hull
+    bisections round.  test_maximal_matches_quadratic_oracle in
+    tests/test_squarefuncs.py holds it to that sweep.
     """
     a = np.abs(f.values)
     n = len(a)
     pref = np.concatenate([[0.0], np.cumsum(a)])
-    idx = np.arange(n + 1)
     out = np.zeros(n)
-    # T[i] = max over windows ending at r >= i of the best average over [l..r], l <= i
-    # computed by scanning r and keeping the best prefix minimum structure is
-    # still coupled; chunked exhaustive evaluation keeps it simple and exact.
-    for l0 in range(0, n, chunk):
-        l1 = min(l0 + chunk, n)
-        ls = np.arange(l0, l1)
-        # averages over [l, r] for all r >= l: (pref[r+1]-pref[l])/(r+1-l)
-        rs = idx[None, l0 + 1:n + 1]  # r+1
-        width = rs - ls[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            avg = (pref[None, l0 + 1:] - pref[ls, None]) / width
-        avg = np.where(width > 0, avg, -np.inf)
-        # window [l, r] covers cells l..r: running max over r gives, for each l,
-        # the best window starting at l and reaching at least cell i
-        run = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
-        # cell i >= l is covered by windows [l, r>=i]: candidate run[l, i-l0-...]
-        for k, l in enumerate(ls):
-            out[l:] = np.maximum(out[l:], run[k, l - l0:])
+    # hulls of the level's nodes, one row of point indices each; a cell's
+    # two points are both its upper and its lower hull
+    upper = lower = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
+    n_upper = n_lower = np.full(n, 2)
+    half = 1
+    while half < n:
+        cells = out.reshape(-1, 2 * half)
+        lo = np.arange(0, n, 2 * half)[:, None]
+        # left-half cell i: intervals [a, b) with lo <= a <= i and b a right-half point
+        best = _steepest(pref, lo + np.arange(half), upper[1::2], n_upper[1::2], left=True)
+        cells[:, :half] = np.maximum(cells[:, :half], np.maximum.accumulate(best, axis=1))
+        # right-half cell i: intervals with a a left-half point and i < b <= lo + 2 half
+        best = _steepest(pref, lo + half + 1 + np.arange(half), lower[0::2], n_lower[0::2],
+                         left=False)
+        cells[:, half:] = np.maximum(cells[:, half:],
+                                     np.maximum.accumulate(best[:, ::-1], axis=1)[:, ::-1])
+        if 2 * half < n:
+            upper, n_upper = _merge_hulls(pref, upper, n_upper, 1.0)
+            lower, n_lower = _merge_hulls(pref, lower, n_lower, -1.0)
+        half *= 2
     return SampledFunction(f.x0, f.dx, out)
 
 

@@ -4,6 +4,9 @@ import sys
 
 from conftest import child_env
 
+from bhtlab import cli
+from bhtlab.decomposition import TrilinearMachine
+
 
 def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "bhtlab.cli", *args],
@@ -78,3 +81,13 @@ def test_decompose(tmp_path):
     lines = (tmp_path / "g" / "lambda_records.csv").read_text().strip().splitlines()
     assert lines[0] == "j,m,re,im,ratio,method"
     assert len(lines) > 1
+
+
+def test_decompose_route_mismatch_exit_1(tmp_path, monkeypatch, capsys):
+    spectral = TrilinearMachine.lam_spectral
+    monkeypatch.setattr(TrilinearMachine, "lam_spectral",
+                        lambda self, *a, **k: spectral(self, *a, **k) * (1.0 + 1e-3))
+    rc = cli.main(["--out", str(tmp_path / "g"), "decompose", "--curve", "poly: t^2",
+                   "--m", "4", "--count", "1", "--grid-n", "2048"])
+    assert rc == 1
+    assert "differ by 9.99e-04" in capsys.readouterr().err
