@@ -24,8 +24,8 @@ from .phase import (CurveProfiles, adaptive_simpson, chirp_phase_eval,
                     phase_value, profiles_for, sample_admissible_queries,
                     sample_scaling_queries, scaling_residual)
 from .signal import (EnsembleShape, SampledFunction, Spectrum, forward_transform,
-                     from_binary, from_csv, inverse_transform, lp_norm, make_ensemble,
-                     multiply_spectrum, symmetric_grid, to_binary, to_csv)
+                     frequency_grid, from_binary, from_csv, inverse_transform, lp_norm,
+                     make_ensemble, multiply_spectrum, symmetric_grid, to_binary, to_csv)
 from .squarefuncs import (CheckReport, CZDecomposition, ShiftedSquareData,
                           block_square_ratio, cancellation_bound_check, cz_decompose,
                           dual_pointwise_check, dyadic_max, energy_check_grid,

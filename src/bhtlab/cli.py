@@ -21,7 +21,7 @@ from . import __version__
 from .curves import (GRAMMAR_HELP, builtin_curve, growth_dichotomy,
                      nonflatness_report, profile_error_sequence, variation_count)
 from .decomposition import make_record, overlap_report
-from .normscan import (bht_direct_report, hilbert_multiplier, scan_machine,
+from .normscan import (bht_direct_report, decay_fit, hilbert_multiplier, scan_machine,
                        scan_point, _edge_exponents, resonant_triple)
 from .phase import phase_residual, phase_value, sample_admissible_queries, scaling_residual
 from .signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble
@@ -52,6 +52,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_table(out: Path, stem: str, header: list[str], rows, fmt: str) -> Path:
     """One table in the configured format; the JSON form mirrors the CSV
     columns 1:1 as a list of row objects."""
@@ -61,9 +67,7 @@ def _write_table(out: Path, stem: str, header: list[str], rows, fmt: str) -> Pat
         payload = [{k: (v if isinstance(v, str) else
                         (int(v) if isinstance(v, (int, np.integer)) else float(v)))
                     for k, v in zip(header, row)} for row in rows]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
         return path
     path = out / f"{stem}.csv"
     _write_csv(path, header, rows)
@@ -75,10 +79,7 @@ def _manifest(out: Path, config: dict, files: list[Path]) -> Path:
     for p in files:
         entries[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
     man = out / "manifest.json"
-    with open(man, "w") as fh:
-        json.dump({"version": __version__, "config": config, "outputs": entries},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(man, {"version": __version__, "config": config, "outputs": entries})
     return man
 
 
@@ -121,9 +122,7 @@ def cmd_curve_check(args) -> int:
         "axioms": rows,
     }
     path = out / "curve_check.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report)
     _manifest(out, vars_config(args), [path])
     return 0 if all(r["pass"] for r in rows) else 1
 
@@ -181,7 +180,7 @@ def cmd_decompose(args) -> int:
             lam_rows.append((j, m, a.real, a.imag, rec.ratio, "spatial"))
             lam_rows.append((j, m, b.real, b.imag, rec.ratio, "spectral"))
         if idx == 0:
-            gh = mach.fwd(g)
+            gh = np.fft.fft(g)
             for j in j_list:
                 gm = mach.bank.block_filters(j, mach.xi)
                 G = mach.back_batch(gm, gh)
@@ -195,10 +194,8 @@ def cmd_decompose(args) -> int:
                            args.format)
     ov = overlap_report(c, min(m, 8), min(args.j_hi, 40))
     ov_path = out / "overlap.json"
-    with open(ov_path, "w") as fh:
-        json.dump({"max_scale_overlap": ov.max_scale_overlap,
-                   "max_pair_overlap": ov.max_pair_overlap}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(ov_path, {"max_scale_overlap": ov.max_scale_overlap,
+                          "max_pair_overlap": ov.max_pair_overlap})
     _manifest(out, vars_config(args), [lam_path, en_path, ov_path])
     if worst > ROUTE_TOLERANCE:
         print(f"error: spatial and spectral trilinear routes differ by {worst:.2e} "
@@ -218,11 +215,9 @@ def cmd_sqfn(args) -> int:
     rows = [(l, args.q, s) for l, s in zip(rep["shifts"], rep["sup_ratios"])]
     path = _write_table(out, "shift_growth", ["l", "q", "sup_ratio"], rows, args.format)
     fit_path = out / "shift_fit.json"
-    with open(fit_path, "w") as fh:
-        json.dump({"fitted_exponent": rep["fitted_exponent"],
-                   "reference_exponent": rep["reference_exponent"],
-                   "residual": rep["residual"]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(fit_path, {"fitted_exponent": rep["fitted_exponent"],
+                           "reference_exponent": rep["reference_exponent"],
+                           "residual": rep["residual"]})
     _manifest(out, vars_config(args), [path, fit_path])
     ok = rep["fitted_exponent"] <= rep["reference_exponent"] + args.slack
     return 0 if ok else 1
@@ -258,9 +253,7 @@ def cmd_cz(args) -> int:
                             ["member", "level", "recon_error", "good_sup", "selected", "bound"],
                             rows, args.format)
     json_path = out / "cz_intervals.json"
-    with open(json_path, "w") as fh:
-        json.dump(trees, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, trees)
     _manifest(out, vars_config(args), [csv_path, json_path])
     return 0 if ok else 1
 
@@ -278,13 +271,7 @@ def cmd_scan(args) -> int:
             r = scan_point(c, m, exps, args.seed, args.ensemble_size,
                            rounds=args.rounds, n=args.grid_n)
             sups.append(r.sup_ratio)
-        ms = np.array(m_list, dtype=float)
-        alpha = float("nan")
-        resid = float("nan")
-        if len(m_list) >= 3 and all(s > 0 for s in sups):
-            slope, intercept = np.polyfit(ms, np.log2(sups), 1)
-            alpha = float(-slope)
-            resid = float(np.sqrt(np.mean((np.log2(sups) - (slope * ms + intercept)) ** 2)))
+        alpha, resid = decay_fit(m_list, sups)
         q, rp = exps[1], exps[2]
         for m, s in zip(m_list, sups):
             rows.append((p, "inf" if math.isinf(q) else q,

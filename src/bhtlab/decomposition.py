@@ -24,8 +24,10 @@ moduli where the mirror is invisible.
 Both evaluation routes share these exact multipliers: the spatial route is
 FFT convolution and pointwise products; the spectral route is the direct
 double-frequency sum  2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)), which on
-the symmetric grid is the same number by the DFT identity.  Their agreement
-tests the transform plumbing, not the modeling.
+the symmetric grid is the same number by the DFT identity.  On the np.fft
+order the machine works in, that sum reads dx/N^2 sum_{k,l} F(k) G(l)
+H(-k-l mod N) over the plain DFTs.  Their agreement tests the transform
+plumbing, not the modeling.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import numpy as np
 from .bumps import bump_phi
 from .curves import Curve
 from .phase import profiles_for
-from .signal import SampledFunction, lp_norm
+from .signal import SampledFunction, Spectrum, frequency_grid, inverse_transform, lp_norm
 
 __all__ = [
     "scale_factor",
@@ -254,8 +256,10 @@ def grid_for_bands(c: Curve, m: int, j_list, n: int, safety: float = 1.25,
 class TrilinearMachine:
     """A FilterBank bound to a concrete symmetric grid, with batched FFT paths.
 
-    Caches the (P, N) multiplier triples per scale; all reductions are
-    sequential and deterministic.
+    The multipliers are sampled on the np.fft-order frequency grid, so every
+    filter is ifft(M * fft(v)) and a spectrum is the plain fft of the
+    samples.  Caches the (P, N) multiplier triples per scale; all
+    reductions are sequential and deterministic.
     """
 
     def __init__(self, bank: FilterBank, n: int, dx: float):
@@ -264,8 +268,7 @@ class TrilinearMachine:
         self.dx = dx
         self.x0 = -(n // 2) * dx
         self.dxi = 2.0 * math.pi / (n * dx)
-        self.xi = (np.arange(n) - n // 2) * self.dxi
-        self._x_phase = np.exp(1j * self.xi * self.x0)
+        self.xi = frequency_grid(n, dx)
         self._refl_idx = (n - np.arange(n)) % n
         self._mults: dict[int, tuple] = {}
         self.scan_scales: list[int] = list(range(bank.j_lo, bank.j_hi + 1))
@@ -274,16 +277,11 @@ class TrilinearMachine:
     def grid_function(self, values, profile=None) -> SampledFunction:
         return SampledFunction(self.x0, self.dx, values, profile=profile)
 
-    def fwd(self, values: np.ndarray) -> np.ndarray:
-        return (self.dx / (2.0 * math.pi)) * np.conj(self._x_phase) \
-            * np.fft.fftshift(np.fft.fft(values))
+    def back_batch(self, mults: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(mults * spectrum[None, :], axis=1)
 
-    def back(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.ifftshift(coeffs * self._x_phase)) * self.n * self.dxi
-
-    def back_batch(self, mults: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        phased = mults * coeffs[None, :] * self._x_phase[None, :]
-        return np.fft.ifft(np.fft.ifftshift(phased, axes=1), axis=1) * self.n * self.dxi
+    def fwd_batch(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.fft(values, axis=1)
 
     # -- multiplier cache ----------------------------------------------------
     def mults(self, j: int) -> tuple:
@@ -299,15 +297,15 @@ class TrilinearMachine:
     # -- trilinear forms ------------------------------------------------------
     def lam_spatial(self, fv, gv, hv, j: int) -> complex:
         fm, gm, hm = self.mults(j)
-        fh, gh, hh = self.fwd(fv), self.fwd(gv), self.fwd(hv)
-        F = self.back_batch(fm, fh)
-        G = self.back_batch(gm, gh)
-        H = self.back_batch(hm, hh)
+        F = self.back_batch(fm, np.fft.fft(fv))
+        G = self.back_batch(gm, np.fft.fft(gv))
+        H = self.back_batch(hm, np.fft.fft(hv))
         return complex(np.sum(F * G * H) * self.dx)
 
     def lam_spectral(self, fv, gv, hv, j: int, chunk: int = 256) -> complex:
+        """dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the filtered DFTs."""
         fm, gm, hm = self.mults(j)
-        fh, gh, hh = self.fwd(fv), self.fwd(gv), self.fwd(hv)
+        fh, gh, hh = np.fft.fft(fv), np.fft.fft(gv), np.fft.fft(hv)
         n = self.n
         total = 0.0 + 0.0j
         for r in range(fm.shape[0]):
@@ -320,39 +318,30 @@ class TrilinearMachine:
                 continue
             for c0 in range(0, len(ks), chunk):
                 kk = ks[c0:c0 + chunk]
-                idx = (3 * (n // 2) - kk[:, None] - ls[None, :]) % n
+                idx = (-kk[:, None] - ls[None, :]) % n
                 total += np.sum(fr[kk][:, None] * gr[ls][None, :] * hr[idx])
-        return complex(2.0 * math.pi * self.dxi ** 2 * total)
+        return complex(self.dx / n ** 2 * total)
 
     # -- slot gradients (for matched extremizer search) -----------------------
-    def fwd_batch(self, values: np.ndarray) -> np.ndarray:
-        shifted = np.fft.fftshift(np.fft.fft(values, axis=1), axes=1)
-        return (self.dx / (2.0 * math.pi)) * np.conj(self._x_phase)[None, :] * shifted
-
     def grad_slot(self, slot: str, fv, gv, hv, j_list) -> np.ndarray:
         """V with Lambda = int s V dx for the linear slot s in {f,g,h}.
 
         Uses the transpose rule for a multiplier M: int (Ms) u dx =
         int s (M~ u) dx where M~ carries the reflected symbol xi -> m(-xi).
+        Only the other two slots are filtered.
         """
+        if slot not in ("f", "g", "h"):
+            raise ValueError(f"unknown slot {slot!r}")
+        k = "fgh".index(slot)
+        others = [i for i in range(3) if i != k]
+        spectra = [np.fft.fft(v) for i, v in enumerate((fv, gv, hv)) if i != k]
         vh_total = np.zeros(self.n, dtype=complex)
-        fh, gh, hh = self.fwd(fv), self.fwd(gv), self.fwd(hv)
         for j in j_list:
-            fm, gm, hm = self.mults(j)
-            F = self.back_batch(fm, fh)
-            G = self.back_batch(gm, gh)
-            H = self.back_batch(hm, hh)
-            if slot == "f":
-                U, mult = G * H, fm
-            elif slot == "g":
-                U, mult = F * H, gm
-            elif slot == "h":
-                U, mult = F * G, hm
-            else:
-                raise ValueError(f"unknown slot {slot!r}")
-            uh = self.fwd_batch(U)
-            vh_total += np.sum(mult[:, self._refl_idx] * uh, axis=0)
-        return self.back(vh_total)
+            mults = self.mults(j)
+            A, B = (self.back_batch(mults[i], sp) for i, sp in zip(others, spectra))
+            uh = self.fwd_batch(A * B)
+            vh_total += np.sum(mults[k][:, self._refl_idx] * uh, axis=0)
+        return np.fft.ifft(vh_total)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +365,8 @@ def apply_Tjm(bank: FilterBank, f: SampledFunction, g: SampledFunction, j: int,
     if p0_range is not None:
         sel = (bank.p0_values >= p0_range[0]) & (bank.p0_values < p0_range[1])
         fm, gm = fm[sel], gm[sel]
-    F = mach.back_batch(fm, mach.fwd(f.values))
-    G = mach.back_batch(gm, mach.fwd(g.values))
+    F = mach.back_batch(fm, np.fft.fft(f.values))
+    G = mach.back_batch(gm, np.fft.fft(g.values))
     return SampledFunction(f.x0, f.dx, np.sum(F * G, axis=0))
 
 
@@ -487,7 +476,7 @@ def chirp_kernel(c: Curve, m: int, p0: int, j: int, n: int = 2 ** 18,
     nz = env > 0
     s = np.abs(xi[nz]) / (2.0 ** j * p0)
     psi[nz] = 2.0 ** (-m / 2.0) * np.exp(-1j * p0 * prof.chirp_phase(s)) * env[nz]
-    kern_vals = np.fft.ifft(np.fft.ifftshift(psi * np.exp(1j * xi * x0))) * n * dxi
+    kern_vals = inverse_transform(Spectrum(xi[0], dxi, psi), x0=x0).values
     kernel = SampledFunction(x0, dx, kern_vals)
 
     x = kernel.x

@@ -37,7 +37,7 @@ from .bumps import bump_phi, smooth_step
 from .curves import Curve
 from .decomposition import FilterBank, TrilinearMachine, grid_for_bands, scale_factor
 from .phase import profiles_for
-from .signal import SampledFunction, Spectrum, forward_transform, inverse_transform
+from .signal import SampledFunction, lp_norm, multiply_spectrum
 
 __all__ = [
     "PVParams",
@@ -53,6 +53,7 @@ __all__ = [
     "matched_triple",
     "scan_point",
     "scan_edge",
+    "decay_fit",
     "fit_decay_at_L2point",
 ]
 
@@ -79,13 +80,13 @@ def _evaluator(f: SampledFunction) -> Callable:
     interpolation on an 8x zero-padded refinement (0 outside the grid)."""
     if f.profile is not None:
         return f.profile
-    spec = forward_transform(f)
     up = 8
     n = f.n
+    spec = np.fft.fft(f.values)
     coeffs = np.zeros(up * n, dtype=complex)
-    coeffs[: n // 2] = np.fft.ifftshift(spec.coeffs * np.exp(1j * spec.xi * f.x0))[: n // 2]
-    coeffs[-n // 2:] = np.fft.ifftshift(spec.coeffs * np.exp(1j * spec.xi * f.x0))[-n // 2:]
-    fine = np.fft.ifft(coeffs) * n * spec.dxi * up
+    coeffs[: n // 2] = spec[: n // 2]
+    coeffs[-n // 2:] = spec[-n // 2:]
+    fine = np.fft.ifft(coeffs) * up
     fine_x = f.x0 + (f.dx / up) * np.arange(up * n)
 
     def interp(t):
@@ -168,10 +169,7 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
 
 def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     """Classical Hilbert transform through the multiplier -i pi sign(xi)."""
-    spec = forward_transform(f)
-    mult = -1j * math.pi * np.sign(spec.xi)
-    out = inverse_transform(Spectrum(spec.xi0, spec.dxi, mult * spec.coeffs), x0=f.x0)
-    return SampledFunction(f.x0, f.dx, out.values)
+    return multiply_spectrum(f, lambda xi: -1j * math.pi * np.sign(xi))
 
 
 def trilinear_direct(c: Curve, f: SampledFunction, g: SampledFunction,
@@ -277,12 +275,6 @@ def scan_machine(c: Curve, m: int, n: int = 2 ** 13, n_scales: int = 2,
     return TrilinearMachine(bank, n, dx)
 
 
-def _norm(vals: np.ndarray, dx: float, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(vals)))
-    return float((np.sum(np.abs(vals) ** p) * dx) ** (1.0 / p))
-
-
 def resonant_triple(mach: TrilinearMachine, rng, n_terms: int = 4):
     """Random modulated-Gaussian triple with zero-sum modulations inside the
     band windows of the machine's scan scales."""
@@ -318,17 +310,18 @@ def resonant_triple(mach: TrilinearMachine, rng, n_terms: int = 4):
     return f, g, h, made
 
 
-def _holder_extremal(v: np.ndarray, p: float, dx: float, taper: np.ndarray) -> np.ndarray:
+def _holder_extremal(mach: TrilinearMachine, v: np.ndarray, p: float,
+                     taper: np.ndarray) -> np.ndarray:
     """argmax of Re int s v dx under ||s||_p = 1 (Holder equality case)."""
     a = np.abs(v)
     if math.isinf(p):
         return np.where(a > 0, np.conj(v) / np.maximum(a, 1e-300), 0.0) * taper
     if p == 2.0:
-        nrm = math.sqrt(float(np.sum(a ** 2)) * dx)
+        nrm = math.sqrt(float(np.sum(a ** 2)) * mach.dx)
         return np.conj(v) / nrm if nrm > 0 else v * 0.0
     pp = p / (p - 1.0)
     s = np.where(a > 0, np.conj(v) / np.maximum(a, 1e-300), 0.0) * a ** (pp - 1.0)
-    nrm = _norm(s, dx, p)
+    nrm = lp_norm(mach.grid_function(s), p)
     return s / nrm if nrm > 0 else s
 
 
@@ -344,7 +337,8 @@ def _comb_init(mach: TrilinearMachine, rng, j: int) -> np.ndarray:
     for i, p0 in enumerate(p0s):
         ctr = (p0 + rng.uniform(-6.0, 6.0)) / d
         gh += np.exp(1j * phases[i]) * np.exp(-np.clip(((mach.xi - ctr) / width) ** 2, 0, 700))
-    return mach.back(gh)
+    # synthesized about x = 0, i.e. index n/2; matched_triple normalizes the scale
+    return np.fft.fftshift(np.fft.ifft(gh))
 
 
 def _chirped_init(mach: TrilinearMachine, rng, j: int) -> np.ndarray:
@@ -356,7 +350,8 @@ def _chirped_init(mach: TrilinearMachine, rng, j: int) -> np.ndarray:
     s = np.abs(mach.xi) / (2.0 ** j * pbar)
     fh = np.exp(1j * pbar * prof.chirp_phase(s)) * bump_phi(mach.xi / 2.0 ** (m + j))
     fh = fh * np.exp(2j * np.pi * rng.uniform())
-    return mach.back(fh)
+    # synthesized about x = 0, i.e. index n/2; matched_triple normalizes the scale
+    return np.fft.fftshift(np.fft.ifft(fh))
 
 
 def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
@@ -375,19 +370,18 @@ def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
     pf, pg, ph = exps
     f = _chirped_init(mach, rng, j)
     g = _comb_init(mach, rng, j)
-    f = f / max(_norm(f, mach.dx, pf), 1e-300)
-    g = g / max(_norm(g, mach.dx, pg), 1e-300)
+    f = f / max(lp_norm(mach.grid_function(f), pf), 1e-300)
+    g = g / max(lp_norm(mach.grid_function(g), pg), 1e-300)
     h = np.ones(mach.n, dtype=complex) * taper
     for _ in range(rounds):
-        h = _holder_extremal(mach.grad_slot("h", f, g, h, j_list), ph, mach.dx, taper)
-        f = _holder_extremal(mach.grad_slot("f", f, g, h, j_list), pf, mach.dx, taper)
-        g = _holder_extremal(mach.grad_slot("g", f, g, h, j_list), pg, mach.dx, taper)
+        h = _holder_extremal(mach, mach.grad_slot("h", f, g, h, j_list), ph, taper)
+        f = _holder_extremal(mach, mach.grad_slot("f", f, g, h, j_list), pf, taper)
+        g = _holder_extremal(mach, mach.grad_slot("g", f, g, h, j_list), pg, taper)
     return f, g, h
 
 
 def _ratio(mach: TrilinearMachine, f, g, h, exps) -> float:
-    den = (_norm(f, mach.dx, exps[0]) * _norm(g, mach.dx, exps[1])
-           * _norm(h, mach.dx, exps[2]))
+    den = math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip((f, g, h), exps))
     if den <= 0:
         return 0.0
     lam = sum(mach.lam_spatial(f, g, h, j) for j in mach.scan_scales)
@@ -455,6 +449,18 @@ def envelope_check(results: list[ScanResult], p: float) -> dict:
             "passed": bool(worst <= 1.0 + 1e-9)}
 
 
+def decay_fit(m_list, sups) -> tuple[float, float]:
+    """(alpha_hat, rms residual) of the least-squares line log2(sup) ~ -alpha m;
+    (nan, nan) for fewer than three values of m or a sup that is not positive."""
+    ms = np.array(m_list, dtype=float)
+    sups = np.asarray(sups, dtype=float)
+    if len(ms) < 3 or not np.all(sups > 0):
+        return math.nan, math.nan
+    slope, intercept = np.polyfit(ms, np.log2(sups), 1)
+    resid = np.log2(sups) - (slope * ms + intercept)
+    return float(-slope), float(np.sqrt(np.mean(resid ** 2)))
+
+
 def fit_decay_at_L2point(c: Curve, m_list, seed: int, ensemble_size: int = 32,
                          n: int = 2 ** 13, rounds: int = 6) -> dict:
     """Least-squares decay rate of log2(sup ratio) against m at the point
@@ -475,12 +481,10 @@ def fit_decay_at_L2point(c: Curve, m_list, seed: int, ensemble_size: int = 32,
     sups = np.array(sups)
     if np.any(sups <= 0):
         raise ValueError("degenerate ensemble: zero ratios; fit refused")
-    ms = np.array(m_list, dtype=float)
-    slope, intercept = np.polyfit(ms, np.log2(sups), 1)
-    resid = np.log2(sups) - (slope * ms + intercept)
+    alpha, resid = decay_fit(m_list, sups)
     return {
-        "alpha_hat": float(-slope),
-        "residual": float(np.sqrt(np.mean(resid ** 2))),
+        "alpha_hat": alpha,
+        "residual": resid,
         "sup_ratios": sups,
         "m_list": m_list,
         "reference_alpha": 1.0 / 16.0,

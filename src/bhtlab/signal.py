@@ -6,13 +6,19 @@ Fourier convention
     fhat(xi) = (1/2pi) int f(x) e^{-i xi x} dx
 
 so Parseval reads ||f||_2^2 = 2pi * int |fhat|^2 dxi.  On the grid
-x_n = x0 + n dx (N a power of two, x0 = -(N/2) dx) the companion frequency
-grid is xi_k = (k - N/2) dxi with dxi = 2pi/(N dx), and the forward/inverse
-pair below is an exact bijection (DFT identity), so round trips and Parseval
-hold to rounding.
+x_n = x0 + n dx (N a power of two) the companion frequency grid is
+xi_k = (k - N/2) dxi with dxi = 2pi/(N dx), and the forward/inverse pair
+below is an exact bijection (DFT identity), so round trips and Parseval hold
+to rounding.  That pair is the analytic-convention reference.
 
-Grids are symmetric about 0; this makes every wrap phase in the discrete
-trilinear identities equal to 1 and is asserted at construction.
+Filters do not go through it.  In forward -> multiplier -> inverse on one
+grid the phases e^{-+i xi x0} and the scalings dx/2pi and N dxi cancel
+(N dxi dx = 2pi) for any x0, so every filter is ifft(M * fft(v)) with M
+sampled on frequency_grid, the same frequencies in np.fft order.  Filters
+need no symmetric grid.  Only the spectral oracle does: written in the
+analytic coefficients, the discrete trilinear sum carries the phases
+e^{-i xi_k x0} = (-1)^k of x0 = -(N/2) dx, which cancel over
+k + l + n = 0 (mod N).
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ __all__ = [
     "symmetric_grid",
     "forward_transform",
     "inverse_transform",
+    "frequency_grid",
     "multiply_spectrum",
     "lp_norm",
     "bump_phi",
@@ -132,24 +139,28 @@ def inverse_transform(spec: Spectrum, x0: Optional[float] = None) -> SampledFunc
     return SampledFunction(x0=x0, dx=dx, values=vals)
 
 
+def frequency_grid(n: int, dx: float) -> np.ndarray:
+    """The frequencies of forward_transform in np.fft order: k dxi for
+    k = 0..N/2-1, -N/2..-1, the grid every filter multiplier is sampled on."""
+    return np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi / (n * dx))
+
+
 def multiply_spectrum(f: SampledFunction, multiplier) -> SampledFunction:
     """Apply a frequency multiplier: inverse transform of multiplier(xi)*fhat(xi).
 
-    `multiplier` is a callable evaluated on the frequency grid, or an array
-    already sampled on it.  Equivalent to convolving f with the multiplier's
-    inverse transform (periodically on the grid).
+    `multiplier` is a callable evaluated on frequency_grid, or an array
+    already sampled on it (np.fft order).  Equivalent to convolving f with
+    the multiplier's inverse transform (periodically on the grid).
     """
-    spec = forward_transform(f)
     if callable(multiplier):
-        m = np.asarray(multiplier(spec.xi), dtype=complex)
+        m = np.asarray(multiplier(frequency_grid(f.n, f.dx)), dtype=complex)
     else:
         m = np.asarray(multiplier, dtype=complex)
-        if m.shape != spec.coeffs.shape:
+        if m.shape != f.values.shape:
             raise ValueError("multiplier array does not match the spectrum grid")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("multiplier is not finite on the frequency grid")
-    out = inverse_transform(Spectrum(spec.xi0, spec.dxi, m * spec.coeffs), x0=f.x0)
-    return SampledFunction(x0=f.x0, dx=f.dx, values=out.values)
+    return f.with_values(np.fft.ifft(m * np.fft.fft(f.values)))
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:

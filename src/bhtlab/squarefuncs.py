@@ -20,7 +20,7 @@ from .bumps import bump_phi, log_bump, log_plateau_window
 from .curves import Curve
 from .decomposition import FilterBank, scale_factor
 from .phase import profiles_for
-from .signal import SampledFunction, Spectrum, forward_transform, inverse_transform, lp_norm
+from .signal import SampledFunction, frequency_grid, lp_norm, multiply_spectrum
 
 __all__ = [
     "hardy_littlewood_max",
@@ -296,13 +296,12 @@ def shifted_square_function(f: SampledFunction, shift: int,
     """
     if j_list is None:
         j_list = available_bands(f)
-    spec = forward_transform(f)
-    xi = spec.xi
+    xi = frequency_grid(f.n, f.dx)
+    fh = np.fft.fft(f.values)
     bands = np.zeros((len(j_list), f.n), dtype=complex)
     for i, j in enumerate(j_list):
         mult = bump_phi(xi / 2.0 ** j) * np.exp(-1j * xi * shift / 2.0 ** j)
-        out = inverse_transform(Spectrum(spec.xi0, spec.dxi, mult * spec.coeffs), x0=f.x0)
-        bands[i] = out.values
+        bands[i] = np.fft.ifft(mult * fh)
     agg = np.sqrt(np.sum(np.abs(bands) ** 2, axis=0))
     return ShiftedSquareData(shift=shift, j_list=tuple(j_list), bands=bands,
                              aggregate=SampledFunction(f.x0, f.dx, agg))
@@ -349,13 +348,11 @@ def block_square_ratio(h: SampledFunction, c: Curve, m: int, j_list,
     if p_prime < 2.0:
         raise ValueError("the block square-function bound needs p' >= 2")
     bank = FilterBank(curve=c, m=m)
-    spec = forward_transform(h)
-    xi = spec.xi
+    xi = frequency_grid(h.n, h.dx)
+    hh = np.fft.fft(h.values)
     acc = np.zeros(h.n)
     for j in j_list:
-        gm = bank.block_filters(j, xi)
-        phased = gm * spec.coeffs[None, :] * np.exp(1j * xi * h.x0)[None, :]
-        H = np.fft.ifft(np.fft.ifftshift(phased, axes=1), axis=1) * h.n * spec.dxi
+        H = np.fft.ifft(bank.block_filters(j, xi) * hh, axis=1)
         acc += np.sum(np.abs(H) ** 2, axis=0)
     sq = SampledFunction(h.x0, h.dx, np.sqrt(acc))
     return lp_norm(sq, p_prime) / lp_norm(h, p_prime)
@@ -532,21 +529,19 @@ def cancellation_bound_check(c: Curve, m: int, j: int, f: SampledFunction,
     covers the kernel reach (see energy_check_grid).
     """
     bank = FilterBank(curve=c, m=m)
-    spec = forward_transform(f)
-    xi = spec.xi
+    xi = frequency_grid(f.n, f.dx)
+    fh = np.fft.fft(f.values)
     env = bank.band_dyadic(m + j, xi)
-    phase = np.exp(1j * xi * f.x0)
     lhs = np.zeros(f.n)
     p0s = bank.p0_values
     for c0 in range(0, len(p0s), chunk):
         fm = bank.chirp_filters(j, xi, p0_subset=p0s[c0:c0 + chunk]) * env[None, :]
-        phased = fm * spec.coeffs[None, :] * phase[None, :]
-        F = np.fft.ifft(np.fft.ifftshift(phased, axes=1), axis=1) * f.n * spec.dxi
+        F = np.fft.ifft(fm * fh, axis=1)
         lhs += np.sum(np.abs(F) ** 2, axis=0)
 
-    band = inverse_transform(Spectrum(spec.xi0, spec.dxi, env * spec.coeffs), x0=f.x0)
+    band = np.fft.ifft(env * fh)
     kern = _nu_kernel(c, j, f.x)
-    rhs = np.real(_periodic_convolve(np.abs(band.values) ** 2, kern, f.dx))
+    rhs = np.real(_periodic_convolve(np.abs(band) ** 2, kern, f.dx))
 
     floor = 1e-12 * max(float(rhs.max()), 1e-300)
     mask = rhs > floor
@@ -562,9 +557,7 @@ def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int,
 
     Translations of the maximal function are rounded to grid cells.
     """
-    spec = forward_transform(u)
-    band = inverse_transform(
-        Spectrum(spec.xi0, spec.dxi, bump_phi(spec.xi / 2.0 ** (m + j)) * spec.coeffs), x0=u.x0)
+    band = multiply_spectrum(u, lambda xi: bump_phi(xi / 2.0 ** (m + j)))
     kern = _nu_kernel(c, j, u.x)
     lhs = np.real(_periodic_convolve(np.abs(band.values) ** 2, kern, u.dx))
 
@@ -589,22 +582,15 @@ def dual_pointwise_check(g: SampledFunction, h: SampledFunction, c: Curve,
     bounded-block-energy sup  sum_p0 |g through block p0|^2 / ||g||_inf^2.
     """
     bank = FilterBank(curve=c, m=m)
-    gspec = forward_transform(g)
-    hspec = forward_transform(h)
-    xi = gspec.xi
+    xi = frequency_grid(g.n, g.dx)
     gm = bank.block_filters(j, xi)
-
-    def through(spec, mults, x0):
-        phased = mults * spec.coeffs[None, :] * np.exp(1j * xi * x0)[None, :]
-        return np.fft.ifft(np.fft.ifftshift(phased, axes=1), axis=1) * len(xi) * spec.dxi
-
-    G = through(gspec, gm, g.x0)
-    H = through(hspec, gm, h.x0)
+    hh = np.fft.fft(h.values)
+    G = np.fft.ifft(gm * np.fft.fft(g.values), axis=1)
+    H = np.fft.ifft(gm * hh, axis=1)
     lhs = np.sum(np.abs(G * H) ** 2, axis=0)
 
     env = bump_phi(scale_factor(c, j) / 2.0 ** m * xi)
-    h_env = inverse_transform(Spectrum(hspec.xi0, hspec.dxi, env * hspec.coeffs), x0=h.x0)
-    mh = hardy_littlewood_max(SampledFunction(h.x0, h.dx, h_env.values)).values.real
+    mh = hardy_littlewood_max(h.with_values(np.fft.ifft(env * hh))).values.real
     ginf = lp_norm(g, math.inf)
     rhs = ginf ** 2 * mh ** 2
 

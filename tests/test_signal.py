@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bhtlab.bumps import bump_phi
-from bhtlab.signal import (EnsembleShape, SampledFunction, forward_transform, from_binary,
-                           from_csv, inverse_transform, lp_norm, make_ensemble,
-                           multiply_spectrum, symmetric_grid, to_binary, to_csv)
+from bhtlab.signal import (EnsembleShape, SampledFunction, Spectrum, forward_transform,
+                           frequency_grid, from_binary, from_csv, inverse_transform, lp_norm,
+                           make_ensemble, multiply_spectrum, symmetric_grid, to_binary, to_csv)
 
 
 def grid_fn(values, half=20.0):
@@ -72,6 +72,41 @@ def test_multiplier_identity_and_composition():
     seq = multiply_spectrum(multiply_spectrum(f, m1), m2)
     both = multiply_spectrum(f, lambda xi: m1(xi) * m2(xi))
     assert np.max(np.abs(seq.values - both.values)) < 1e-10 * np.max(np.abs(f.values))
+
+
+def _transform_pair_filter(f, mult):
+    """forward_transform -> multiplier -> inverse_transform, the analytic route."""
+    spec = forward_transform(f)
+    m = mult(spec.xi)
+    return np.array([inverse_transform(Spectrum(spec.xi0, spec.dxi, row * spec.coeffs),
+                                       x0=f.x0).values for row in np.atleast_2d(m)])
+
+
+def _rel_l2(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("x0", [None, -17.3])
+def test_natural_order_filter_matches_transform_pair(x0):
+    # ifft(M fft(v)) with M on frequency_grid is the transform pair with the
+    # phases e^{-+i xi x0} and the scalings dx/2pi, N dxi cancelled, for any x0
+    n = 2 ** 12
+    sym_x0, dx = symmetric_grid(20.0, n)
+    rng = np.random.default_rng(5)
+    f = SampledFunction(sym_x0 if x0 is None else x0, dx,
+                        rng.normal(size=n) + 1j * rng.normal(size=n))
+    xi = frequency_grid(n, dx)
+
+    single = lambda xi: np.exp(-xi ** 2 / 50.0) * (1.0 + 0.5j * np.sin(xi / 7.0))
+    ref = _transform_pair_filter(f, single)[0]
+    assert _rel_l2(multiply_spectrum(f, single).values, ref) <= 1e-13
+
+    bank = lambda xi: np.array([bump_phi(xi / 2.0 ** k) * np.exp(-1j * xi * k / 64.0)
+                                for k in range(2, 7)])
+    ref = _transform_pair_filter(f, bank)
+    nat = np.fft.ifft(bank(xi) * np.fft.fft(f.values), axis=-1)
+    assert nat.shape == ref.shape == (5, n)
+    assert _rel_l2(nat, ref) <= 1e-13
 
 
 def test_multiplier_nonfinite_rejected():
