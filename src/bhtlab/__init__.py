@@ -9,7 +9,7 @@ from .bumps import bump_phi, smooth_step
 from .curves import (BUILTIN_TEST_DESCRIPTORS, Curve, ProfileSlice, asymptotic_profile,
                      builtin_curve, growth_dichotomy, inverse_deriv, nonflatness_report,
                      profile_error_sequence, r_profile, variation_count)
-from .decomposition import (ChirpKernelResult, FilterBank, OverlapReport, SupportInterval,
+from .decomposition import (BandSupport, ChirpKernelResult, FilterBank, OverlapReport,
                             TrilinearMachine, TrilinearRecord, active_scales, apply_Tjm,
                             chirp_kernel, grid_for_bands, lambda_jm_spatial,
                             lambda_jm_spectral, lambda_m_plus, overlap_count,

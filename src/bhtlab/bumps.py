@@ -10,12 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "PHI_INNER",
+    "PHI_OUTER",
     "smooth_step",
     "bump_phi",
     "plateau_window",
     "log_plateau_window",
     "log_bump",
 ]
+
+# bump_phi is supported in PHI_INNER < |x| < PHI_OUTER
+PHI_INNER, PHI_OUTER = 0.1, 10.0
 
 
 def smooth_step(u):
@@ -50,7 +55,7 @@ def plateau_window(a, lo_supp, lo_flat, hi_flat, hi_supp):
 
 def bump_phi(x):
     """The dyadic band window: even, 1 on 1/5<=|x|<=5, supported in 1/10<|x|<10."""
-    return plateau_window(x, 0.1, 0.2, 5.0, 10.0)
+    return plateau_window(x, PHI_INNER, 0.2, 5.0, PHI_OUTER)
 
 
 def log_plateau_window(y, flat_lo, flat_hi, supp_lo, supp_hi):

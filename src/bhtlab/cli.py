@@ -305,9 +305,7 @@ def cmd_bht(args) -> int:
             g = SampledFunction(f.x0, f.dx, np.ones(f.n), profile=lambda t: np.ones_like(np.asarray(t, dtype=float), dtype=complex))
             direct, diag = bht_direct_report(c, f, g)
             ref = hilbert_multiplier(f)
-            num = math.sqrt(float(np.sum(np.abs(direct.values - ref.values) ** 2)) * f.dx)
-            den = math.sqrt(float(np.sum(np.abs(ref.values) ** 2)) * f.dx)
-            rel = num / den
+            rel = lp_norm(direct.with_values(direct.values - ref.values), 2.0) / lp_norm(ref, 2.0)
             worst = max(worst, rel)
             rows.append((i, rel, diag["last_delta"], diag["flagged_points"]))
         else:

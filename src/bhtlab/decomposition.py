@@ -37,14 +37,14 @@ from typing import Optional
 
 import numpy as np
 
-from .bumps import bump_phi
+from .bumps import PHI_INNER, PHI_OUTER, bump_phi
 from .curves import Curve
 from .phase import profiles_for
 from .signal import SampledFunction, Spectrum, frequency_grid, inverse_transform, lp_norm
 
 __all__ = [
     "scale_factor",
-    "SupportInterval",
+    "BandSupport",
     "FilterBank",
     "TrilinearRecord",
     "OverlapReport",
@@ -63,33 +63,13 @@ __all__ = [
 ]
 
 
+SPECTRAL_CHUNK = 256     # f frequencies per block of the spectral double sum
+
+
 def scale_factor(c: Curve, j: int) -> float:
     """D_j = 2^-j gamma'(2^-j)."""
     s = 2.0 ** (-j)
     return s * float(c.deriv(s))
-
-
-@dataclass(frozen=True)
-class SupportInterval:
-    """The two frequency components supporting one block filter."""
-
-    j: int
-    p0: int
-    lower: tuple  # ((p0-10)/D, (p0-1/10)/D)
-    upper: tuple  # ((p0+1/10)/D, (p0+10)/D)
-
-    @property
-    def components(self):
-        return (self.lower, self.upper)
-
-
-def support_interval(c: Curve, j: int, p0: int) -> SupportInterval:
-    d = scale_factor(c, j)
-    lo = ((p0 - 10.0) / d, (p0 - 0.1) / d)
-    hi = ((p0 + 0.1) / d, (p0 + 10.0) / d)
-    if lo[0] > lo[1] or hi[0] > hi[1]:
-        raise ValueError("support interval components must be ordered")
-    return SupportInterval(j=j, p0=p0, lower=lo, upper=hi)
 
 
 @dataclass(frozen=True)
@@ -141,39 +121,31 @@ class OverlapReport:
     j_max: int
 
 
+def _max_cover(ends: np.ndarray) -> int:
+    """Most closed intervals [lo, hi] (rows of ends) sharing one point, by an
+    endpoint sweep over every endpoint and every gap midpoint."""
+    lo, hi = np.sort(ends[:, 0]), np.sort(ends[:, 1])
+    pts = np.unique(np.concatenate([lo, hi]))
+    test = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])])
+    cover = np.searchsorted(lo, test, side="right") - np.searchsorted(hi, test, side="left")
+    return int(cover.max()) if len(test) else 0
+
+
 def overlap_report(c: Curve, m: int, j_max: int) -> OverlapReport:
     if m > 8 or j_max > 40:
         raise ValueError("overlap sweep is sized for m <= 8, j_max <= 40")
-    p0s = np.arange(2 ** m, 2 ** (m + 1))
-    scale_lo, scale_hi = [], []
-    los, his = [], []
+    bank = FilterBank(curve=c, m=m, j_hi=j_max)
+    pairs, hulls = [], []
+    n_pair = n_scale = 0          # whole-line supports (D_j = 0) cover every point
     for j in range(j_max + 1):
-        d = scale_factor(c, j)
-        scale_lo.append((p0s[0] - 10.0) / d)
-        scale_hi.append((p0s[-1] + 10.0) / d)
-        for comp in range(2):
-            if comp == 0:
-                a, b = (p0s - 10.0) / d, (p0s - 0.1) / d
-            else:
-                a, b = (p0s + 0.1) / d, (p0s + 10.0) / d
-            los.append(a)
-            his.append(b)
-    lo_arr = np.sort(np.concatenate(los))
-    hi_arr = np.sort(np.concatenate(his))
-    pts = np.unique(np.concatenate([lo_arr, hi_arr]))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    test = np.concatenate([pts, mids])
-    pair = np.searchsorted(lo_arr, test, side="right") - np.searchsorted(hi_arr, test, side="left")
-    max_pair = int(pair.max()) if len(test) else 0
-
-    slo = np.sort(np.array(scale_lo))
-    shi = np.sort(np.array(scale_hi))
-    spts = np.unique(np.concatenate([slo, shi]))
-    smids = 0.5 * (spts[:-1] + spts[1:])
-    stest = np.concatenate([spts, smids])
-    scale = np.searchsorted(slo, stest, side="right") - np.searchsorted(shi, stest, side="left")
-    max_scale = int(scale.max()) if len(stest) else 0
-    return OverlapReport(max_scale_overlap=max_scale, max_pair_overlap=max_pair,
+        g = bank.supports(j)[1]
+        pairs.append(g.ends.reshape(-1, 2))
+        if g.ends.size:
+            hulls.append((g.ends.min(), g.ends.max()))
+        n_pair += int(np.sum(g.everywhere))
+        n_scale += bool(np.any(g.everywhere))
+    return OverlapReport(max_scale_overlap=n_scale + _max_cover(np.array(hulls).reshape(-1, 2)),
+                         max_pair_overlap=n_pair + _max_cover(np.concatenate(pairs)),
                          m=m, j_max=j_max)
 
 
@@ -187,6 +159,16 @@ def overlap_count(c: Curve, m: int, j_max: int) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class BandSupport:
+    """Where one multiplier family is nonzero at one scale, per p0: the union
+    of the open intervals (ends[p, k, 0], ends[p, k, 1]), or the whole line
+    where everywhere[p]."""
+
+    ends: np.ndarray          # (P, K, 2) with ends[..., 0] < ends[..., 1]
+    everywhere: np.ndarray    # (P,) bool
+
+
+@dataclass(frozen=True)
 class FilterBank:
     """The three multiplier families for one (curve, m), grid-agnostic.
 
@@ -194,6 +176,15 @@ class FilterBank:
     h_mirror reflects that window to negative frequencies (the pairing
     geometry); with h_widen=1, h_mirror=False the third slot uses exactly the
     second slot's family and the form is symmetric under g <-> h.
+
+    Supports (supports(j)): phi is nonzero exactly on
+    PHI_INNER < |x| < PHI_OUTER, so at scale j the f filters live on the band
+    PHI_INNER 2^{m+j} < |xi| < PHI_OUTER 2^{m+j}, the g window of p0 on the
+    two intervals PHI_INNER < |D_j eta - p0| < PHI_OUTER, and the h window on
+    PHI_INNER h_widen < |D_j zeta - p0| < PHI_OUTER h_widen, with zeta
+    replaced by -zeta when mirrored.  Every component is an ordered pair
+    (lo, hi), lo < hi, for either sign of D_j.  At D_j = 0 a block filter is
+    the constant phi(-p0 / widen): supported nowhere or on the whole line.
     """
 
     curve: Curve
@@ -239,17 +230,40 @@ class FilterBank:
         arg = -xi if self.h_mirror else xi
         return bump_phi((d * arg[None, :] - self.p0_values[:, None].astype(float)) / self.h_widen)
 
-    def support(self, j: int, p0: int) -> SupportInterval:
-        return support_interval(self.curve, j, p0)
+    def _block_support(self, d: float, widen: float, mirror: bool) -> BandSupport:
+        p0 = self.p0_values.astype(float)
+        if d == 0.0:
+            inside = (PHI_INNER < p0 / widen) & (p0 / widen < PHI_OUTER)
+            return BandSupport(np.empty((len(p0), 0, 2)), inside)
+        radii = np.array([-PHI_OUTER, -PHI_INNER, PHI_INNER, PHI_OUTER]) * widen
+        ends = (p0[:, None] + radii) / (-d if mirror else d)
+        return BandSupport(np.sort(ends.reshape(-1, 2, 2), axis=-1),
+                           np.zeros(len(p0), dtype=bool))
+
+    def supports(self, j: int) -> tuple:
+        """(f, g, h) BandSupports at scale j (see the class docstring); the
+        f band has the same two components for every p0, so P = 1 there."""
+        k = 2.0 ** (self.m + j)
+        f = BandSupport(np.array([[[-PHI_OUTER * k, -PHI_INNER * k],
+                                   [PHI_INNER * k, PHI_OUTER * k]]]), np.zeros(1, dtype=bool))
+        d = scale_factor(self.curve, j)
+        return (f, self._block_support(d, 1.0, False),
+                self._block_support(d, self.h_widen, self.h_mirror))
+
+    def reach(self, j: int) -> tuple[float, float]:
+        """Bounds on |xi| over the scale-j supports: the f band's outer edge,
+        and (2^(m+1) + PHI_OUTER h_widen) / |D_j| for the g and h blocks."""
+        d = abs(scale_factor(self.curve, j))
+        blocks = (2.0 ** (self.m + 1) + PHI_OUTER * self.h_widen) / d
+        return PHI_OUTER * 2.0 ** (self.m + j), blocks
 
 
-def grid_for_bands(c: Curve, m: int, j_list, n: int, safety: float = 1.25,
-                   h_widen: float = 2.0) -> tuple[float, float]:
-    """(x0, dx) for a symmetric grid representing every band of the given scales."""
-    psi_hi = 10.0 * 2.0 ** (m + max(j_list))
-    blk_hi = max((2.0 ** (m + 1) + 10.0 * h_widen) / scale_factor(c, j) for j in j_list)
-    xi_max = safety * (psi_hi + blk_hi)
-    dx = math.pi / xi_max
+def grid_for_bands(bank: FilterBank, j_list, n: int) -> tuple[float, float]:
+    """(x0, dx) for a symmetric grid representing every band of the given
+    scales, with 25% headroom over their reach."""
+    psi_hi = bank.reach(max(j_list))[0]
+    blk_hi = max(bank.reach(j)[1] for j in j_list)
+    dx = math.pi / (1.25 * (psi_hi + blk_hi))
     return -(n // 2) * dx, dx
 
 
@@ -302,7 +316,7 @@ class TrilinearMachine:
         H = self.back_batch(hm, np.fft.fft(hv))
         return complex(np.sum(F * G * H) * self.dx)
 
-    def lam_spectral(self, fv, gv, hv, j: int, chunk: int = 256) -> complex:
+    def lam_spectral(self, fv, gv, hv, j: int) -> complex:
         """dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the filtered DFTs."""
         fm, gm, hm = self.mults(j)
         fh, gh, hh = np.fft.fft(fv), np.fft.fft(gv), np.fft.fft(hv)
@@ -316,8 +330,8 @@ class TrilinearMachine:
             ls = np.nonzero(gr)[0]
             if len(ks) == 0 or len(ls) == 0:
                 continue
-            for c0 in range(0, len(ks), chunk):
-                kk = ks[c0:c0 + chunk]
+            for c0 in range(0, len(ks), SPECTRAL_CHUNK):
+                kk = ks[c0:c0 + SPECTRAL_CHUNK]
                 idx = (-kk[:, None] - ls[None, :]) % n
                 total += np.sum(fr[kk][:, None] * gr[ls][None, :] * hr[idx])
         return complex(self.dx / n ** 2 * total)
@@ -382,17 +396,11 @@ def lambda_jm_spectral(bank: FilterBank, f: SampledFunction, g: SampledFunction,
     return _machine_for(bank, f).lam_spectral(f.values, g.values, h.values, j)
 
 
-def active_scales(bank: FilterBank, n: int, dx: float, margin: float = 0.98) -> list[int]:
-    """Scales whose three bands sit inside the representable frequency window."""
+def active_scales(bank: FilterBank, dx: float) -> list[int]:
+    """Scales whose three bands reach no further than 98% of the
+    representable frequency window."""
     xi_max = math.pi / dx
-    out = []
-    for j in range(bank.j_lo, bank.j_hi + 1):
-        d = scale_factor(bank.curve, j)
-        psi_hi = 10.0 * 2.0 ** (bank.m + j)
-        blk_hi = (2.0 ** (bank.m + 1) + 10.0 * bank.h_widen) / d
-        if max(psi_hi, blk_hi) <= margin * xi_max:
-            out.append(j)
-    return out
+    return [j for j in range(bank.j_lo, bank.j_hi + 1) if max(bank.reach(j)) <= 0.98 * xi_max]
 
 
 def lambda_m_plus(bank: FilterBank, f: SampledFunction, g: SampledFunction,
@@ -401,7 +409,7 @@ def lambda_m_plus(bank: FilterBank, f: SampledFunction, g: SampledFunction,
     object: filters of scales outside the window vanish identically on it)."""
     mach = _machine_for(bank, f)
     if j_list is None:
-        j_list = active_scales(bank, f.n, f.dx)
+        j_list = active_scales(bank, f.dx)
     total = 0.0 + 0.0j
     for j in j_list:
         total += mach.lam_spatial(f.values, g.values, h.values, j)
@@ -412,28 +420,14 @@ def structurally_zero(bank: FilterBank, j: int) -> bool:
     """True when every per-p0 triple of band supports misses the resonance
     plane xi + eta + zeta = 0 (exact interval arithmetic), so the scale-j
     form vanishes identically."""
-    c = bank.curve
-    d = scale_factor(c, j)
-    w = 10.0 * bank.h_widen
-    psi = (2.0 ** (bank.m + j) / 10.0, 10.0 * 2.0 ** (bank.m + j))
-    for p0 in bank.p0_values:
-        g_comps = [((p0 - 10.0) / d, (p0 - 0.1) / d), ((p0 + 0.1) / d, (p0 + 10.0) / d)]
-        if bank.h_mirror:
-            h_comps = [(-(p0 + w) / d, -(p0 + 0.1 * bank.h_widen) / d),
-                       (-(p0 - 0.1 * bank.h_widen) / d, -(p0 - w) / d)]
-        else:
-            h_comps = [((p0 - w) / d, (p0 - 0.1 * bank.h_widen) / d),
-                       ((p0 + 0.1 * bank.h_widen) / d, (p0 + w) / d)]
-        h_comps = [(min(a, b), max(a, b)) for a, b in h_comps]
-        f_comps = [(-psi[1], -psi[0]), (psi[0], psi[1])]
-        for fa, fb in f_comps:
-            for ga, gb in g_comps:
-                for ha, hb in h_comps:
-                    lo = fa + ga + ha
-                    hi = fb + gb + hb
-                    if lo <= 0.0 <= hi:
-                        return False
-    return True
+    f, g, h = bank.supports(j)
+    # per p0, the sum of every (f, g, h) component triple
+    lo, hi = (f.ends[:, :, None, None, e] + g.ends[:, None, :, None, e]
+              + h.ends[:, None, None, :, e] for e in (0, 1))
+    meets = np.any((lo <= 0.0) & (0.0 <= hi), axis=(1, 2, 3))
+    # constant blocks (D_j = 0) that are nonzero reach every frequency
+    meets |= g.everywhere & h.everywhere
+    return not np.any(meets)
 
 
 # ---------------------------------------------------------------------------

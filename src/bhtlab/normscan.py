@@ -249,8 +249,6 @@ class ScanResult:
     sup_ratio: float
     ensemble_size: int
     seed: int
-    fitted_alpha: Optional[float] = None
-    residual: Optional[float] = None
     scales: tuple = ()
 
 
@@ -271,7 +269,7 @@ def scan_machine(c: Curve, m: int, n: int = 2 ** 13, n_scales: int = 2,
         j0 = live_scale(c, m)
         j_list = list(range(j0, j0 + n_scales))
     bank = FilterBank(curve=c, m=m, j_lo=min(j_list), j_hi=max(j_list))
-    x0, dx = grid_for_bands(c, m, j_list, n)
+    x0, dx = grid_for_bands(bank, j_list, n)
     return TrilinearMachine(bank, n, dx)
 
 
@@ -313,12 +311,12 @@ def resonant_triple(mach: TrilinearMachine, rng, n_terms: int = 4):
 def _holder_extremal(mach: TrilinearMachine, v: np.ndarray, p: float,
                      taper: np.ndarray) -> np.ndarray:
     """argmax of Re int s v dx under ||s||_p = 1 (Holder equality case)."""
+    if p == 2.0:
+        nrm = lp_norm(mach.grid_function(v), 2.0)
+        return np.conj(v) / nrm if nrm > 0 else v * 0.0
     a = np.abs(v)
     if math.isinf(p):
         return np.where(a > 0, np.conj(v) / np.maximum(a, 1e-300), 0.0) * taper
-    if p == 2.0:
-        nrm = math.sqrt(float(np.sum(a ** 2)) * mach.dx)
-        return np.conj(v) / nrm if nrm > 0 else v * 0.0
     pp = p / (p - 1.0)
     s = np.where(a > 0, np.conj(v) / np.maximum(a, 1e-300), 0.0) * a ** (pp - 1.0)
     nrm = lp_norm(mach.grid_function(s), p)

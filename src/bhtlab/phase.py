@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import Curve, inverse_deriv
+from .curves import PROFILE_LIMIT_J, Curve, _r_values, inverse_deriv
 
 __all__ = [
     "CurveProfiles",
@@ -49,7 +49,6 @@ __all__ = [
     "sample_admissible_queries",
 ]
 
-_PROFILE_J = 30
 _S_MIN, _S_MAX = 1.0 / 64.0, 48.0
 _N_KNOTS = 3073
 
@@ -86,7 +85,7 @@ class CurveProfiles:
     chirp_phase (vanishing at 1), and the kernel phase on the r-range.
 
     Power-family curves use exact closed forms; otherwise dense splines of
-    the scale-30 profiles over s in [1/64, 48].
+    the profiles at scale PROFILE_LIMIT_J over s in [1/64, 48].
     """
 
     curve: Curve
@@ -95,7 +94,6 @@ class CurveProfiles:
     r_inverse: Callable = field(repr=False)
     chirp_phase: Callable = field(repr=False)
     kernel_phase: Optional[Callable] = field(repr=False, default=None)
-    s_domain: tuple = (_S_MIN, _S_MAX)
 
     def theta(self, p0: float, y):
         """Kernel phase with its first-argument homogeneity: theta(p0,y) = p0*theta(1,y)."""
@@ -140,10 +138,7 @@ def _generic_profiles(c: Curve) -> CurveProfiles:
     from scipy.interpolate import CubicSpline
 
     knots = np.exp(np.linspace(math.log(_S_MIN), math.log(_S_MAX), _N_KNOTS))
-    scale = 2.0 ** (-_PROFILE_J)
-    gp = float(c.deriv(scale))
-    den = float(inverse_deriv(c, gp))
-    r_vals = np.asarray(inverse_deriv(c, knots * gp), dtype=float) / den
+    r_vals = _r_values(c, PROFILE_LIMIT_J, knots)
 
     r_sp = CubicSpline(knots, r_vals)
     rp_sp = r_sp.derivative()
@@ -191,15 +186,15 @@ def _generic_profiles(c: Curve) -> CurveProfiles:
                          chirp_phase=chirp, kernel_phase=kernel)
 
 
-_PROFILE_CACHE: dict[str, CurveProfiles] = {}
+_PROFILE_CACHE: dict[Curve, CurveProfiles] = {}
 
 
 def profiles_for(c: Curve) -> CurveProfiles:
-    hit = _PROFILE_CACHE.get(c.label)
+    hit = _PROFILE_CACHE.get(c)
     if hit is not None:
         return hit
     prof = _power_profiles(c) if c.has_closed_profiles else _generic_profiles(c)
-    _PROFILE_CACHE[c.label] = prof
+    _PROFILE_CACHE[c] = prof
     return prof
 
 

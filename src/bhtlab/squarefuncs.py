@@ -43,6 +43,8 @@ __all__ = [
     "dual_pointwise_check",
 ]
 
+CHIRP_CHUNK = 32     # chirp filters per batch in cancellation_bound_check
+
 
 # ---------------------------------------------------------------------------
 # maximal functions
@@ -488,14 +490,30 @@ def _periodic_convolve(values: np.ndarray, kernel: np.ndarray, dx: float) -> np.
     return np.fft.ifft(np.fft.fft(values) * kv) * dx
 
 
+def _nu_reach(c: Curve) -> float:
+    """C_nu: the chirp kernels of c live on 1/C_nu <= |y| <= C_nu."""
+    prof = profiles_for(c)
+    y1, y2 = abs(float(prof.r(1.0 / 20.0))), abs(float(prof.r(10.0)))
+    return max(1.0 / min(y1, y2), max(y1, y2)) * 1.05
+
+
 def _nu_kernel(c: Curve, j: int, x: np.ndarray) -> np.ndarray:
     """2^j nu(2^j x) with nu the even plateau window covering the reach of the
     chirp kernels: 1 on 1/C<=|y|<=C, supported in 1/(2C) < |y| < 2C."""
-    prof = profiles_for(c)
-    y1, y2 = abs(float(prof.r(1.0 / 20.0))), abs(float(prof.r(10.0)))
-    cg = max(1.0 / min(y1, y2), max(y1, y2)) * 1.05
+    cg = _nu_reach(c)
     y = 2.0 ** j * np.abs(x)
     return 2.0 ** j * log_plateau_window(y, 1.0 / cg, cg, 1.0 / (2.0 * cg), 2.0 * cg)
+
+
+def _report(lhs: np.ndarray, rhs: np.ndarray, constant: float,
+            extras: Optional[dict] = None) -> CheckReport:
+    """Worst ratio lhs/rhs where rhs carries mass (above 1e-12 of its max)."""
+    floor = 1e-12 * max(float(rhs.max()), 1e-300)
+    mask = rhs > floor
+    ratio = float(np.max(lhs[mask] / rhs[mask])) if np.any(mask) else 0.0
+    return CheckReport(lhs_sup=float(lhs.max()), rhs_sup=float(rhs.max()),
+                       ratio_sup=ratio, constant=constant, passed=bool(ratio <= constant),
+                       extras=extras)
 
 
 def energy_check_grid(c: Curve, m: int, j: int, span_margin: float = 1.5,
@@ -507,12 +525,9 @@ def energy_check_grid(c: Curve, m: int, j: int, span_margin: float = 1.5,
     it, or periodic wrap lets the chirped kernels interfere and the measured
     ratios drift with m.
     """
-    prof = profiles_for(c)
-    y1, y2 = abs(float(prof.r(1.0 / 20.0))), abs(float(prof.r(10.0)))
-    cg = max(1.0 / min(y1, y2), max(y1, y2)) * 1.05
     xi_max = 1.25 * 10.0 * 2.0 ** (m + j)
     dx = math.pi / xi_max
-    span_needed = span_margin * 2.0 * (2.0 * cg) / 2.0 ** j
+    span_needed = span_margin * 2.0 * (2.0 * _nu_reach(c)) / 2.0 ** j
     n = 2 ** int(math.ceil(math.log2(max(span_needed / dx, 2 ** 10))))
     if n > n_cap:
         raise ValueError(f"energy-check grid needs n={n} > cap {n_cap} at (m={m}, j={j})")
@@ -520,7 +535,7 @@ def energy_check_grid(c: Curve, m: int, j: int, span_margin: float = 1.5,
 
 
 def cancellation_bound_check(c: Curve, m: int, j: int, f: SampledFunction,
-                             constant: float = math.inf, chunk: int = 32) -> CheckReport:
+                             constant: float = math.inf) -> CheckReport:
     """sum_p0 |f through band*chirp|^2 (x)  vs  (|f through band|^2 * 2^j nu(2^j .))(x).
 
     The left side stacks the chirped block outputs; the right side is the
@@ -534,20 +549,15 @@ def cancellation_bound_check(c: Curve, m: int, j: int, f: SampledFunction,
     env = bank.band_dyadic(m + j, xi)
     lhs = np.zeros(f.n)
     p0s = bank.p0_values
-    for c0 in range(0, len(p0s), chunk):
-        fm = bank.chirp_filters(j, xi, p0_subset=p0s[c0:c0 + chunk]) * env[None, :]
+    for c0 in range(0, len(p0s), CHIRP_CHUNK):
+        fm = bank.chirp_filters(j, xi, p0_subset=p0s[c0:c0 + CHIRP_CHUNK]) * env[None, :]
         F = np.fft.ifft(fm * fh, axis=1)
         lhs += np.sum(np.abs(F) ** 2, axis=0)
 
     band = np.fft.ifft(env * fh)
     kern = _nu_kernel(c, j, f.x)
     rhs = np.real(_periodic_convolve(np.abs(band) ** 2, kern, f.dx))
-
-    floor = 1e-12 * max(float(rhs.max()), 1e-300)
-    mask = rhs > floor
-    ratio = float(np.max(lhs[mask] / rhs[mask])) if np.any(mask) else 0.0
-    return CheckReport(lhs_sup=float(lhs.max()), rhs_sup=float(rhs.max()),
-                       ratio_sup=ratio, constant=constant, passed=bool(ratio <= constant))
+    return _report(lhs, rhs, constant)
 
 
 def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int,
@@ -567,12 +577,7 @@ def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int,
         cells = int(round(l / 2.0 ** (m + j) / u.dx))
         acc += np.roll(mx, cells) ** 2
     rhs = acc / 2.0 ** m
-
-    floor = 1e-12 * max(float(rhs.max()), 1e-300)
-    mask = rhs > floor
-    ratio = float(np.max(lhs[mask] / rhs[mask])) if np.any(mask) else 0.0
-    return CheckReport(lhs_sup=float(lhs.max()), rhs_sup=float(rhs.max()),
-                       ratio_sup=ratio, constant=constant, passed=bool(ratio <= constant))
+    return _report(lhs, rhs, constant)
 
 
 def dual_pointwise_check(g: SampledFunction, h: SampledFunction, c: Curve,
@@ -593,11 +598,5 @@ def dual_pointwise_check(g: SampledFunction, h: SampledFunction, c: Curve,
     mh = hardy_littlewood_max(h.with_values(np.fft.ifft(env * hh))).values.real
     ginf = lp_norm(g, math.inf)
     rhs = ginf ** 2 * mh ** 2
-
-    floor = 1e-12 * max(float(rhs.max()), 1e-300)
-    mask = rhs > floor
-    ratio = float(np.max(lhs[mask] / rhs[mask])) if np.any(mask) else 0.0
     block_energy_sup = float(np.max(np.sum(np.abs(G) ** 2, axis=0))) / max(ginf ** 2, 1e-300)
-    return CheckReport(lhs_sup=float(lhs.max()), rhs_sup=float(rhs.max()),
-                       ratio_sup=ratio, constant=constant, passed=bool(ratio <= constant),
-                       extras={"block_energy_sup": block_energy_sup})
+    return _report(lhs, rhs, constant, extras={"block_energy_sup": block_energy_sup})

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from bhtlab.curves import builtin_curve
 from bhtlab.decomposition import (FilterBank, TrilinearRecord, apply_Tjm, chirp_kernel,
                                   lambda_jm_spatial, lambda_jm_spectral, lambda_m_plus,
                                   make_record, overlap_count, overlap_report, scale_factor,
-                                  structurally_zero, support_interval)
+                                  structurally_zero)
 from bhtlab.normscan import resonant_triple, scan_machine
 from bhtlab.signal import SampledFunction, forward_transform, lp_norm
 
@@ -16,16 +18,27 @@ def test_scale_factor(curve_t2, curve_t3):
     assert abs(scale_factor(curve_t3, 2) - 3.0 * 8.0 ** (-2)) < 1e-15
 
 
-def test_support_interval_matches_filter(curve_t2):
-    bank = FilterBank(curve=curve_t2, m=4)
-    j, p0 = 2, 20
-    sup = support_interval(curve_t2, j, p0)
-    xi = np.linspace(sup.lower[0] - 50, sup.upper[1] + 50, 40001)
-    mult = bank.block_filters(j, xi)[p0 - 16]
-    nz = xi[np.abs(mult) > 0]
-    inside = ((nz >= sup.lower[0]) & (nz <= sup.lower[1])) | \
-             ((nz >= sup.upper[0]) & (nz <= sup.upper[1]))
-    assert np.all(inside)
+def test_supports_contain_filters(curve_t2):
+    # t^2 - t^3 has D_0 = -1, so its block components come out mirrored
+    for c in (curve_t2, builtin_curve("poly: t^2 - t^3")):
+        for h_widen, h_mirror in ((2.0, True), (1.0, False)):
+            bank = FilterBank(curve=c, m=4, h_widen=h_widen, h_mirror=h_mirror)
+            lim = 1.2 * max(bank.reach(0))
+            xi = np.linspace(-lim, lim, 60001)
+            step = xi[1] - xi[0]
+            mults = (bank.chirp_filters(0, xi), bank.block_filters(0, xi),
+                     bank.h_block_filters(0, xi))
+            for mult, sup in zip(mults, bank.supports(0)):
+                assert not np.any(sup.everywhere)
+                ends = np.broadcast_to(sup.ends, (len(mult),) + sup.ends.shape[1:])
+                for row, comps in zip(np.abs(mult) > 0, ends):
+                    inside = [(lo < xi) & (xi < hi) for lo, hi in comps]
+                    # no nonzero sample lies outside the components ...
+                    assert not np.any(row & ~np.logical_or.reduce(inside))
+                    # ... and the nonzero samples fill each component to its ends
+                    for (lo, hi), ins in zip(comps, inside):
+                        hit = xi[row & ins]
+                        assert lo < hi and hit[0] - lo < 2 * step and hi - hit[-1] < 2 * step
 
 
 def test_chirp_filter_unimodular(curve_t2, curve_t3):
@@ -59,7 +72,6 @@ def test_overlap_counts(curve_t2, curve_t3):
 
 
 def test_overlap_precondition():
-    from bhtlab.curves import builtin_curve
     with pytest.raises(ValueError):
         overlap_report(builtin_curve("poly: t^2"), 9, 10)
 
@@ -202,7 +214,7 @@ def test_symmetry_with_equal_banks(curve_t2):
     m, j = 4, 2
     bank = FilterBank(curve=curve_t2, m=m, j_lo=j, j_hi=j, h_widen=1.0, h_mirror=False)
     from bhtlab.decomposition import TrilinearMachine, grid_for_bands
-    x0, dx = grid_for_bands(curve_t2, m, [j], 2 ** 11)
+    x0, dx = grid_for_bands(bank, [j], 2 ** 11)
     mach = TrilinearMachine(bank, 2 ** 11, dx)
     rng = np.random.default_rng(2)
     fv = rng.normal(size=2 ** 11) + 1j * rng.normal(size=2 ** 11)
@@ -255,6 +267,29 @@ def test_structural_zero_detection(curve_t2, curve_t3):
     assert structurally_zero(FilterBank(curve=curve_t3, m=8, j_lo=0, j_hi=0), 0)
     assert not structurally_zero(FilterBank(curve=curve_t2, m=6, j_lo=0, j_hi=0), 0)
     assert not structurally_zero(FilterBank(curve=curve_t2, m=8), 4)
+
+
+def test_structural_zero_negative_scale_factor():
+    # D_0 = -1 for t^2 - t^3: xi in (25.6, 30) meets the resonance plane at m = 8
+    c = builtin_curve("poly: t^2 - t^3")
+    assert scale_factor(c, 0) == -1.0
+    assert not structurally_zero(FilterBank(curve=c, m=8, j_lo=0, j_hi=0), 0)
+
+
+def test_zero_scale_factor(curve_powlog):
+    # D_0 = 0: each block filter is the constant phi(-p0 / widen), nonzero
+    # everywhere for p0 < 10 (m <= 3) and nowhere for p0 >= 10 (g at m >= 4)
+    assert scale_factor(curve_powlog, 0) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = {m: overlap_report(curve_powlog, m, 40) for m in (2, 4, 8)}
+        only = overlap_report(curve_powlog, 2, 0)
+    assert (only.max_scale_overlap, only.max_pair_overlap) == (1, 4)
+    for rep in reps.values():
+        # one scale's windows, of width 20 sliding by 1, overlap at most 21 deep
+        assert rep.max_pair_overlap <= 21 * rep.max_scale_overlap
+    assert not structurally_zero(FilterBank(curve=curve_powlog, m=2), 0)
+    assert structurally_zero(FilterBank(curve=curve_powlog, m=4), 0)
 
 
 def test_chirp_kernel_deviation_decreases(curve_t2):

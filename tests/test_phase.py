@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bhtlab.curves import inverse_deriv
+from bhtlab.curves import builtin_curve, inverse_deriv
 from bhtlab.phase import (adaptive_simpson, chirp_phase_eval, chirp_phase_quadrature,
                           critical_point, kernel_phase_eval, kernel_phase_quadrature,
                           modulation_constant, phase_residual, phase_value, profiles_for,
@@ -136,3 +137,11 @@ def test_kernel_phase_derivative_is_inverse_ratio(curve_t2, curve_t3):
 def test_adaptive_simpson():
     assert abs(adaptive_simpson(math.sin, 0.0, math.pi) - 2.0) < 1e-10
     assert abs(adaptive_simpson(lambda u: u ** 3, -1.0, 2.0) - 15.0 / 4.0) < 1e-10
+
+
+def test_profile_cache_keyed_on_curve(curve_t2):
+    assert profiles_for(curve_t2).r(4.0) == pytest.approx(4.0)
+    # a different curve under the same label gets its own profiles
+    relabelled = dataclasses.replace(builtin_curve("poly: t^3"), label=curve_t2.label)
+    assert profiles_for(relabelled).r(4.0) == pytest.approx(2.0)
+    assert profiles_for(curve_t2).r(4.0) == pytest.approx(4.0)
