@@ -6,8 +6,8 @@ and decomposition toolkit, and empirical operator-norm scans."""
 __version__ = "0.1.0"
 
 from .bumps import bump_phi, smooth_step
-from .curves import (BUILTIN_TEST_DESCRIPTORS, Curve, ProfileSlice, asymptotic_profile,
-                     builtin_curve, growth_dichotomy, inverse_deriv, nonflatness_report,
+from .curves import (Curve, ProfileSlice, asymptotic_profile, builtin_curve,
+                     growth_dichotomy, inverse_deriv, nonflatness_report,
                      profile_error_sequence, r_profile, variation_count)
 from .decomposition import (BandSupport, ChirpKernelResult, FilterBank, OverlapReport,
                             TrilinearMachine, TrilinearRecord, active_scales, apply_Tjm,

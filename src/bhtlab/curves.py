@@ -32,7 +32,6 @@ __all__ = [
     "Curve",
     "ProfileSlice",
     "builtin_curve",
-    "BUILTIN_TEST_DESCRIPTORS",
     "GRAMMAR_HELP",
     "variation_count",
     "asymptotic_profile",
@@ -245,15 +244,6 @@ def builtin_curve(descriptor: str) -> Curve:
         params = dict(p.split("=") for p in body.split())
         return _powlog_curve(float(params["a"]), float(params.get("b", "1")), descriptor)
     raise ValueError(f"unknown curve family {head!r}; {GRAMMAR_HELP}")
-
-
-BUILTIN_TEST_DESCRIPTORS = (
-    "poly: t^2",
-    "poly: t^3",
-    "poly: t^2 + t^3",
-    "pow: 1.5",
-    "powlog: a=2 b=1",
-)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ integral pairs it against h-content near -A_{j,p0}; for real h both
 descriptions carry the same data, and all square-function inequalities use
 moduli where the mirror is invisible.
 
-Both evaluation routes share these exact multipliers: the spatial route is
-FFT convolution and pointwise products; the spectral route is the direct
-double-frequency sum  2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)), which on
-the symmetric grid is the same number by the DFT identity.  On the np.fft
+Both evaluation routes sample these exact multipliers from the bank: the
+spatial route is FFT convolution and pointwise products, on a short grid per
+scale that holds every row's nonzero bins and the same resonant triples
+(TrilinearMachine.mults); the spectral route is the direct double-frequency
+sum  2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)) over the whole grid, which
+on the symmetric grid is the same number by the DFT identity.  On the np.fft
 order the machine works in, that sum reads dx/N^2 sum_{k,l} F(k) G(l)
 H(-k-l mod N) over the plain DFTs.  Their agreement tests the transform
 plumbing, not the modeling.
@@ -63,7 +65,7 @@ __all__ = [
 ]
 
 
-SPECTRAL_CHUNK = 256     # f frequencies per block of the spectral double sum
+ORACLE_COLUMNS = 1024    # grid bins per block when sampling the oracle's dense rows
 
 
 def scale_factor(c: Curve, j: int) -> float:
@@ -222,13 +224,16 @@ class FilterBank:
         return 2.0 ** (-self.m / 2.0) * out
 
     def block_filters(self, j: int, xi: np.ndarray) -> np.ndarray:
+        """(P, N) rows phi(D_j xi - p0) on a shared xi of shape (N,), or on
+        one row of frequencies per p0 when xi has shape (P, N)."""
         d = scale_factor(self.curve, j)
-        return bump_phi(d * xi[None, :] - self.p0_values[:, None].astype(float))
+        return bump_phi(d * xi - self.p0_values[:, None].astype(float))
 
     def h_block_filters(self, j: int, xi: np.ndarray) -> np.ndarray:
+        """Third-slot rows phi((D_j (-)xi - p0) / h_widen), xi as in block_filters."""
         d = scale_factor(self.curve, j)
         arg = -xi if self.h_mirror else xi
-        return bump_phi((d * arg[None, :] - self.p0_values[:, None].astype(float)) / self.h_widen)
+        return bump_phi((d * arg - self.p0_values[:, None].astype(float)) / self.h_widen)
 
     def _block_support(self, d: float, widen: float, mirror: bool) -> BandSupport:
         p0 = self.p0_values.astype(float)
@@ -250,21 +255,82 @@ class FilterBank:
         return (f, self._block_support(d, 1.0, False),
                 self._block_support(d, self.h_widen, self.h_mirror))
 
-    def reach(self, j: int) -> tuple[float, float]:
+    def reach(self, j: int) -> Optional[tuple[float, float]]:
         """Bounds on |xi| over the scale-j supports: the f band's outer edge,
-        and (2^(m+1) + PHI_OUTER h_widen) / |D_j| for the g and h blocks."""
+        and (2^(m+1) + PHI_OUTER h_widen) / |D_j| for the g and h blocks.
+
+        At D_j = 0 the blocks are constants (see supports): None when every
+        p0 has an empty g or h block, so the scale is structurally zero and
+        needs no grid; a ValueError naming the scale when some p0 has both
+        blocks nonzero on the whole line, which no grid represents.
+        """
         d = abs(scale_factor(self.curve, j))
+        if d == 0.0:
+            _, g, h = self.supports(j)
+            if np.any(g.everywhere & h.everywhere):
+                raise ValueError(f"scale j={j} has D_j = 0 with g and h blocks constant "
+                                 "and nonzero on the whole line; no grid represents it")
+            return None
         blocks = (2.0 ** (self.m + 1) + PHI_OUTER * self.h_widen) / d
         return PHI_OUTER * 2.0 ** (self.m + j), blocks
 
 
 def grid_for_bands(bank: FilterBank, j_list, n: int) -> tuple[float, float]:
     """(x0, dx) for a symmetric grid representing every band of the given
-    scales, with 25% headroom over their reach."""
-    psi_hi = bank.reach(max(j_list))[0]
-    blk_hi = max(bank.reach(j)[1] for j in j_list)
+    scales, with 25% headroom over their reach (structurally zero D_j = 0
+    scales need none)."""
+    reach = [r for r in map(bank.reach, j_list) if r is not None]
+    if not reach:
+        raise ValueError(f"scales {list(j_list)} are all structurally zero")
+    psi_hi = max(r[0] for r in reach)
+    blk_hi = max(r[1] for r in reach)
     dx = math.pi / (1.25 * (psi_hi + blk_hi))
     return -(n // 2) * dx, dx
+
+
+def _smooth_length(w: int) -> int:
+    """Smallest 2^a 3^b 5^c >= w."""
+    n = max(w, 1)
+    while True:
+        r = n
+        for q in (2, 3, 5):
+            while r % q == 0:
+                r //= q
+        if r == 1:
+            return n
+        n += 1
+
+
+def _place(vals: np.ndarray, bins: np.ndarray, shift: np.ndarray, L: int) -> tuple:
+    """(P, L) rows holding row p's values at positions shift[p] + 0, 1, ...
+    (mod L), zero elsewhere, and the bins of those values (0 elsewhere)."""
+    p, w = vals.shape
+    pos = (shift[:, None] + np.arange(w)) % L
+    r = np.arange(p)[:, None]
+    rows = np.zeros((p, L), dtype=vals.dtype)
+    rows[r, pos] = vals
+    at = np.zeros((p, L), dtype=np.intp)
+    at[r, pos] = bins
+    return rows, at
+
+
+def _filtered_row(fam: tuple, p: int, spectrum: np.ndarray) -> tuple:
+    """Bins and values of row p of a sparse-held multiplier times the
+    spectrum, where the product is nonzero."""
+    starts, bins, vals = fam
+    k = bins[starts[p]:starts[p + 1]]
+    v = vals[starts[p]:starts[p + 1]] * spectrum[k]
+    nz = v != 0
+    return k[nz], v[nz]
+
+
+def _stretch(bins: np.ndarray, vals: np.ndarray, n: int) -> tuple:
+    """(first signed bin, values on every signed bin from it to the last)."""
+    signed = np.where(bins < n // 2, bins, bins - n)
+    lo = int(signed.min())
+    out = np.zeros(int(signed.max()) - lo + 1, dtype=complex)
+    out[signed - lo] = vals
+    return lo, out
 
 
 class TrilinearMachine:
@@ -272,7 +338,7 @@ class TrilinearMachine:
 
     The multipliers are sampled on the np.fft-order frequency grid, so every
     filter is ifft(M * fft(v)) and a spectrum is the plain fft of the
-    samples.  Caches the (P, N) multiplier triples per scale; all
+    samples.  Each scale's rows live on a short grid (see mults); all
     reductions are sequential and deterministic.
     """
 
@@ -284,7 +350,9 @@ class TrilinearMachine:
         self.dxi = 2.0 * math.pi / (n * dx)
         self.xi = frequency_grid(n, dx)
         self._refl_idx = (n - np.arange(n)) % n
-        self._mults: dict[int, tuple] = {}
+        self._mults: dict[int, tuple] = {}       # j -> short (P, L) rows of f, g, h
+        self._bins: dict[int, tuple] = {}        # j -> their (P, L) grid bins
+        self._oracle: dict[int, list] = {}       # j -> lam_spectral's dense rows
         self.scan_scales: list[int] = list(range(bank.j_lo, bank.j_hi + 1))
 
     # -- transforms ---------------------------------------------------------
@@ -292,48 +360,131 @@ class TrilinearMachine:
         return SampledFunction(self.x0, self.dx, values, profile=profile)
 
     def back_batch(self, mults: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(mults * spectrum[None, :], axis=1)
+        """Row-wise ifft(mults * spectrum); spectrum is one shared (N,) row
+        or one row per multiplier row."""
+        return np.fft.ifft(mults * spectrum, axis=-1)
 
     def fwd_batch(self, values: np.ndarray) -> np.ndarray:
         return np.fft.fft(values, axis=1)
 
-    # -- multiplier cache ----------------------------------------------------
+    # -- short rows ------------------------------------------------------------
+    def _windows(self, sup: BandSupport) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the signed bins [a, b] (inclusive, within the grid's
+        -N/2..N/2-1) that hold every nonzero sample of the family; a > b
+        when it has none."""
+        half = self.n // 2
+        if sup.ends.shape[1]:
+            a = np.floor(sup.ends[:, :, 0].min(axis=1) / self.dxi)
+            b = np.ceil(sup.ends[:, :, 1].max(axis=1) / self.dxi)
+        else:                   # constant block filters (D_j = 0)
+            a = np.where(sup.everywhere, -half, half)
+            b = np.where(sup.everywhere, half - 1, -half)
+        return (np.clip(a, -half, half).astype(np.int64),
+                np.clip(b, -half - 1, half - 1).astype(np.int64))
+
     def mults(self, j: int) -> tuple:
+        """The scale-j rows of f, g and h on a short grid of length L.
+
+        Per row p0 the three families are nonzero only on signed bin windows
+        [a_f, b_f], [a_g, b_g], [a_h, b_h] (from the bank's supports), so a
+        resonant triple k + l + n = 0 (mod N) has k + l + n = tN for the one
+        multiple tN of N in [a_f + a_g + a_h, b_f + b_g + b_h]; a row with
+        none contributes nothing and is dropped.  Bin k of a family goes to
+        position (k - a) mod L, f's moved on by a_f + a_g + a_h - tN, so the
+        positions of a triple sum to k + l + n - tN (mod L).  With
+        L >= W_f + W_g + W_h (W = b - a + 1) that is 0 mod L exactly when
+        k + l + n = tN: the short grid holds the same resonant triples as the
+        full one, and Lambda_p = dx L^2/N^2 sum ifft_L(F) ifft_L(G) ifft_L(H).
+        L is the smallest 2^a 3^b 5^c >= max(W_f + W_g + W_h), capped at N,
+        where the placement only relabels the bins.
+
+        Returns the (P, L) rows, sampled from the bank's filter methods at
+        their bins' frequencies; the bins, in np.fft order, are kept in
+        self._bins[j].
+        """
         hit = self._mults.get(j)
         if hit is None:
-            fm = self.bank.chirp_filters(j, self.xi) * self.bank.band_dyadic(self.bank.m + j, self.xi)[None, :]
-            gm = self.bank.block_filters(j, self.xi)
-            hm = self.bank.h_block_filters(j, self.xi)
-            hit = (fm, gm, hm)
+            bank, n = self.bank, self.n
+            (af, bf), (ag, bg), (ah, bh) = (self._windows(sup) for sup in bank.supports(j))
+            t = -(-(af + ag + ah) // n)
+            live = (af <= bf) & (ag <= bg) & (ah <= bh) & (t * n <= bf + bg + bh)
+            width = (bf - af + 1) + (bg - ag + 1) + (bh - ah + 1)
+            L = min(n, _smooth_length(int(width[live].max(initial=1))))
+            # offsets past a row's window reach bins outside it, where every sample is zero
+            o_f, o_g, o_h = (np.arange(np.broadcast_to(b - a + 1, live.shape)[live].max(initial=1))
+                             for a, b in ((af, bf), (ag, bg), (ah, bh)))
+            kf = af[0] + o_f                                 # the f band is one shared window
+            kg, kh = ag[:, None] + o_g, ah[:, None] + o_h
+            rows = ((bank.chirp_filters(j, self.xi[kf % n])
+                     * bank.band_dyadic(bank.m + j, self.xi[kf % n]))[live],
+                    bank.block_filters(j, self.xi[kg % n])[live],
+                    bank.h_block_filters(j, self.xi[kh % n])[live])
+            bins = [np.broadcast_to(kf, rows[0].shape), kg[live], kh[live]]
+            # f moves on by a_f + a_g + a_h - tN
+            still = np.zeros(np.count_nonzero(live), dtype=np.int64)
+            shifts = ((af + ag + ah - t * n)[live] % L, still, still)
+            placed = [_place(mm, kk % n, sh, L) for mm, kk, sh in zip(rows, bins, shifts)]
+            hit = tuple(mm for mm, _ in placed)
             self._mults[j] = hit
+            self._bins[j] = tuple(kk for _, kk in placed)
         return hit
 
     # -- trilinear forms ------------------------------------------------------
     def lam_spatial(self, fv, gv, hv, j: int) -> complex:
-        fm, gm, hm = self.mults(j)
-        F = self.back_batch(fm, np.fft.fft(fv))
-        G = self.back_batch(gm, np.fft.fft(gv))
-        H = self.back_batch(hm, np.fft.fft(hv))
-        return complex(np.sum(F * G * H) * self.dx)
+        """Lambda_j = sum_p dx L^2/N^2 sum ifft_L(F) ifft_L(G) ifft_L(H) on
+        the short grid (see mults)."""
+        mults = self.mults(j)
+        F, G, H = (self.back_batch(mm, np.fft.fft(v)[b])
+                   for mm, b, v in zip(mults, self._bins[j], (fv, gv, hv)))
+        L = F.shape[1]
+        return complex(np.sum(F * G * H) * (self.dx * L ** 2 / self.n ** 2))
+
+    def _oracle_rows(self, j: int) -> list:
+        """lam_spectral's multipliers: the dense (P, N) rows of the three
+        families sampled on the whole grid from the bank's filter methods, a
+        block of ORACLE_COLUMNS bins at a time, and held by their nonzero
+        entries as (row starts, bins, values) in row-major order."""
+        hit = self._oracle.get(j)
+        if hit is None:
+            bank = self.bank
+            hit = []
+            for family in (lambda xi: bank.chirp_filters(j, xi) * bank.band_dyadic(bank.m + j, xi),
+                           lambda xi: bank.block_filters(j, xi),
+                           lambda xi: bank.h_block_filters(j, xi)):
+                rows, bins, vals = [], [], []
+                for c0 in range(0, self.n, ORACLE_COLUMNS):
+                    mm = family(self.xi[c0:c0 + ORACLE_COLUMNS])
+                    r, c = np.nonzero(mm)
+                    rows.append(r.astype(np.int32))
+                    bins.append((c + c0).astype(np.int32))
+                    vals.append(mm[r, c])
+                rows = np.concatenate(rows)
+                order = np.argsort(rows, kind="stable")
+                starts = np.searchsorted(rows[order], np.arange(len(bank.p0_values) + 1))
+                hit.append((starts, np.concatenate(bins)[order], np.concatenate(vals)[order]))
+            self._oracle[j] = hit
+        return hit
 
     def lam_spectral(self, fv, gv, hv, j: int) -> complex:
-        """dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the filtered DFTs."""
-        fm, gm, hm = self.mults(j)
-        fh, gh, hh = np.fft.fft(fv), np.fft.fft(gv), np.fft.fft(hv)
+        """dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the filtered DFTs,
+        row by row over the dense rows of _oracle_rows (the independent
+        oracle for lam_spatial's short grid).  Each row's sum is taken as
+        sum_k F(k) C(-k mod N), with C(m) = sum_{l+n=m mod N} G(l) H(n) the
+        direct (np.convolve) convolution of G's and H's nonzero stretches."""
+        fams = self._oracle_rows(j)
+        spectra = [np.fft.fft(v) for v in (fv, gv, hv)]
         n = self.n
         total = 0.0 + 0.0j
-        for r in range(fm.shape[0]):
-            fr = fm[r] * fh
-            gr = gm[r] * gh
-            hr = hm[r] * hh
-            ks = np.nonzero(fr)[0]
-            ls = np.nonzero(gr)[0]
-            if len(ks) == 0 or len(ls) == 0:
+        for p in range(len(self.bank.p0_values)):
+            (kf, fr), (kg, gr), (kh, hr) = (
+                _filtered_row(fam, p, sp) for fam, sp in zip(fams, spectra))
+            if len(kf) == 0 or len(kg) == 0 or len(kh) == 0:
                 continue
-            for c0 in range(0, len(ks), SPECTRAL_CHUNK):
-                kk = ks[c0:c0 + SPECTRAL_CHUNK]
-                idx = (-kk[:, None] - ls[None, :]) % n
-                total += np.sum(fr[kk][:, None] * gr[ls][None, :] * hr[idx])
+            (g0, G), (h0, H) = _stretch(kg, gr, n), _stretch(kh, hr, n)
+            C = np.convolve(G, H)
+            m = (g0 + h0 + np.arange(len(C))) % n
+            C = np.bincount(m, C.real, n) + 1j * np.bincount(m, C.imag, n)
+            total += np.sum(fr * C[(-kf) % n])
         return complex(self.dx / n ** 2 * total)
 
     # -- slot gradients (for matched extremizer search) -----------------------
@@ -342,19 +493,27 @@ class TrilinearMachine:
 
         Uses the transpose rule for a multiplier M: int (Ms) u dx =
         int s (M~ u) dx where M~ carries the reflected symbol xi -> m(-xi).
-        Only the other two slots are filtered.
+        On the short grid (see mults): the other two slots' filtered rows
+        are multiplied there and transformed back with fft_L; the value at
+        position q's reflection -q (mod L), times L/N and the slot's row,
+        belongs to the reflection -k (mod N) of q's bin k.
         """
         if slot not in ("f", "g", "h"):
             raise ValueError(f"unknown slot {slot!r}")
         k = "fgh".index(slot)
         others = [i for i in range(3) if i != k]
-        spectra = [np.fft.fft(v) for i, v in enumerate((fv, gv, hv)) if i != k]
+        spectra = {i: np.fft.fft(v) for i, v in enumerate((fv, gv, hv)) if i != k}
         vh_total = np.zeros(self.n, dtype=complex)
         for j in j_list:
             mults = self.mults(j)
-            A, B = (self.back_batch(mults[i], sp) for i, sp in zip(others, spectra))
-            uh = self.fwd_batch(A * B)
-            vh_total += np.sum(mults[k][:, self._refl_idx] * uh, axis=0)
+            bins = self._bins[j]
+            A, B = (self.back_batch(mults[i], spectra[i][bins[i]]) for i in others)
+            L = A.shape[1]
+            uh = self.fwd_batch(A * B)[:, (L - np.arange(L)) % L]
+            w = (L / self.n) * mults[k] * uh
+            target = self._refl_idx[bins[k]].ravel()
+            vh_total += (np.bincount(target, w.real.ravel(), self.n)
+                         + 1j * np.bincount(target, w.imag.ravel(), self.n))
         return np.fft.ifft(vh_total)
 
 
@@ -398,9 +557,11 @@ def lambda_jm_spectral(bank: FilterBank, f: SampledFunction, g: SampledFunction,
 
 def active_scales(bank: FilterBank, dx: float) -> list[int]:
     """Scales whose three bands reach no further than 98% of the
-    representable frequency window."""
+    representable frequency window; structurally zero D_j = 0 scales are
+    left out (see FilterBank.reach)."""
     xi_max = math.pi / dx
-    return [j for j in range(bank.j_lo, bank.j_hi + 1) if max(bank.reach(j)) <= 0.98 * xi_max]
+    return [j for j in range(bank.j_lo, bank.j_hi + 1)
+            if (r := bank.reach(j)) is not None and max(r) <= 0.98 * xi_max]
 
 
 def lambda_m_plus(bank: FilterBank, f: SampledFunction, g: SampledFunction,
@@ -465,11 +626,7 @@ def chirp_kernel(c: Curve, m: int, p0: int, j: int, n: int = 2 ** 18,
     if 10.0 * 2.0 ** (m + j) > math.pi / dx:
         raise ValueError("band exceeds the grid; enlarge n or shrink half_width")
 
-    env = bump_phi(xi / 2.0 ** (m + j))
-    psi = np.zeros(n, dtype=complex)
-    nz = env > 0
-    s = np.abs(xi[nz]) / (2.0 ** j * p0)
-    psi[nz] = 2.0 ** (-m / 2.0) * np.exp(-1j * p0 * prof.chirp_phase(s)) * env[nz]
+    psi = FilterBank(curve=c, m=m).chirp_filters(j, xi, p0_subset=[p0])[0]
     kern_vals = inverse_transform(Spectrum(xi[0], dxi, psi), x0=x0).values
     kernel = SampledFunction(x0, dx, kern_vals)
 

@@ -212,7 +212,10 @@ def _gaussian_member(rng, x0, dx, n, shape):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for a, c, s, w in terms:
-            out = out + a * np.exp(-np.clip(((t - c) / s) ** 2, 0.0, 700.0)) * np.exp(1j * w * t)
+            # one complex exp(i w t - z^2), taken only where exp(-z^2) is a normal number
+            z2 = ((t - c) / s) ** 2
+            out += a * np.exp((1j * w) * t - z2, out=np.zeros(t.shape, dtype=complex),
+                              where=z2 < 700.0)
         return out
 
     x = x0 + dx * np.arange(n)

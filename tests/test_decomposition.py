@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bhtlab.curves import builtin_curve
-from bhtlab.decomposition import (FilterBank, TrilinearRecord, apply_Tjm, chirp_kernel,
+from bhtlab.decomposition import (FilterBank, TrilinearMachine, TrilinearRecord,
+                                  active_scales, apply_Tjm, chirp_kernel, grid_for_bands,
                                   lambda_jm_spatial, lambda_jm_spectral, lambda_m_plus,
                                   make_record, overlap_count, overlap_report, scale_factor,
                                   structurally_zero)
@@ -138,9 +139,12 @@ def test_apply_Tjm_linearity(curve_t2):
 
 
 def test_spatial_spectral_agreement(curve_t2, curve_t3):
-    for c, cells in ((curve_t2, [(4, 0), (4, 2), (6, 2)]), (curve_t3, [(4, 1)])):
-        for m, j in cells:
-            mach = scan_machine(c, m, n=2 ** 11, j_list=[j])
+    # (m, j, n); the m = 10 cell's rows are 180 bins long on its short grid
+    for c, cells in ((curve_t2, [(4, 0, 2 ** 11), (4, 2, 2 ** 11), (6, 2, 2 ** 11),
+                                 (10, 10, 2 ** 15)]),
+                     (curve_t3, [(4, 1, 2 ** 11)])):
+        for m, j, n in cells:
+            mach = scan_machine(c, m, n=n, j_list=[j])
             rng = np.random.default_rng(1000 * m + j)
             for _ in range(3):
                 f, g, h, made = resonant_triple(mach, rng)
@@ -213,7 +217,6 @@ def test_triangle_of_sums_bound(curve_t2):
 def test_symmetry_with_equal_banks(curve_t2):
     m, j = 4, 2
     bank = FilterBank(curve=curve_t2, m=m, j_lo=j, j_hi=j, h_widen=1.0, h_mirror=False)
-    from bhtlab.decomposition import TrilinearMachine, grid_for_bands
     x0, dx = grid_for_bands(bank, [j], 2 ** 11)
     mach = TrilinearMachine(bank, 2 ** 11, dx)
     rng = np.random.default_rng(2)
@@ -223,6 +226,75 @@ def test_symmetry_with_equal_banks(curve_t2):
     a = mach.lam_spatial(fv, gv, hv, j)
     b = mach.lam_spatial(fv, hv, gv, j)
     assert abs(a - b) < 1e-12 * abs(a)
+
+
+# dense reference for the short grid: the (P, N) rows sampled from the bank on
+# the machine's whole grid, filtered by ifft(M * fft(v)) at full length
+
+def _dense_rows(mach, j):
+    bank, xi = mach.bank, mach.xi
+    return (bank.chirp_filters(j, xi) * bank.band_dyadic(bank.m + j, xi)[None, :],
+            bank.block_filters(j, xi), bank.h_block_filters(j, xi))
+
+
+def _dense_lam(mach, rows, fv, gv, hv):
+    F, G, H = (np.fft.ifft(mm * np.fft.fft(v), axis=1) for mm, v in zip(rows, (fv, gv, hv)))
+    return complex(mach.dx * np.sum(F * G * H))
+
+
+def _dense_grad(mach, rows, slot, fv, gv, hv):
+    k = "fgh".index(slot)
+    A, B = (np.fft.ifft(mm * np.fft.fft(v), axis=1)
+            for i, (mm, v) in enumerate(zip(rows, (fv, gv, hv))) if i != k)
+    refl = (mach.n - np.arange(mach.n)) % mach.n
+    return np.fft.ifft(np.sum(rows[k][:, refl] * np.fft.fft(A * B, axis=1), axis=0))
+
+
+def _scan_case(desc, m, n, j_list=None, at=None):
+    mach = scan_machine(builtin_curve(desc), m, n=n, j_list=j_list)
+    return mach, at or mach.scan_scales
+
+
+def _equal_bank_case(j, edge=None):
+    """Equal banks on the grid_for_bands grid, or on one whose frequency edge
+    sits at `edge` times the block reach."""
+    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=4, j_lo=j, j_hi=j,
+                      h_widen=1.0, h_mirror=False)
+    dx = grid_for_bands(bank, [j], 2 ** 11)[1] if edge is None else \
+        math.pi / (edge * bank.reach(j)[1])
+    return TrilinearMachine(bank, 2 ** 11, dx), [j]
+
+
+SHORT_GRID_CASES = {
+    "t2": lambda: _scan_case("poly: t^2", 6, 2 ** 13),
+    "t3": lambda: _scan_case("poly: t^3", 5, 2 ** 12),
+    # D_0 = -1: every block window is mirrored
+    "t2-t3 j=0": lambda: _scan_case("poly: t^2 - t^3", 4, 2 ** 12, [0]),
+    "equal banks": lambda: _equal_bank_case(2),
+    # the edge cuts the top g and h windows, and k + l + n reaches only N
+    "aliased": lambda: _equal_bank_case(6, edge=0.75),
+    # live scales 0 (D_0 = 0: no resonant row) and 1
+    "powlog": lambda: _scan_case("powlog: a=2 b=1", 5, 2 ** 12),
+    # a grid sized for j = 2 holds the j = 3 windows only at L = N
+    "L=N": lambda: _scan_case("poly: t^2", 4, 2 ** 12, [2], at=[3]),
+}
+
+
+@pytest.mark.parametrize("case", SHORT_GRID_CASES)
+def test_short_grid_matches_dense(case):
+    mach, j_list = SHORT_GRID_CASES[case]()
+    lengths = {mach.mults(j)[0].shape[1] for j in j_list}
+    assert (lengths == {mach.n}) == (case == "L=N")
+    rng = np.random.default_rng(5)
+    fv, gv, hv = (rng.normal(size=mach.n) + 1j * rng.normal(size=mach.n) for _ in range(3))
+    rows = {j: _dense_rows(mach, j) for j in j_list}
+    for j in j_list:
+        ref = _dense_lam(mach, rows[j], fv, gv, hv)
+        assert abs(mach.lam_spatial(fv, gv, hv, j) - ref) <= 1e-12 * abs(ref)
+    for slot in "fgh":
+        ref = sum(_dense_grad(mach, rows[j], slot, fv, gv, hv) for j in j_list)
+        got = mach.grad_slot(slot, fv, gv, hv, j_list)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_conjugate_symmetry_real_inputs(curve_t2):
@@ -236,9 +308,7 @@ def test_conjugate_symmetry_real_inputs(curve_t2):
     hv = rng.normal(size=mach.n).astype(complex)
     a = mach.lam_spatial(fv, gv, hv, j)
     refl = (mach.n - np.arange(mach.n)) % mach.n
-    fm, gm, hm = mach.mults(j)
-    mach._mults[j] = tuple(np.conj(mm[:, refl]) for mm in (fm, gm, hm))
-    b = mach.lam_spatial(fv, gv, hv, j)
+    b = _dense_lam(mach, tuple(np.conj(mm[:, refl]) for mm in _dense_rows(mach, j)), fv, gv, hv)
     assert abs(a - np.conj(b)) < 1e-12 * abs(a)
 
 
@@ -290,6 +360,20 @@ def test_zero_scale_factor(curve_powlog):
         assert rep.max_pair_overlap <= 21 * rep.max_scale_overlap
     assert not structurally_zero(FilterBank(curve=curve_powlog, m=2), 0)
     assert structurally_zero(FilterBank(curve=curve_powlog, m=4), 0)
+
+
+def test_zero_scale_factor_reach(curve_powlog):
+    # D_0 = 0 at m = 4: every g block is empty, so scale 0 needs no grid ...
+    bank = FilterBank(curve=curve_powlog, m=4, j_lo=0, j_hi=3)
+    assert bank.reach(0) is None
+    assert 0 not in active_scales(bank, 1e-3)
+    assert grid_for_bands(bank, [0, 1, 2], 2 ** 12) == grid_for_bands(bank, [1, 2], 2 ** 12)
+    # ... while at m = 2 the g and h blocks of every p0 fill the whole line
+    bank = FilterBank(curve=curve_powlog, m=2)
+    for call in (lambda: bank.reach(0), lambda: active_scales(bank, 1e-3),
+                 lambda: grid_for_bands(bank, [0, 1], 2 ** 12)):
+        with pytest.raises(ValueError, match="j=0"):
+            call()
 
 
 def test_chirp_kernel_deviation_decreases(curve_t2):
