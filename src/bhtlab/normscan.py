@@ -64,9 +64,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PVParams:
-    """Quadrature layout: dyadic panels on (eps_min, 1), unit panels out to
-    t_max (defaults to the full grid width, which captures the cross-domain
-    pairs the periodic multiplier reference sees)."""
+    """Quadrature layout: dyadic panels on (eps_min, 1), whole-cell outer
+    panels out to t_max (see _pv_panels; t_max defaults to the full grid
+    width, which captures the cross-domain pairs the periodic multiplier
+    reference sees)."""
 
     eps_min: float = 1e-7
     t_max: Optional[float] = None
@@ -98,17 +99,39 @@ def _evaluator(f: SampledFunction) -> Callable:
     return interp
 
 
-def _pv_panels(params: PVParams, t_max: float) -> list[tuple[float, float]]:
-    panels = []
+@dataclass(frozen=True)
+class PVLayout:
+    """The t > 0 panels of the symmetric PV pairing.
+
+    inner: dyadic panels (eps_min, 2 eps_min), ..., ending at t = 1.
+    Outer: `count` panels of `cells` grid cells each (width = cells * dx),
+    panel q spanning [start + q width, start + (q + 1) width]; a whole number
+    of cells apart, they read f(x -+ t) off two shared evaluations.
+    tail: the remainder (start + count width, t_max), or None.
+    """
+
+    inner: tuple
+    start: float
+    cells: int
+    width: float
+    count: int
+    tail: Optional[tuple]
+
+
+def _pv_panels(params: PVParams, t_max: float, dx: float) -> PVLayout:
+    inner = []
     lo = params.eps_min
     while lo < 1.0:
-        panels.append((lo, min(2.0 * lo, 1.0)))
+        inner.append((lo, min(2.0 * lo, 1.0)))
         lo *= 2.0
-    t0 = 1.0
-    while t0 < t_max:
-        panels.append((t0, min(t0 + 1.0, t_max)))
-        t0 += 1.0
-    return panels
+    start = 1.0
+    cells = max(1, round(1.0 / dx))
+    width = cells * dx
+    # a t_max that sits on a panel edge up to rounding leaves no sliver of a tail
+    count = max(0, math.floor((t_max - start) / width + 1e-9))
+    end = start + count * width
+    tail = (end, t_max) if t_max - end > 1e-9 * width else None
+    return PVLayout(tuple(inner), start, cells, width, count, tail)
 
 
 def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
@@ -129,9 +152,11 @@ def bht_direct_report(c: Curve, f: SampledFunction, g: SampledFunction,
 def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams):
     fe, ge = _evaluator(f), _evaluator(g)
     xs = f.x
-    t_max = params.t_max if params.t_max is not None else f.n * f.dx
+    n = f.n
+    t_max = params.t_max if params.t_max is not None else n * f.dx
+    layout = _pv_panels(params, t_max, f.dx)
     glx, glw = np.polynomial.legendre.leggauss(params.gl_order)
-    total = np.zeros(len(xs), dtype=complex)
+    total = np.zeros(n, dtype=complex)
 
     def paired(ts):
         gp = np.asarray(c.eval_fn(ts), dtype=float)
@@ -139,20 +164,41 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
         return (fe(xs[:, None] - ts[None, :]) * ge(xs[:, None] + gp[None, :])
                 - fe(xs[:, None] + ts[None, :]) * ge(xs[:, None] + gm[None, :])) / ts[None, :]
 
-    for a, b in _pv_panels(params, t_max):
+    def panel(a, b):
         ts = 0.5 * (b - a) * glx + 0.5 * (a + b)
         ws = 0.5 * (b - a) * glw
-        total += paired(ts) @ ws
+        return paired(ts) @ ws
+
+    for a, b in layout.inner:
+        total += panel(a, b)
+
+    if layout.count:
+        # panel q's nodes are panel 0's nodes t0 moved by q * cells grid cells,
+        # so f(x_i -+ t) = f(x_{i -+ q cells} -+ t0): f is evaluated once per
+        # node on the grid extended by (count - 1) * cells cells, then sliced
+        t0 = layout.start + 0.5 * layout.width * (glx + 1.0)
+        ws = 0.5 * layout.width * glw
+        ext = (layout.count - 1) * layout.cells
+        f_minus = fe((f.x0 + f.dx * np.arange(-ext, n))[:, None] - t0[None, :])
+        f_plus = fe((f.x0 + f.dx * np.arange(n + ext))[:, None] + t0[None, :])
+        ts = layout.width * np.arange(layout.count)[:, None] + t0[None, :]
+        gp = np.asarray(c.eval_fn(ts), dtype=float)
+        gm = np.asarray(c.eval_fn(-ts), dtype=float)
+        for q in range(layout.count):
+            s = q * layout.cells
+            total += ((f_minus[ext - s: ext - s + n] * ge(xs[:, None] + gp[q])
+                       - f_plus[s: s + n] * ge(xs[:, None] + gm[q])) / ts[q]) @ ws
+
+    if layout.tail is not None:
+        total += panel(*layout.tail)
 
     # inner-cutoff refinement: halve eps until the added sliver is below tolerance
     eps = params.eps_min
-    deltas = np.zeros(len(xs))
+    deltas = np.zeros(n)
     flagged = 0
     last = np.inf
     for _ in range(params.max_halvings):
-        ts = 0.5 * (eps / 2.0) * glx + 0.75 * eps
-        ws = 0.5 * (eps / 2.0) * glw
-        sliver = paired(ts) @ ws
+        sliver = panel(eps / 2.0, eps)
         total += sliver
         deltas = np.abs(sliver)
         last = float(deltas.max())
@@ -255,8 +301,12 @@ class ScanResult:
 def live_scale(c: Curve, m: int, j_cap: int = 40) -> int:
     """Smallest j with 10 * 2^m * gamma'(2^-j) <= 20: the first scale where
     one block window covers the full spread of the first-slot band, i.e.
-    where the block geometry of index m is fully developed."""
+    where the block geometry of index m is fully developed.  Structurally
+    zero scales (D_j = 0, e.g. j = 0 on powlog a=2 b=1) carry no bands and
+    are skipped."""
     for j in range(j_cap + 1):
+        if scale_factor(c, j) == 0.0:
+            continue
         if 10.0 * 2.0 ** m * float(c.deriv(2.0 ** (-j))) <= 20.0:
             return j
     raise ValueError(f"no live scale for {c.label} at m={m} below j={j_cap} "
@@ -291,6 +341,8 @@ def resonant_triple(mach: TrilinearMachine, rng, n_terms: int = 4):
             break
         j = j_list[rng.integers(len(j_list))]
         d = scale_factor(bank.curve, j)
+        if d == 0.0:    # a structurally zero scale has no band to resonate in
+            continue
         p0 = int(rng.integers(2 ** m, 2 ** (m + 1)))
         dg = rng.uniform(0.5, 8.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
         w = rng.uniform(0.8, 16.0) * (1.0 if rng.uniform() < 0.5 else -1.0)

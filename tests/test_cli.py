@@ -56,6 +56,16 @@ def test_scan_row_count_and_determinism(tmp_path):
     assert (tmp_path / "s1" / "scan.csv").read_bytes() == (tmp_path / "s2" / "scan.csv").read_bytes()
 
 
+def test_scan_powlog_zero_scale_exit_0(tmp_path):
+    # j = 0 is structurally zero on this curve; the scan must start at j >= 1
+    rc = cli.main(["--out", str(tmp_path / "p"), "scan", "--curve", "powlog: a=2 b=1",
+                   "--edge", "AC", "--p-list", "2", "--m-list", "4..5",
+                   "--ensemble-size", "2", "--rounds", "1", "--grid-n", "4096"])
+    assert rc == 0
+    rows = (tmp_path / "p" / "scan.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 2
+
+
 def test_bht_reduction_check(tmp_path):
     r = run_cli(["--out", str(tmp_path / "d"), "bht", "--curve", "poly: t^2",
                  "--g", "const1", "--count", "1", "--grid-n", "2048"], cwd=tmp_path)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from bhtlab.curves import builtin_curve
+from bhtlab.decomposition import scale_factor
 from bhtlab.normscan import (HolderTriple, PVParams, bht_direct, bht_direct_report,
                              fit_decay_at_L2point, hilbert_multiplier, live_scale,
                              matched_triple, resonant_triple, scan_machine, scan_point,
                              triangle_membership, trilinear_direct, envelope_check,
-                             scan_edge)
+                             scan_edge, _bht_core, _evaluator, _pv_panels)
 from bhtlab.signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble
 
 
@@ -87,6 +89,58 @@ def test_trilinear_disjoint_supports(curve_t2):
     assert abs(lam) < 1e-8 * scale
 
 
+def _per_node_pv(c, f, g, params, eps_final):
+    """The PV sum over the _pv_panels layout and the inner-cutoff halvings
+    down to eps_final, with f and g evaluated afresh at every Gauss node."""
+    fe, ge = _evaluator(f), _evaluator(g)
+    layout = _pv_panels(params, params.t_max, f.dx)
+    panels = list(layout.inner)
+    panels += [(layout.start + q * layout.width, layout.start + (q + 1) * layout.width)
+               for q in range(layout.count)]
+    if layout.tail is not None:
+        panels.append(layout.tail)
+    eps = params.eps_min
+    while eps > eps_final:
+        panels.append((eps / 2.0, eps))
+        eps /= 2.0
+    glx, glw = np.polynomial.legendre.leggauss(params.gl_order)
+    x = f.x
+    total = np.zeros(f.n, dtype=complex)
+    for a, b in panels:
+        for t, w in zip(0.5 * (b - a) * glx + 0.5 * (a + b), 0.5 * (b - a) * glw):
+            total += w / t * (fe(x - t) * ge(x + float(c.eval_fn(t)))
+                              - fe(x + t) * ge(x + float(c.eval_fn(-t))))
+    return total
+
+
+def test_pv_whole_cell_outer_panels_exact():
+    # 1/dx = 81.92, so the outer panels are 82 cells wide (not 1), and
+    # t_max = n dx = 50 leaves a tail panel after the last whole one.
+    # Frequencies 8..12: on this 50-wide grid the 4..8 band leaves members
+    # with enough low-frequency content that the periodic multiplier and the
+    # line integral differ by up to 3.6e-5 (seeds 0..5, any panel layout);
+    # from 8 up that gap is about 1e-9, so the Hilbert bound sees the quadrature
+    n, dx = 2 ** 12, 50.0 / 2 ** 12
+    shape = EnsembleShape(kind="gaussian", n_terms=3, freq_lo=8.0, freq_hi=12.0,
+                          width_lo_frac=0.02, width_hi_frac=0.04)
+    f, g = make_ensemble(3, 2, shape, x0=-(n // 2) * dx, dx=dx, n=n)
+    params = PVParams(t_max=n * dx)
+    layout = _pv_panels(params, params.t_max, dx)
+    assert layout.cells == 82 and layout.width != 1.0
+    assert layout.count == 48 and layout.tail is not None
+
+    c = builtin_curve("poly: 1*t^2 + 0.5*t^3")
+    bare = lambda m: SampledFunction(m.x0, m.dx, m.values)  # interpolating evaluator
+    for ff, gg in ((f, g), (bare(f), bare(g))):
+        out, diag = _bht_core(c, ff, gg, params)
+        ref = _per_node_pv(c, ff, gg, params, diag["eps_final"])
+        assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    direct = bht_direct(c, f, const_one(n, f.x0, dx), params)
+    ref = hilbert_multiplier(f)
+    assert lp_norm(direct.with_values(direct.values - ref.values), 2.0) < 1e-6 * lp_norm(ref, 2.0)
+
+
 def test_pv_flagging_params(curve_t2, pv_ensemble):
     f = pv_ensemble[0]
     g1 = const_one(f.n, f.x0, f.dx)
@@ -126,6 +180,18 @@ def test_live_scale(curve_t2, curve_t3):
     from bhtlab.curves import builtin_curve
     with pytest.raises(ValueError):
         live_scale(builtin_curve("pow: 0.5"), 4)
+
+
+def test_live_scale_skips_zero_scale(curve_powlog):
+    # D_0 = 0 on powlog a=2 b=1: j = 0 passes the derivative test but has no bands
+    assert scale_factor(curve_powlog, 0) == 0.0
+    for m in (4, 5):
+        assert live_scale(curve_powlog, m) >= 1
+    mach = scan_machine(curve_powlog, 4, n=2 ** 11, j_list=[0, 1])
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        f, g, h, made = resonant_triple(mach, rng)
+        assert made > 0 and np.all(np.isfinite(f))
 
 
 def test_matched_triple_beats_random(curve_t2):
