@@ -21,8 +21,8 @@ from . import __version__
 from .curves import (GRAMMAR_HELP, builtin_curve, growth_dichotomy,
                      nonflatness_report, profile_error_sequence, variation_count)
 from .decomposition import make_record, overlap_report
-from .normscan import (bht_direct_report, decay_fit, hilbert_multiplier, scan_machine,
-                       scan_point, _edge_exponents, resonant_triple)
+from .normscan import (bht_direct_report, decay_fit, hilbert_multiplier, resonant_triple,
+                       scan_edge, scan_machine)
 from .phase import phase_residual, phase_value, sample_admissible_queries, scaling_residual
 from .signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble
 from .squarefuncs import cz_decompose, norm_growth_in_shift
@@ -164,7 +164,7 @@ def cmd_decompose(args) -> int:
     lam_rows = []
     energy_rows = []
     worst = 0.0
-    for idx in range(args.count):
+    for _ in range(args.count):
         f, g, h, made = resonant_triple(mach, rng)
         if made == 0:
             continue
@@ -179,7 +179,7 @@ def cmd_decompose(args) -> int:
             rec = make_record(j, m, a, "spatial", (2.0, 2.0, math.inf), fs, gs, hs)
             lam_rows.append((j, m, a.real, a.imag, rec.ratio, "spatial"))
             lam_rows.append((j, m, b.real, b.imag, rec.ratio, "spectral"))
-        if idx == 0:
+        if not energy_rows:    # block energies of the first nonempty draw
             gh = np.fft.fft(g)
             for j in j_list:
                 gm = mach.bank.block_filters(j, mach.xi)
@@ -263,19 +263,14 @@ def cmd_scan(args) -> int:
     out = _out_dir(args)
     p_list = [float(p) for p in args.p_list.split(",")]
     m_list = _parse_range(args.m_list)
+    results = scan_edge(c, args.edge, p_list, m_list, args.seed, args.ensemble_size,
+                        n=args.grid_n, rounds=args.rounds)
+    inf_str = lambda e: "inf" if math.isinf(e) else e
     rows = []
-    for p in p_list:
-        exps = _edge_exponents(args.edge, p)
-        sups = []
-        for m in m_list:
-            r = scan_point(c, m, exps, args.seed, args.ensemble_size,
-                           rounds=args.rounds, n=args.grid_n)
-            sups.append(r.sup_ratio)
-        alpha, resid = decay_fit(m_list, sups)
-        q, rp = exps[1], exps[2]
-        for m, s in zip(m_list, sups):
-            rows.append((p, "inf" if math.isinf(q) else q,
-                         "inf" if math.isinf(rp) else rp, m, s, alpha, resid))
+    for i in range(0, len(results), len(m_list)):    # scan_edge is p-major
+        per_p = results[i: i + len(m_list)]
+        alpha, resid = decay_fit(m_list, [r.sup_ratio for r in per_p])
+        rows += [(*map(inf_str, r.triple), r.m, r.sup_ratio, alpha, resid) for r in per_p]
     path = _write_table(out, "scan",
                         ["p", "q", "r_prime", "m", "sup_ratio", "alpha_hat", "residual"],
                         rows, args.format)

@@ -42,7 +42,8 @@ import numpy as np
 from .bumps import PHI_INNER, PHI_OUTER, bump_phi
 from .curves import Curve
 from .phase import profiles_for
-from .signal import SampledFunction, Spectrum, frequency_grid, inverse_transform, lp_norm
+from .signal import (HolderTriple, SampledFunction, Spectrum, frequency_grid,
+                     inverse_transform, lp_norm)
 
 __all__ = [
     "scale_factor",
@@ -82,14 +83,11 @@ class TrilinearRecord:
     m: int
     value: complex
     method: str                    # 'spatial' | 'spectral'
-    triple: tuple                  # (p, q, r_prime)
+    triple: HolderTriple           # (p, q, r_prime); a plain 3-tuple is converted
     ratio: float
 
     def __post_init__(self):
-        p, q, rp = self.triple
-        s = sum(0.0 if math.isinf(e) else 1.0 / e for e in (p, q, rp))
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"exponents {self.triple} violate 1/p+1/q+1/r' = 1")
+        object.__setattr__(self, "triple", HolderTriple(*self.triple))
 
 
 def make_record(j: int, m: int, value: complex, method: str, triple,
@@ -97,7 +95,7 @@ def make_record(j: int, m: int, value: complex, method: str, triple,
     p, q, rp = triple
     den = lp_norm(f, p) * lp_norm(g, q) * lp_norm(h, rp)
     ratio = abs(value) / den if den > 0 else 0.0
-    return TrilinearRecord(j=j, m=m, value=value, method=method, triple=tuple(triple), ratio=ratio)
+    return TrilinearRecord(j=j, m=m, value=value, method=method, triple=triple, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .bumps import bump_phi, smooth_step
 from .curves import Curve
 from .decomposition import FilterBank, TrilinearMachine, grid_for_bands, scale_factor
 from .phase import profiles_for
-from .signal import SampledFunction, lp_norm, multiply_spectrum
+from .signal import HolderTriple, SampledFunction, lp_norm, multiply_spectrum
 
 __all__ = [
     "PVParams",
@@ -64,8 +64,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PVParams:
-    """Quadrature layout: dyadic panels on (eps_min, 1), whole-cell outer
-    panels out to t_max (see _pv_panels; t_max defaults to the full grid
+    """Quadrature layout: dyadic panels on (eps_min, min(1, t_max)), whole-cell
+    outer panels out to t_max (see _pv_panels; t_max defaults to the full grid
     width, which captures the cross-domain pairs the periodic multiplier
     reference sees)."""
 
@@ -103,7 +103,7 @@ def _evaluator(f: SampledFunction) -> Callable:
 class PVLayout:
     """The t > 0 panels of the symmetric PV pairing.
 
-    inner: dyadic panels (eps_min, 2 eps_min), ..., ending at t = 1.
+    inner: dyadic panels (eps_min, 2 eps_min), ..., ending at min(1, t_max).
     Outer: `count` panels of `cells` grid cells each (width = cells * dx),
     panel q spanning [start + q width, start + (q + 1) width]; a whole number
     of cells apart, they read f(x -+ t) off two shared evaluations.
@@ -119,10 +119,13 @@ class PVLayout:
 
 
 def _pv_panels(params: PVParams, t_max: float, dx: float) -> PVLayout:
+    if t_max <= params.eps_min:
+        raise ValueError(f"t_max = {t_max} must exceed eps_min = {params.eps_min}")
+    top = min(1.0, t_max)
     inner = []
     lo = params.eps_min
-    while lo < 1.0:
-        inner.append((lo, min(2.0 * lo, 1.0)))
+    while lo < top:
+        inner.append((lo, min(2.0 * lo, top)))
         lo *= 2.0
     start = 1.0
     cells = max(1, round(1.0 / dx))
@@ -229,29 +232,6 @@ def trilinear_direct(c: Curve, f: SampledFunction, g: SampledFunction,
 # exponent-triple geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HolderTriple:
-    """Exponents (p, q, r') with 1/p + 1/q + 1/r' = 1 (inf allowed)."""
-
-    p: float
-    q: float
-    r_prime: float
-
-    def __post_init__(self):
-        for e in (self.p, self.q, self.r_prime):
-            if not math.isinf(e) and e < 1.0:
-                raise ValueError(f"exponent {e} outside [1, inf]")
-        s = sum(0.0 if math.isinf(e) else 1.0 / e for e in (self.p, self.q, self.r_prime))
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"exponents ({self.p}, {self.q}, {self.r_prime}) "
-                             "violate 1/p + 1/q + 1/r' = 1")
-
-    @property
-    def coordinates(self) -> tuple:
-        inv = lambda e: 0.0 if math.isinf(e) else 1.0 / e
-        return (inv(self.p), inv(self.q), inv(self.r_prime))
-
-
 def triangle_membership(triple: HolderTriple, atol: float = 1e-12) -> dict:
     """Classify (1/p, 1/q, 1/r') against the admissible region.
 
@@ -298,26 +278,30 @@ class ScanResult:
     scales: tuple = ()
 
 
-def live_scale(c: Curve, m: int, j_cap: int = 40) -> int:
+LIVE_SCALE_CAP = 40     # largest j live_scale tries
+SCAN_SCALES = 2         # consecutive scales a scan machine sums, from the live one
+
+
+def live_scale(c: Curve, m: int) -> int:
     """Smallest j with 10 * 2^m * gamma'(2^-j) <= 20: the first scale where
     one block window covers the full spread of the first-slot band, i.e.
     where the block geometry of index m is fully developed.  Structurally
     zero scales (D_j = 0, e.g. j = 0 on powlog a=2 b=1) carry no bands and
     are skipped."""
-    for j in range(j_cap + 1):
+    for j in range(LIVE_SCALE_CAP + 1):
         if scale_factor(c, j) == 0.0:
             continue
         if 10.0 * 2.0 ** m * float(c.deriv(2.0 ** (-j))) <= 20.0:
             return j
-    raise ValueError(f"no live scale for {c.label} at m={m} below j={j_cap} "
+    raise ValueError(f"no live scale for {c.label} at m={m} below j={LIVE_SCALE_CAP} "
                      "(requires the vanishing-derivative regime)")
 
 
-def scan_machine(c: Curve, m: int, n: int = 2 ** 13, n_scales: int = 2,
+def scan_machine(c: Curve, m: int, n: int = 2 ** 13,
                  j_list: Optional[list] = None) -> TrilinearMachine:
     if j_list is None:
         j0 = live_scale(c, m)
-        j_list = list(range(j0, j0 + n_scales))
+        j_list = list(range(j0, j0 + SCAN_SCALES))
     bank = FilterBank(curve=c, m=m, j_lo=min(j_list), j_hi=max(j_list))
     x0, dx = grid_for_bands(bank, j_list, n)
     return TrilinearMachine(bank, n, dx)
@@ -439,11 +423,11 @@ def _ratio(mach: TrilinearMachine, f, g, h, exps) -> float:
 
 
 def scan_point(c: Curve, m: int, exps, seed: int, ensemble_size: int = 32,
-               n_matched: int = 2, rounds: int = 6, n: int = 2 ** 13,
-               mach: Optional[TrilinearMachine] = None) -> ScanResult:
-    """Ensemble sup of |Lambda_m^+| normalized by the exponent triple."""
-    if mach is None:
-        mach = scan_machine(c, m, n=n)
+               n_matched: int = 2, rounds: int = 6, n: int = 2 ** 13) -> ScanResult:
+    """Ensemble sup of |Lambda_m^+| normalized by the exponent triple
+    (a HolderTriple or anything that unpacks into one)."""
+    triple = HolderTriple(*exps)
+    mach = scan_machine(c, m, n=n)
     rng = np.random.default_rng(seed * 1000003 + m)
     best = 0.0
     n_random = max(ensemble_size - n_matched, 0)
@@ -451,38 +435,29 @@ def scan_point(c: Curve, m: int, exps, seed: int, ensemble_size: int = 32,
         f, g, h, made = resonant_triple(mach, rng)
         if made == 0:
             continue
-        best = max(best, _ratio(mach, f, g, h, exps))
+        best = max(best, _ratio(mach, f, g, h, triple))
     for i in range(n_matched):
-        f, g, h = matched_triple(mach, seed * 7919 + m * 131 + i, exps, rounds=rounds)
-        best = max(best, _ratio(mach, f, g, h, exps))
-    p, q, rp = exps
-    return ScanResult(triple=HolderTriple(p, q, rp), m=m, sup_ratio=best,
+        f, g, h = matched_triple(mach, seed * 7919 + m * 131 + i, triple, rounds=rounds)
+        best = max(best, _ratio(mach, f, g, h, triple))
+    return ScanResult(triple=triple, m=m, sup_ratio=best,
                       ensemble_size=ensemble_size, seed=seed,
                       scales=tuple(mach.scan_scales))
-
-
-def _edge_exponents(edge: str, p: float) -> tuple:
-    pp = p / (p - 1.0)
-    if edge == "AC":
-        return (p, math.inf, pp)
-    if edge == "AB":
-        return (p, pp, math.inf)
-    raise ValueError(f"edge must be 'AC' or 'AB', got {edge!r}")
 
 
 def scan_edge(c: Curve, edge: str, p_list, m_list, seed: int = 7,
               ensemble_size: int = 32, n: int = 2 ** 13,
               rounds: int = 6) -> list[ScanResult]:
-    """Per (p, m) ensemble sup ratios along one open edge of the triangle.
+    """Per (p, m) ensemble sup ratios along one open edge of the triangle,
+    p-major: the one (p, m) loop behind every scan, the CLI's included.
 
     The reference envelope is (1 + m^{2/p'-1}); callers calibrate its
     constant at the two smallest m and check stability across the sweep.
     """
     results = []
     for p in p_list:
-        exps = _edge_exponents(edge, p)
+        triple = HolderTriple.on_edge(edge, p)
         for m in m_list:
-            results.append(scan_point(c, m, exps, seed, ensemble_size,
+            results.append(scan_point(c, m, triple, seed, ensemble_size,
                                       rounds=rounds, n=n))
     return results
 
@@ -523,12 +498,9 @@ def fit_decay_at_L2point(c: Curve, m_list, seed: int, ensemble_size: int = 32,
     m_list = list(m_list)
     if len(m_list) < 3:
         raise ValueError("decay fit needs at least 3 values of m")
-    exps = (2.0, 2.0, math.inf)
-    sups = []
-    for m in m_list:
-        r = scan_point(c, m, exps, seed, ensemble_size, rounds=rounds, n=n)
-        sups.append(r.sup_ratio)
-    sups = np.array(sups)
+    # (2, 2, inf) is edge AB at p = 2
+    results = scan_edge(c, "AB", [2.0], m_list, seed, ensemble_size, n=n, rounds=rounds)
+    sups = np.array([r.sup_ratio for r in results])
     if np.any(sups <= 0):
         raise ValueError("degenerate ensemble: zero ratios; fit refused")
     alpha, resid = decay_fit(m_list, sups)

@@ -186,15 +186,12 @@ def _generic_profiles(c: Curve) -> CurveProfiles:
                          chirp_phase=chirp, kernel_phase=kernel)
 
 
-_PROFILE_CACHE: dict[Curve, CurveProfiles] = {}
-
-
 def profiles_for(c: Curve) -> CurveProfiles:
-    hit = _PROFILE_CACHE.get(c)
-    if hit is not None:
-        return hit
-    prof = _power_profiles(c) if c.has_closed_profiles else _generic_profiles(c)
-    _PROFILE_CACHE[c] = prof
+    """The curve's profiles, built once and kept on the instance (freed with it)."""
+    prof = c.__dict__.get("_profiles")
+    if prof is None:
+        prof = _power_profiles(c) if c.has_closed_profiles else _generic_profiles(c)
+        object.__setattr__(c, "_profiles", prof)
     return prof
 
 

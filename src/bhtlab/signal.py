@@ -22,6 +22,7 @@ k + l + n = 0 (mod N).
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -39,6 +40,7 @@ __all__ = [
     "frequency_grid",
     "multiply_spectrum",
     "lp_norm",
+    "HolderTriple",
     "bump_phi",
     "EnsembleShape",
     "make_ensemble",
@@ -170,6 +172,41 @@ def lp_norm(f: SampledFunction, p: float) -> float:
     if p < 1:
         raise ValueError(f"L^p norm needs p >= 1, got {p}")
     return float((np.sum(np.abs(f.values) ** p) * f.dx) ** (1.0 / p))
+
+
+@dataclass(frozen=True)
+class HolderTriple:
+    """Exponents (p, q, r') with 1/p + 1/q + 1/r' = 1 (inf allowed), the point
+    (1/p, 1/q, 1/r') of the Banach triangle; iterates as (p, q, r')."""
+
+    p: float
+    q: float
+    r_prime: float
+
+    def __post_init__(self):
+        for e in self:
+            if not math.isinf(e) and e < 1.0:
+                raise ValueError(f"exponent {e} outside [1, inf]")
+        if not abs(sum(self.coordinates) - 1.0) <= 1e-9:    # a nan fails too
+            raise ValueError(f"exponents ({self.p}, {self.q}, {self.r_prime}) "
+                             "violate 1/p + 1/q + 1/r' = 1")
+
+    def __iter__(self):
+        return iter((self.p, self.q, self.r_prime))
+
+    @classmethod
+    def on_edge(cls, edge: str, p: float) -> "HolderTriple":
+        """The point with first exponent p on edge AC (q = inf) or AB (r' = inf)."""
+        pp = p / (p - 1.0)
+        if edge == "AC":
+            return cls(p, math.inf, pp)
+        if edge == "AB":
+            return cls(p, pp, math.inf)
+        raise ValueError(f"edge must be 'AC' or 'AB', got {edge!r}")
+
+    @property
+    def coordinates(self) -> tuple:
+        return tuple(0.0 if math.isinf(e) else 1.0 / e for e in self)
 
 
 # ---------------------------------------------------------------------------

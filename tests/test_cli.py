@@ -1,11 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
 from conftest import child_env
 
-from bhtlab import cli
+from bhtlab import builtin_curve, cli
 from bhtlab.decomposition import TrilinearMachine
+from bhtlab.normscan import decay_fit, scan_edge
 
 
 def run_cli(args, cwd):
@@ -66,6 +68,31 @@ def test_scan_powlog_zero_scale_exit_0(tmp_path):
     assert len(rows) == 1 + 2
 
 
+def test_scan_cli_matches_library(tmp_path):
+    # the CLI's table and scan.dat hold exactly scan_edge's sups and decay_fit's fit
+    c = builtin_curve("poly: t^2")
+    p_list, m_list = [2.0, 1.5], [3, 4, 5]
+    for edge in ("AC", "AB"):
+        out = tmp_path / edge
+        rc = cli.main(["--out", str(out), "--format", "json", "scan", "--curve", "poly: t^2",
+                       "--edge", edge, "--p-list", "2,1.5", "--m-list", "3..5",
+                       "--ensemble-size", "3", "--rounds", "1", "--grid-n", "2048", "--dat"])
+        assert rc == 0
+        rows = json.loads((out / "scan.json").read_text())
+        results = scan_edge(c, edge, p_list, m_list, seed=7, ensemble_size=3, n=2048,
+                            rounds=1)
+        assert [row["sup_ratio"] for row in rows] == [r.sup_ratio for r in results]
+        dat = []
+        for i, p in enumerate(p_list):
+            per_p = slice(i * len(m_list), (i + 1) * len(m_list))
+            alpha, resid = decay_fit(m_list, [r.sup_ratio for r in results[per_p]])
+            assert [row["alpha_hat"] for row in rows[per_p]] == [alpha] * len(m_list)
+            for r in results[per_p]:
+                q, rp = (("inf" if math.isinf(e) else e) for e in (r.triple.q, r.triple.r_prime))
+                dat.append(" ".join(str(v) for v in (p, q, rp, r.m, r.sup_ratio, alpha, resid)))
+        assert (out / "scan.dat").read_text() == "\n".join(dat) + "\n"
+
+
 def test_bht_reduction_check(tmp_path):
     r = run_cli(["--out", str(tmp_path / "d"), "bht", "--curve", "poly: t^2",
                  "--g", "const1", "--count", "1", "--grid-n", "2048"], cwd=tmp_path)
@@ -101,3 +128,16 @@ def test_decompose_route_mismatch_exit_1(tmp_path, monkeypatch, capsys):
                    "--m", "4", "--count", "1", "--grid-n", "2048"])
     assert rc == 1
     assert "differ by 9.99e-04" in capsys.readouterr().err
+
+
+def test_decompose_energies_from_first_nonempty_draw(tmp_path):
+    # at m = 8 on t^3 the first resonant draw comes out empty
+    rc = cli.main(["--out", str(tmp_path / "h"), "decompose", "--curve", "poly: t^3",
+                   "--m", "8", "--j-lo", "0", "--j-hi", "1", "--seed", "4", "--count", "3",
+                   "--grid-n", "4096"])
+    assert rc == 0
+    lam = (tmp_path / "h" / "lambda_records.csv").read_text().strip().splitlines()
+    assert len(lam) == 1 + 4
+    energy = (tmp_path / "h" / "block_energy.csv").read_text().strip().splitlines()
+    assert energy[0] == "j,p0,energy"
+    assert len(energy) == 1 + 2 * 2 ** 8    # every block of j = 0 and j = 1

@@ -11,7 +11,7 @@ from bhtlab.decomposition import (FilterBank, TrilinearMachine, TrilinearRecord,
                                   make_record, overlap_count, overlap_report, scale_factor,
                                   structurally_zero)
 from bhtlab.normscan import resonant_triple, scan_machine
-from bhtlab.signal import SampledFunction, forward_transform, lp_norm
+from bhtlab.signal import HolderTriple, SampledFunction, forward_transform, lp_norm
 
 
 def test_scale_factor(curve_t2, curve_t3):
@@ -78,11 +78,13 @@ def test_overlap_precondition():
 
 
 def test_trilinear_record_validates():
-    with pytest.raises(ValueError):
-        TrilinearRecord(j=0, m=4, value=1.0, method="spatial",
-                        triple=(2.0, 2.0, 2.0), ratio=0.0)
-    TrilinearRecord(j=0, m=4, value=1.0, method="spatial",
-                    triple=(2.0, 2.0, math.inf), ratio=0.0)
+    for bad in ((2.0, 2.0, 2.0), (0.5, -1.0, math.inf)):
+        with pytest.raises(ValueError):
+            TrilinearRecord(j=0, m=4, value=1.0, method="spatial", triple=bad, ratio=0.0)
+    rec = TrilinearRecord(j=0, m=4, value=1.0, method="spatial",
+                          triple=(2.0, 2.0, math.inf), ratio=0.0)
+    assert rec.triple == HolderTriple(2.0, 2.0, math.inf)
+    assert tuple(rec.triple) == (2.0, 2.0, math.inf)
 
 
 def test_apply_Tjm_zero_when_g_missing_bands(curve_t2):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import bhtlab
+from bhtlab import signal
 from bhtlab.curves import builtin_curve
 from bhtlab.decomposition import scale_factor
 from bhtlab.normscan import (HolderTriple, PVParams, bht_direct, bht_direct_report,
@@ -141,6 +143,26 @@ def test_pv_whole_cell_outer_panels_exact():
     assert lp_norm(direct.with_values(direct.values - ref.values), 2.0) < 1e-6 * lp_norm(ref, 2.0)
 
 
+def test_pv_short_t_max_ends_inner_panels():
+    # t_max < 1: the dyadic ladder stops at t_max and no outer panel is laid
+    params = PVParams(t_max=0.5)
+    layout = _pv_panels(params, params.t_max, 1.0 / 64)
+    assert layout.inner[-1][1] == 0.5
+    assert layout.count == 0 and layout.tail is None
+
+    n, dx = 2 ** 10, 1.0 / 64
+    shape = EnsembleShape(kind="gaussian", n_terms=2, freq_lo=4.0, freq_hi=8.0,
+                          width_lo_frac=0.02, width_hi_frac=0.04)
+    f, g = make_ensemble(2, 2, shape, x0=-(n // 2) * dx, dx=dx, n=n)
+    c = builtin_curve("poly: t^2")
+    out, diag = _bht_core(c, f, g, params)
+    ref = _per_node_pv(c, f, g, params, diag["eps_final"])
+    assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    with pytest.raises(ValueError):    # t_max must exceed eps_min = 1e-7
+        bht_direct(c, f, g, PVParams(t_max=1e-7))
+
+
 def test_pv_flagging_params(curve_t2, pv_ensemble):
     f = pv_ensemble[0]
     g1 = const_one(f.n, f.x0, f.dx)
@@ -154,7 +176,16 @@ def test_holder_triple_validation():
         HolderTriple(2.0, 2.0, 2.0)
     with pytest.raises(ValueError):
         HolderTriple(0.5, 2.0, math.inf)
+    with pytest.raises(ValueError):
+        HolderTriple.on_edge("AC", math.inf)    # r' = inf / inf is nan
     HolderTriple(4.0, 4.0, 2.0)
+    assert HolderTriple.on_edge("AC", 1.5) == HolderTriple(1.5, math.inf, 3.0)
+    assert HolderTriple.on_edge("AB", 2.0) == HolderTriple(2.0, 2.0, math.inf)
+    pf, pg, ph = HolderTriple.on_edge("AB", 4.0)
+    assert (pf, pg, ph) == (4.0, 4.0 / 3.0, math.inf)
+    with pytest.raises(ValueError):
+        HolderTriple.on_edge("BC", 2.0)
+    assert bhtlab.HolderTriple is signal.HolderTriple is HolderTriple
 
 
 def test_triangle_membership_spec_points():

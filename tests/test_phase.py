@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -137,6 +139,16 @@ def test_kernel_phase_derivative_is_inverse_ratio(curve_t2, curve_t3):
 def test_adaptive_simpson():
     assert abs(adaptive_simpson(math.sin, 0.0, math.pi) - 2.0) < 1e-10
     assert abs(adaptive_simpson(lambda u: u ** 3, -1.0, 2.0) - 15.0 / 4.0) < 1e-10
+
+
+def test_profiles_freed_with_curve():
+    c = builtin_curve("poly: 1*t^2 + 0.5*t^3")
+    prof = profiles_for(c)
+    assert profiles_for(c) is prof
+    ref = weakref.ref(c)
+    del c, prof
+    gc.collect()
+    assert ref() is None
 
 
 def test_profile_cache_keyed_on_curve(curve_t2):
