@@ -76,13 +76,13 @@ def log_plateau_window(y, flat_lo, flat_hi, supp_lo, supp_hi):
     return out
 
 
-def log_bump(u, supp_lo, supp_hi, sharpness=3):
+def log_bump(u, supp_lo, supp_hi):
     """One-sided C-infinity bump in log coordinates, supported in (supp_lo, supp_hi).
 
-    Shape exp(1 - 1/(1-z^2)^sharpness) with z the normalized log coordinate.
-    Higher sharpness gives faster Fourier decay of the window, which keeps
-    oscillatory-integral measurements in their power-decay regime at the
-    moderate frequency offsets used here.
+    Shape exp(1 - 1/(1-z^2)^3) with z the normalized log coordinate.  The
+    cube sharpens the mollifier for faster Fourier decay of the window,
+    which keeps oscillatory-integral measurements in their power-decay
+    regime at the moderate frequency offsets used here.
     """
     u = np.asarray(u, dtype=float)
     out = np.zeros(u.shape)
@@ -92,7 +92,7 @@ def log_bump(u, supp_lo, supp_hi, sharpness=3):
     z = (np.log(u[pos]) - c) / half
     inside = np.abs(z) < 1.0
     w = np.zeros(z.shape)
-    w[inside] = np.exp(1.0 - 1.0 / (1.0 - z[inside] ** 2) ** sharpness)
+    w[inside] = np.exp(1.0 - 1.0 / (1.0 - z[inside] ** 2) ** 3)
     out[pos] = w
     if out.ndim == 0:
         return float(out)

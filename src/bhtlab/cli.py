@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curves import (GRAMMAR_HELP, builtin_curve, growth_dichotomy,
+from .curves import (DICHOTOMY_RESIDUAL_TOL, GRAMMAR_HELP, builtin_curve, growth_dichotomy,
                      nonflatness_report, profile_error_sequence, variation_count)
 from .decomposition import make_record, overlap_report
 from .normscan import (bht_direct_report, decay_fit, hilbert_multiplier, resonant_triple,
                        scan_edge, scan_machine)
 from .phase import phase_residual, phase_value, sample_admissible_queries, scaling_residual
-from .signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble
+from .signal import EnsembleShape, HolderTriple, SampledFunction, lp_norm, make_ensemble
 from .squarefuncs import cz_decompose, norm_growth_in_shift
 
 USAGE_ERROR = 2
@@ -83,13 +83,24 @@ def _manifest(out: Path, config: dict, files: list[Path]) -> Path:
     return man
 
 
+def _usage_error(message: str) -> SystemExit:
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(USAGE_ERROR)
+
+
 def _curve_or_exit(descriptor: str):
     try:
         return builtin_curve(descriptor)
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(GRAMMAR_HELP, file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise _usage_error(f"{exc}\n{GRAMMAR_HELP}")
+
+
+def _parse_or_exit(option: str, parse, text: str):
+    """parse(text), with a ValueError turned into a usage error naming the option."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise _usage_error(f"{option} {text!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +124,7 @@ def cmd_curve_check(args) -> int:
                  "threshold": float(errs[0]), "pass": decay})
     dich = growth_dichotomy(c)
     rows.append({"axiom": "growth_dichotomy_fit", "value": dich["residual"],
-                 "threshold": 0.5, "pass": dich["is_member"]})
+                 "threshold": DICHOTOMY_RESIDUAL_TOL, "pass": dich["is_member"]})
     report = {
         "curve": args.curve,
         "regime": c.regime,
@@ -205,12 +216,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sqfn(args) -> int:
+    if not 1.0 < args.q < math.inf:    # a nan fails too
+        raise _usage_error(f"--q {args.q}: q must be in (1, inf)")
+    shifts = _parse_or_exit("--l-list", lambda s: [int(v) for v in s.split(",")], args.l_list)
     out = _out_dir(args)
     shape = EnsembleShape(kind="step", n_terms=3, width_lo_frac=0.002, width_hi_frac=0.05)
     n = args.grid_n
     hw = args.half_width
     fs = make_ensemble(args.seed, args.count, shape, x0=-hw, dx=2.0 * hw / n, n=n)
-    shifts = [int(s) for s in args.l_list.split(",")]
     rep = norm_growth_in_shift(fs, args.q, shifts)
     rows = [(l, args.q, s) for l, s in zip(rep["shifts"], rep["sup_ratios"])]
     path = _write_table(out, "shift_growth", ["l", "q", "sup_ratio"], rows, args.format)
@@ -260,9 +273,10 @@ def cmd_cz(args) -> int:
 
 def cmd_scan(args) -> int:
     c = _curve_or_exit(args.curve)
+    p_list = _parse_or_exit("--p-list", lambda s: [HolderTriple.on_edge(args.edge, float(p)).p
+                                                   for p in s.split(",")], args.p_list)
+    m_list = _parse_or_exit("--m-list", _parse_range, args.m_list)
     out = _out_dir(args)
-    p_list = [float(p) for p in args.p_list.split(",")]
-    m_list = _parse_range(args.m_list)
     results = scan_edge(c, args.edge, p_list, m_list, args.seed, args.ensemble_size,
                         n=args.grid_n, rounds=args.rounds)
     inf_str = lambda e: "inf" if math.isinf(e) else e
@@ -395,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bht", help="direct principal-value evaluation and cross-check")
     p.add_argument("--curve", required=True)
-    p.add_argument("--g", default="const1", help="'const1' for the reduction check, "
-                                                 "'ensemble' for curved pairs")
+    p.add_argument("--g", choices=("const1", "ensemble"), default="const1",
+                   help="'const1' for the reduction check, 'ensemble' for curved pairs")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--count", type=int, default=3)
     p.add_argument("--grid-n", type=int, default=2 ** 12)

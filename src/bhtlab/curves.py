@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
 
 PROFILE_LIMIT_J = 30          # scale index treated as the profile limit
 _RATIO_WINDOW = (1e-2, 1e2)   # frequency-ratio window forced by the band supports
+DICHOTOMY_RESIDUAL_TOL = 0.5  # growth_dichotomy's largest rms residual of a member
 
 
 @dataclass(frozen=True)
@@ -272,18 +273,10 @@ def _finish_curve(c: Curve) -> Curve:
     radius = _probe_monotone_radius(c)
     delta = min(1.0, 0.5 * radius) if math.isfinite(radius) else 1.0
     regime = _probe_regime(c)
-    base = Curve(label=c.label, eval_fn=c.eval_fn, deriv=c.deriv, deriv2=c.deriv2,
-                 delta=delta, regime=regime, monotone_radius=radius,
-                 two_sided=c.two_sided, power_exponent=c.power_exponent,
-                 power_sign_variant=c.power_sign_variant)
+    base = replace(c, delta=delta, regime=regime, monotone_radius=radius)
     rep = nonflatness_report(base)
     floor = min(rep["infQ2"], rep["infr1"], rep["inf_dual"])
-    k = _probe_k_gamma(base)
-    return Curve(label=c.label, eval_fn=c.eval_fn, deriv=c.deriv, deriv2=c.deriv2,
-                 delta=delta, c_gamma=0.5 * floor, k_gamma=k, regime=regime,
-                 monotone_radius=radius, two_sided=c.two_sided,
-                 power_exponent=c.power_exponent,
-                 power_sign_variant=c.power_sign_variant)
+    return replace(base, c_gamma=0.5 * floor, k_gamma=_probe_k_gamma(base))
 
 
 def _probe_k_gamma(c: Curve) -> int:
@@ -391,17 +384,12 @@ def _limit_profile_deriv(c: Curve, t: np.ndarray) -> np.ndarray:
     return np.asarray(c.deriv(s * t), dtype=float) / float(c.deriv(s))
 
 
-def j_grid(c: Curve, n: int = 512) -> np.ndarray:
-    """Grid over J = Q'(I), the numerical range of Q' per sign component."""
-    qp = _limit_profile_deriv(c, i_grid(n))
-    parts = []
-    neg = qp[qp < 0]
-    pos = qp[qp > 0]
-    if len(neg):
-        parts.append(np.linspace(neg.min(), neg.max(), max(n // 2, 8)))
-    if len(pos):
-        parts.append(np.linspace(pos.min(), pos.max(), max(n // 2, 8)))
-    return np.concatenate(parts)
+def j_grid(c: Curve) -> np.ndarray:
+    """Grid over J = Q'(I), the numerical range of Q' per sign component:
+    256 points on each component Q' attains over i_grid()."""
+    qp = _limit_profile_deriv(c, i_grid())
+    return np.concatenate([np.linspace(v.min(), v.max(), 256)
+                           for v in (qp[qp < 0], qp[qp > 0]) if len(v)])
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +483,19 @@ def _limit_r_prime(c: Curve, s: np.ndarray) -> np.ndarray:
     return gp / (g2 * scale)
 
 
-def nonflatness_report(c: Curve, n_grid: int = 512) -> dict:
-    """The three non-degeneracy infima over sampled I and J.
+def nonflatness_report(c: Curve) -> dict:
+    """The three non-degeneracy infima over I and J sampled by i_grid() and j_grid().
 
     infQ2 = inf |Q''| over I, infr1 = inf |r'| over J, inf_dual the infimum
     of |s1 r'(s1) - s2 r'(s2)| / |s1 - s2| over distinct sampled pairs.
     Passes when all three exceed the recorded floor c_gamma.
     """
-    tg = i_grid(n_grid)
+    tg = i_grid()
     scale = 2.0 ** (-PROFILE_LIMIT_J)
     q2 = scale * _second_derivative(c, scale * tg) / float(c.deriv(scale))
     inf_q2 = float(np.min(np.abs(q2)))
 
-    sg = j_grid(c, n_grid)
+    sg = j_grid(c)
     rp = _limit_r_prime(c, sg)
     inf_r1 = float(np.min(np.abs(rp)))
 
@@ -526,15 +514,16 @@ def nonflatness_report(c: Curve, n_grid: int = 512) -> dict:
     }
 
 
-def growth_dichotomy(c: Curve, n_grid: int = 256, residual_tol: float = 0.5) -> dict:
+def growth_dichotomy(c: Curve) -> dict:
     """Log-log fit of |gamma'| near 0: regime, sandwich constants, residual.
 
     Fits K2^-1 |t|^C2 < |gamma'(t)| < K1^-1 |t|^C1 with C1 = C2 the fitted
-    slope and the K's from the extreme prefactors on the grid.  A residual
-    above residual_tol flags the curve as having no clean power behavior.
+    slope and the K's from the extreme prefactors on a 256-point log grid.
+    A residual above DICHOTOMY_RESIDUAL_TOL flags the curve as having no
+    clean power behavior.
     """
     hi = min(c.delta, 1.0) / 2.0
-    t = np.logspace(math.log10(hi) - 6, math.log10(hi), n_grid)
+    t = np.logspace(math.log10(hi) - 6, math.log10(hi), 256)
     g = np.abs(np.asarray(c.deriv(t), dtype=float))
     slope, intercept = np.polyfit(np.log(t), np.log(g), 1)
     resid = np.log(g) - (slope * np.log(t) + intercept)
@@ -548,5 +537,5 @@ def growth_dichotomy(c: Curve, n_grid: int = 256, residual_tol: float = 0.5) -> 
         "K1": float(1.0 / np.max(pref)),
         "K2": float(1.0 / np.min(pref)),
         "residual": rms,
-        "is_member": bool(rms <= residual_tol),
+        "is_member": bool(rms <= DICHOTOMY_RESIDUAL_TOL),
     }

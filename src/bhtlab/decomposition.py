@@ -621,7 +621,7 @@ def chirp_kernel(c: Curve, m: int, p0: int, j: int, n: int = 2 ** 18,
     x0 = -(n // 2) * dx
     dxi = 2.0 * math.pi / (n * dx)
     xi = (np.arange(n) - n // 2) * dxi
-    if 10.0 * 2.0 ** (m + j) > math.pi / dx:
+    if PHI_OUTER * 2.0 ** (m + j) > math.pi / dx:
         raise ValueError("band exceeds the grid; enlarge n or shrink half_width")
 
     psi = FilterBank(curve=c, m=m).chirp_filters(j, xi, p0_subset=[p0])[0]
@@ -632,14 +632,12 @@ def chirp_kernel(c: Curve, m: int, p0: int, j: int, n: int = 2 ** 18,
     y = 2.0 ** j * x
     sp = np.zeros(n, dtype=complex)
     # u* exists where |y| is in the attainable range of r over the band window
-    u_win_lo, u_win_hi = 2.0 ** m / (10.0 * p0), 10.0 * 2.0 ** m / p0
+    u_win_lo, u_win_hi = 2.0 ** m / (PHI_OUTER * p0), PHI_OUTER * 2.0 ** m / p0
     y_lo = float(prof.r(u_win_lo))
     y_hi = float(prof.r(u_win_hi))
     y_lo, y_hi = min(y_lo, y_hi), max(y_lo, y_hi)
     valid = (np.abs(y) > y_lo) & (np.abs(y) < y_hi)
-    if c.two_sided:
-        pass
-    else:
+    if not c.two_sided:
         valid &= y > 0
     yy = y[valid]
     u = np.asarray(prof.r_inverse(yy), dtype=float)

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bumps import bump_phi, smooth_step
+from .bumps import PHI_OUTER, bump_phi, smooth_step
 from .curves import Curve
 from .decomposition import FilterBank, TrilinearMachine, grid_for_bands, scale_factor
 from .phase import profiles_for
@@ -232,7 +232,7 @@ def trilinear_direct(c: Curve, f: SampledFunction, g: SampledFunction,
 # exponent-triple geometry
 # ---------------------------------------------------------------------------
 
-def triangle_membership(triple: HolderTriple, atol: float = 1e-12) -> dict:
+def triangle_membership(triple: HolderTriple) -> dict:
     """Classify (1/p, 1/q, 1/r') against the admissible region.
 
     In these simplex coordinates the vertices are A = (1,0,0) [p = 1],
@@ -243,7 +243,7 @@ def triangle_membership(triple: HolderTriple, atol: float = 1e-12) -> dict:
     through B and C (p = infinity) and the vertex A are excluded.
     """
     x, y, z = triple.coordinates
-    near0 = lambda v: abs(v) <= atol
+    near0 = lambda v: abs(v) <= 1e-12
     if near0(x - 1.0) and near0(y) and near0(z):
         region = "vertex A"
     elif near0(y - 1.0) and near0(x):
@@ -259,7 +259,7 @@ def triangle_membership(triple: HolderTriple, atol: float = 1e-12) -> dict:
     else:
         region = "interior"
     inside = region in ("interior", "edge AC", "edge AB")
-    if region in ("edge AC", "edge AB") and (x <= atol or x >= 1.0 - atol):
+    if region in ("edge AC", "edge AB") and (near0(x) or near0(x - 1.0)):
         inside = False
     return {"inside_Omega": inside, "region": region, "coordinates": (x, y, z)}
 
@@ -280,6 +280,7 @@ class ScanResult:
 
 LIVE_SCALE_CAP = 40     # largest j live_scale tries
 SCAN_SCALES = 2         # consecutive scales a scan machine sums, from the live one
+RESONANT_TERMS = 4      # packet triples in one resonant draw
 
 
 def live_scale(c: Curve, m: int) -> int:
@@ -307,9 +308,9 @@ def scan_machine(c: Curve, m: int, n: int = 2 ** 13,
     return TrilinearMachine(bank, n, dx)
 
 
-def resonant_triple(mach: TrilinearMachine, rng, n_terms: int = 4):
+def resonant_triple(mach: TrilinearMachine, rng):
     """Random modulated-Gaussian triple with zero-sum modulations inside the
-    band windows of the machine's scan scales."""
+    band windows of the machine's scan scales; `made` of RESONANT_TERMS packets landed."""
     bank = mach.bank
     m = bank.m
     n = mach.n
@@ -320,8 +321,8 @@ def resonant_triple(mach: TrilinearMachine, rng, n_terms: int = 4):
     h = np.zeros(n, dtype=complex)
     made = 0
     j_list = mach.scan_scales
-    for _ in range(n_terms * 12):
-        if made >= n_terms:
+    for _ in range(RESONANT_TERMS * 12):
+        if made >= RESONANT_TERMS:
             break
         j = j_list[rng.integers(len(j_list))]
         d = scale_factor(bank.curve, j)
@@ -331,7 +332,7 @@ def resonant_triple(mach: TrilinearMachine, rng, n_terms: int = 4):
         dg = rng.uniform(0.5, 8.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
         w = rng.uniform(0.8, 16.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
         wf = (w - dg) / d
-        if not (1.05 * 2.0 ** (m + j) / 10.0 <= abs(wf) <= 0.95 * 10.0 * 2.0 ** (m + j)):
+        if not (1.05 * 2.0 ** (m + j) / PHI_OUTER <= abs(wf) <= 0.95 * PHI_OUTER * 2.0 ** (m + j)):
             continue
         wg = (p0 + dg) / d
         wh = -(wf + wg)

@@ -51,11 +51,12 @@ __all__ = [
 
 _S_MIN, _S_MAX = 1.0 / 64.0, 48.0
 _N_KNOTS = 3073
+_S_QUERY_LO, _S_QUERY_HI = 0.5, 8.0    # the s window of sample_scaling_queries
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Classic adaptive Simpson with absolute tolerance."""
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Classic adaptive Simpson with absolute tolerance 1e-10, at most 50
+    bisections deep."""
     def simp(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
@@ -65,14 +66,14 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         fl, fr = f(xl), f(xr)
         left = simp(x0, xm, f0, fl, f1)
         right = simp(xm, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol_:
+        if depth >= 50 or abs(left + right - whole) <= 15.0 * tol_:
             return left + right + (left + right - whole) / 15.0
         return (rec(x0, xm, f0, fl, f1, left, tol_ / 2.0, depth + 1)
                 + rec(xm, x2, f1, fr, f2, right, tol_ / 2.0, depth + 1))
 
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
-    return rec(a, b, fa, fm, fb, simp(a, b, fa, fm, fb), tol, 0)
+    return rec(a, b, fa, fm, fb, simp(a, b, fa, fm, fb), 1e-10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +278,10 @@ def chirp_phase_eval(c: Curve, s):
     return profiles_for(c).chirp_phase(s)
 
 
-def chirp_phase_quadrature(c: Curve, s: float, tol: float = 1e-10) -> float:
+def chirp_phase_quadrature(c: Curve, s: float) -> float:
     """Independent adaptive-Simpson evaluation of int_1^|s| r(u) du."""
     prof = profiles_for(c)
-    return adaptive_simpson(lambda u: float(prof.r(u)), 1.0, abs(float(s)), tol=tol)
+    return adaptive_simpson(lambda u: float(prof.r(u)), 1.0, abs(float(s)))
 
 
 def kernel_phase_eval(c: Curve, p0: float, y):
@@ -288,7 +289,7 @@ def kernel_phase_eval(c: Curve, p0: float, y):
     return profiles_for(c).theta(p0, y)
 
 
-def kernel_phase_quadrature(c: Curve, p0: float, y: float, tol: float = 1e-10) -> float:
+def kernel_phase_quadrature(c: Curve, p0: float, y: float) -> float:
     """Independent adaptive-Simpson evaluation of the kernel-phase integral."""
     prof = profiles_for(c)
     if prof.kernel_phase is None:
@@ -301,31 +302,30 @@ def kernel_phase_quadrature(c: Curve, p0: float, y: float, tol: float = 1e-10) -
             return 0.0
         return t * float(prof.r_prime(t))
 
-    return p0 * adaptive_simpson(integrand, 0.0, u_star, tol=tol)
+    return p0 * adaptive_simpson(integrand, 0.0, u_star)
 
 
 # ---------------------------------------------------------------------------
 # admissible query sampling (for solver stress tests)
 # ---------------------------------------------------------------------------
 
-def sample_scaling_queries(c: Curve, j: int, count: int, seed: int,
-                           s_window: tuple = (0.5, 8.0)):
+def sample_scaling_queries(c: Curve, j: int, count: int, seed: int):
     """Deterministic (xi, eta) pairs for the scaling-identity residual.
 
     The rescaled phase sees the ratio s = xi/eta through the profile r, and
     its critical point sits at r(s) 2^-j relative to scale: s is drawn
-    log-uniformly in a window inside the profile domain, eta log-uniformly
+    log-uniformly in [1/2, 8], inside the profile domain, eta log-uniformly
     in [1/10, 10].  Scales where the rescaled window leaves the monotone
     radius are refused.
     """
     rng = np.random.default_rng(seed)
     prof = profiles_for(c)
-    r_hi = abs(float(prof.r(s_window[1])))
+    r_hi = abs(float(prof.r(_S_QUERY_HI)))
     if r_hi * 2.0 ** (-j) > 0.9 * c.monotone_radius:
         raise ValueError(
             f"scale j={j} too shallow for {c.label}: rescaled window leaves the "
             f"monotone radius (need 2^-j <= {0.9 * c.monotone_radius / r_hi:.3g})")
-    s = np.exp(rng.uniform(math.log(s_window[0]), math.log(s_window[1]), size=count))
+    s = np.exp(rng.uniform(math.log(_S_QUERY_LO), math.log(_S_QUERY_HI), size=count))
     eta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=count))
     return s * eta, eta
 

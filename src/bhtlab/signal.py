@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _MIN_N = 16
+ENSEMBLE_CENTER_FRAC = 0.25    # member centres lie within +-this fraction of the grid span
 
 
 def _check_pow2(n: int) -> None:
@@ -196,7 +197,9 @@ class HolderTriple:
 
     @classmethod
     def on_edge(cls, edge: str, p: float) -> "HolderTriple":
-        """The point with first exponent p on edge AC (q = inf) or AB (r' = inf)."""
+        """The point with first exponent p in (1, inf) on edge AC (q = inf) or AB (r' = inf)."""
+        if not 1.0 < p < math.inf:    # a nan fails too
+            raise ValueError(f"p = {p} outside (1, inf)")
         pp = p / (p - 1.0)
         if edge == "AC":
             return cls(p, math.inf, pp)
@@ -230,7 +233,6 @@ class EnsembleShape:
     n_terms: int = 4
     freq_lo: float = 4.0
     freq_hi: float = 8.0
-    center_frac: float = 0.25
     width_lo_frac: float = 0.02
     width_hi_frac: float = 0.08
 
@@ -240,7 +242,7 @@ def _gaussian_member(rng, x0, dx, n, shape):
     terms = []
     for _ in range(shape.n_terms):
         a = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
-        c = rng.uniform(-shape.center_frac, shape.center_frac) * 2 * half
+        c = rng.uniform(-ENSEMBLE_CENTER_FRAC, ENSEMBLE_CENTER_FRAC) * 2 * half
         s = rng.uniform(shape.width_lo_frac, shape.width_hi_frac) * 2 * half
         w = rng.uniform(shape.freq_lo, shape.freq_hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
         terms.append((a, c, s, w))
@@ -262,7 +264,7 @@ def _gaussian_member(rng, x0, dx, n, shape):
 def _lacunary_member(rng, x0, dx, n, shape):
     half = 0.5 * n * dx
     s = rng.uniform(shape.width_lo_frac, shape.width_hi_frac) * 2 * half
-    c = rng.uniform(-shape.center_frac, shape.center_frac) * 2 * half
+    c = rng.uniform(-ENSEMBLE_CENTER_FRAC, ENSEMBLE_CENTER_FRAC) * 2 * half
     base = rng.uniform(shape.freq_lo, shape.freq_hi)
     n_freqs = max(2, shape.n_terms)
     coeffs = [rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform()) for _ in range(n_freqs)]
@@ -284,7 +286,7 @@ def _step_member(rng, x0, dx, n, shape):
     terms = []
     for _ in range(shape.n_terms):
         a = rng.uniform(0.5, 1.5)
-        c = rng.uniform(-shape.center_frac, shape.center_frac) * 2 * half
+        c = rng.uniform(-ENSEMBLE_CENTER_FRAC, ENSEMBLE_CENTER_FRAC) * 2 * half
         w = rng.uniform(shape.width_lo_frac, shape.width_hi_frac) * 2 * half
         ramp = 0.1 * w
         terms.append((a, c, w, ramp))

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bumps import bump_phi, log_bump, log_plateau_window
+from .bumps import PHI_INNER, PHI_OUTER, bump_phi, log_bump, log_plateau_window
 from .curves import Curve
 from .decomposition import FilterBank, scale_factor
 from .phase import profiles_for
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 CHIRP_CHUNK = 32     # chirp filters per batch in cancellation_bound_check
+ENERGY_N_CAP = 2 ** 17    # largest grid energy_check_grid lays out
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +278,13 @@ class ShiftedSquareData:
     aggregate: SampledFunction = field(repr=False)
 
 
-def available_bands(f: SampledFunction, margin: float = 0.9) -> list[int]:
-    """Dyadic band indices k with the window of band_dyadic(k) inside the grid."""
+def available_bands(f: SampledFunction) -> list[int]:
+    """Dyadic band indices k with the window of band_dyadic(k) inside 90% of
+    the grid's Nyquist frequency."""
     xi_max = math.pi / f.dx
     out = []
     k = 0
-    while 10.0 * 2.0 ** k < margin * xi_max:
+    while PHI_OUTER * 2.0 ** k < 0.9 * xi_max:
         out.append(k)
         k += 1
     return out
@@ -405,7 +407,7 @@ def _interaction_windows(c: Curve, m: int):
     cg = max(1.0 / max(y_lo, 1e-6), y_hi) * 1.05
 
     def window(u):
-        return log_bump(u, lo, hi, sharpness=3)
+        return log_bump(u, lo, hi)
 
     def cutoff(y):
         return log_plateau_window(y, 1.0 / cg, cg, 1.0 / (2.0 * cg), 2.0 * cg)
@@ -413,12 +415,11 @@ def _interaction_windows(c: Curve, m: int):
     return window, cutoff
 
 
-def interaction_kernel(c: Curve, m: int, p0: float, q0: float,
-                       n_quad: int = 2 ** 20) -> complex:
+def interaction_kernel(c: Curve, m: int, p0: float, q0: float) -> complex:
     """E(p0, q0) = int e^{i (p0-q0) theta(y)} w(p0 u/2^m) conj(w)(q0 u/2^m) mu(y)^2 dy,
 
-    u = r^{-1}(y), theta the kernel phase.  Dense trapezoid on a uniform
-    y-grid: the integrand is smooth and compactly supported, so the rule is
+    u = r^{-1}(y), theta the kernel phase.  Dense trapezoid on 2^18 uniform
+    y-nodes: the integrand is smooth and compactly supported, so the rule is
     superalgebraically accurate once the oscillation is resolved.
     """
     if not (2.0 ** (m - 10) < p0 < 2.0 ** (m + 10)) or not (2.0 ** (m - 10) < q0 < 2.0 ** (m + 10)):
@@ -431,7 +432,7 @@ def interaction_kernel(c: Curve, m: int, p0: float, q0: float,
     y_hi = float(prof.r(2.5 / scale))
     y_lo = float(prof.r(0.4 / (max(p0, q0) / 2.0 ** m)))
     y_lo, y_hi = min(y_lo, y_hi), max(y_lo, y_hi)
-    yg = np.linspace(0.25 * y_lo, 1.1 * y_hi, n_quad)
+    yg = np.linspace(0.25 * y_lo, 1.1 * y_hi, 2 ** 18)
     hy = yg[1] - yg[0]
     u = np.asarray(prof.r_inverse(yg), dtype=float)
     amp = window(p0 / 2.0 ** m * u) * window(q0 / 2.0 ** m * u) * cutoff(yg) ** 2
@@ -439,9 +440,7 @@ def interaction_kernel(c: Curve, m: int, p0: float, q0: float,
     return complex(np.sum(amp * np.exp(1j * phase)) * hy)
 
 
-def interaction_decay_fit(c: Curve, m: int, offsets=None,
-                          base_p0: Optional[float] = None,
-                          n_quad: int = 2 ** 18) -> dict:
+def interaction_decay_fit(c: Curve, m: int, offsets=None) -> dict:
     """Log-log decay fit of |E(p0, p0+k)| against log(1+k) over k in [4, 2^(m-1)].
 
     The baseline p0 = 2^(m-1) keeps the kernel-phase derivative of order one
@@ -451,9 +450,8 @@ def interaction_decay_fit(c: Curve, m: int, offsets=None,
     if offsets is None:
         offsets = np.arange(4, 2 ** (m - 1) + 1)
     offsets = np.asarray(offsets, dtype=int)
-    p0 = float(2 ** (m - 1) if base_p0 is None else base_p0)
-    vals = np.array([abs(interaction_kernel(c, m, p0, p0 + int(k), n_quad=n_quad))
-                     for k in offsets])
+    p0 = float(2 ** (m - 1))
+    vals = np.array([abs(interaction_kernel(c, m, p0, p0 + int(k))) for k in offsets])
     x = np.log10(1.0 + offsets.astype(float))
     y = np.log10(np.maximum(vals, 1e-300))
     slope, intercept = np.polyfit(x, y, 1)
@@ -477,8 +475,6 @@ class CheckReport:
     lhs_sup: float
     rhs_sup: float
     ratio_sup: float
-    constant: float
-    passed: bool
     extras: Optional[dict] = None
 
 
@@ -493,7 +489,7 @@ def _periodic_convolve(values: np.ndarray, kernel: np.ndarray, dx: float) -> np.
 def _nu_reach(c: Curve) -> float:
     """C_nu: the chirp kernels of c live on 1/C_nu <= |y| <= C_nu."""
     prof = profiles_for(c)
-    y1, y2 = abs(float(prof.r(1.0 / 20.0))), abs(float(prof.r(10.0)))
+    y1, y2 = abs(float(prof.r(PHI_INNER / 2.0))), abs(float(prof.r(PHI_OUTER)))
     return max(1.0 / min(y1, y2), max(y1, y2)) * 1.05
 
 
@@ -505,37 +501,34 @@ def _nu_kernel(c: Curve, j: int, x: np.ndarray) -> np.ndarray:
     return 2.0 ** j * log_plateau_window(y, 1.0 / cg, cg, 1.0 / (2.0 * cg), 2.0 * cg)
 
 
-def _report(lhs: np.ndarray, rhs: np.ndarray, constant: float,
-            extras: Optional[dict] = None) -> CheckReport:
+def _report(lhs: np.ndarray, rhs: np.ndarray, extras: Optional[dict] = None) -> CheckReport:
     """Worst ratio lhs/rhs where rhs carries mass (above 1e-12 of its max)."""
     floor = 1e-12 * max(float(rhs.max()), 1e-300)
     mask = rhs > floor
     ratio = float(np.max(lhs[mask] / rhs[mask])) if np.any(mask) else 0.0
     return CheckReport(lhs_sup=float(lhs.max()), rhs_sup=float(rhs.max()),
-                       ratio_sup=ratio, constant=constant, passed=bool(ratio <= constant),
-                       extras=extras)
+                       ratio_sup=ratio, extras=extras)
 
 
-def energy_check_grid(c: Curve, m: int, j: int, span_margin: float = 1.5,
-                      n_cap: int = 2 ** 17) -> tuple[float, float, int]:
+def energy_check_grid(c: Curve, m: int, j: int) -> tuple[float, float, int]:
     """(x0, dx, n) for the kernel-energy checks at indices (m, j).
 
     dx resolves the first-slot band at 2^{m+j}; n is then forced by the
     kernel envelope's fixed physical reach ~ C_nu/2^j: the domain must cover
-    it, or periodic wrap lets the chirped kernels interfere and the measured
-    ratios drift with m.
+    it, with a 1.5x margin, or periodic wrap lets the chirped kernels
+    interfere and the measured ratios drift with m.  Grids past ENERGY_N_CAP
+    are refused.
     """
-    xi_max = 1.25 * 10.0 * 2.0 ** (m + j)
+    xi_max = 1.25 * PHI_OUTER * 2.0 ** (m + j)
     dx = math.pi / xi_max
-    span_needed = span_margin * 2.0 * (2.0 * _nu_reach(c)) / 2.0 ** j
+    span_needed = 1.5 * 2.0 * (2.0 * _nu_reach(c)) / 2.0 ** j
     n = 2 ** int(math.ceil(math.log2(max(span_needed / dx, 2 ** 10))))
-    if n > n_cap:
-        raise ValueError(f"energy-check grid needs n={n} > cap {n_cap} at (m={m}, j={j})")
+    if n > ENERGY_N_CAP:
+        raise ValueError(f"energy-check grid needs n={n} > cap {ENERGY_N_CAP} at (m={m}, j={j})")
     return -(n // 2) * dx, dx, n
 
 
-def cancellation_bound_check(c: Curve, m: int, j: int, f: SampledFunction,
-                             constant: float = math.inf) -> CheckReport:
+def cancellation_bound_check(c: Curve, m: int, j: int, f: SampledFunction) -> CheckReport:
     """sum_p0 |f through band*chirp|^2 (x)  vs  (|f through band|^2 * 2^j nu(2^j .))(x).
 
     The left side stacks the chirped block outputs; the right side is the
@@ -557,11 +550,10 @@ def cancellation_bound_check(c: Curve, m: int, j: int, f: SampledFunction,
     band = np.fft.ifft(env * fh)
     kern = _nu_kernel(c, j, f.x)
     rhs = np.real(_periodic_convolve(np.abs(band) ** 2, kern, f.dx))
-    return _report(lhs, rhs, constant)
+    return _report(lhs, rhs)
 
 
-def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int,
-                          constant: float = math.inf) -> CheckReport:
+def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int) -> CheckReport:
     """(|u through band(m+j)|^2 * 2^j nu(2^j .))(x)  vs
     2^-m sum_{l=2^{m-1}}^{2^{m+1}} M(u)(x - l/2^{m+j})^2.
 
@@ -577,11 +569,11 @@ def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int,
         cells = int(round(l / 2.0 ** (m + j) / u.dx))
         acc += np.roll(mx, cells) ** 2
     rhs = acc / 2.0 ** m
-    return _report(lhs, rhs, constant)
+    return _report(lhs, rhs)
 
 
 def dual_pointwise_check(g: SampledFunction, h: SampledFunction, c: Curve,
-                         m: int, j: int, constant: float = math.inf) -> CheckReport:
+                         m: int, j: int) -> CheckReport:
     """sum_p0 |(g through block p0)(x) (h through block p0)(x)|^2  vs
     ||g||_inf^2 M(h through the m-block envelope)^2 (x); also reports the
     bounded-block-energy sup  sum_p0 |g through block p0|^2 / ||g||_inf^2.
@@ -599,4 +591,4 @@ def dual_pointwise_check(g: SampledFunction, h: SampledFunction, c: Curve,
     ginf = lp_norm(g, math.inf)
     rhs = ginf ** 2 * mh ** 2
     block_energy_sup = float(np.max(np.sum(np.abs(G) ** 2, axis=0))) / max(ginf ** 2, 1e-300)
-    return _report(lhs, rhs, constant, extras={"block_energy_sup": block_energy_sup})
+    return _report(lhs, rhs, extras={"block_energy_sup": block_energy_sup})

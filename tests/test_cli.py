@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import pytest
 from conftest import child_env
 
 from bhtlab import builtin_curve, cli
@@ -141,3 +142,40 @@ def test_decompose_energies_from_first_nonempty_draw(tmp_path):
     energy = (tmp_path / "h" / "block_energy.csv").read_text().strip().splitlines()
     assert energy[0] == "j,p0,energy"
     assert len(energy) == 1 + 2 * 2 ** 8    # every block of j = 0 and j = 1
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--curve", "poly: t^2", "--edge", "AC", "--p-list", "1"],
+    ["scan", "--curve", "poly: t^2", "--edge", "AC", "--p-list", "inf"],
+    ["scan", "--curve", "poly: t^2", "--edge", "AB", "--p-list", "2,0.5"],
+    ["scan", "--curve", "poly: t^2", "--edge", "AC", "--p-list", "abc"],
+    ["scan", "--curve", "poly: t^2", "--edge", "AC", "--m-list", "3..x"],
+    ["sqfn", "--q", "1"],
+    ["sqfn", "--l-list", "1,x"],
+    ["bht", "--curve", "poly: t^2", "--g", "constl"],
+])
+def test_bad_arguments_exit_2(tmp_path, capsys, args):
+    assert cli.main(["--out", str(tmp_path / "u"), *args]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()     # refused before any output
+
+
+@pytest.mark.parametrize("args", [
+    ["bht", "--curve", "poly: t^2", "--g", "const1", "--tolerance", "1e-12",
+     "--count", "1", "--grid-n", "1024"],
+    ["sqfn", "--slack", "-10"],
+    ["curve-check", "--curve", "poly: t^2", "--variation-bound", "0"],
+])
+def test_failed_check_exit_1(tmp_path, args):
+    # each command writes its outputs and then reports the failed check
+    assert cli.main(["--out", str(tmp_path / "x"), *args]) == 1
+    assert (tmp_path / "x" / "manifest.json").exists()
+
+
+def test_bht_ensemble_rows(tmp_path):
+    rc = cli.main(["--out", str(tmp_path / "b"), "bht", "--curve", "poly: t^2",
+                   "--g", "ensemble", "--count", "2", "--grid-n", "1024"])
+    assert rc == 0
+    lines = (tmp_path / "b" / "bht_check.csv").read_text().strip().splitlines()
+    assert lines[0] == "member,metric,last_delta,flagged"
+    assert len(lines) == 1 + 2

@@ -176,8 +176,9 @@ def test_holder_triple_validation():
         HolderTriple(2.0, 2.0, 2.0)
     with pytest.raises(ValueError):
         HolderTriple(0.5, 2.0, math.inf)
-    with pytest.raises(ValueError):
-        HolderTriple.on_edge("AC", math.inf)    # r' = inf / inf is nan
+    for p in (1.0, math.inf, 0.5, math.nan):    # p = 1 would divide by zero in p / (p - 1)
+        with pytest.raises(ValueError, match="outside"):
+            HolderTriple.on_edge("AC", p)
     HolderTriple(4.0, 4.0, 2.0)
     assert HolderTriple.on_edge("AC", 1.5) == HolderTriple(1.5, math.inf, 3.0)
     assert HolderTriple.on_edge("AB", 2.0) == HolderTriple(2.0, 2.0, math.inf)

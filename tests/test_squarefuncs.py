@@ -274,13 +274,13 @@ def test_randomized_operator_reconstruction_and_moments():
 # ---------------------------------------------------------------------------
 
 def test_interaction_zero_offset_positive(curve_t2):
-    val = interaction_kernel(curve_t2, 8, 128.0, 128.0, n_quad=2 ** 18)
+    val = interaction_kernel(curve_t2, 8, 128.0, 128.0)
     assert val.real > 0 and abs(val.imag) < 1e-12
 
 
 def test_interaction_conjugation(curve_t2):
-    a = interaction_kernel(curve_t2, 8, 128.0, 160.0, n_quad=2 ** 18)
-    b = interaction_kernel(curve_t2, 8, 160.0, 128.0, n_quad=2 ** 18)
+    a = interaction_kernel(curve_t2, 8, 128.0, 160.0)
+    b = interaction_kernel(curve_t2, 8, 160.0, 128.0)
     assert abs(a - np.conj(b)) < 1e-12 * abs(a)
 
 
@@ -354,8 +354,8 @@ def test_windowed_energy_check(curve_t2):
 
 
 def test_windowed_energy_stability(curve_t2):
-    # the kernel reach sets the grid: m = 8 takes N = 2^17 cells, the
-    # n_cap of energy_check_grid
+    # the kernel reach sets the grid: m = 8 takes N = 2^17 cells,
+    # energy_check_grid's ENERGY_N_CAP
     ratios = []
     for m in (4, 5, 6, 7, 8):
         u = _banded_member(curve_t2, m, 2, 9)
