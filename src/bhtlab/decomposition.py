@@ -42,8 +42,7 @@ import numpy as np
 from .bumps import PHI_INNER, PHI_OUTER, bump_phi
 from .curves import Curve
 from .phase import profiles_for
-from .signal import (HolderTriple, SampledFunction, Spectrum, frequency_grid,
-                     inverse_transform, lp_norm)
+from .signal import HolderTriple, SampledFunction, frequency_grid, lp_norm
 
 __all__ = [
     "scale_factor",
@@ -620,12 +619,12 @@ def chirp_kernel(c: Curve, m: int, p0: int, j: int, n: int = 2 ** 18,
     dx = 2.0 * half_width / n
     x0 = -(n // 2) * dx
     dxi = 2.0 * math.pi / (n * dx)
-    xi = (np.arange(n) - n // 2) * dxi
     if PHI_OUTER * 2.0 ** (m + j) > math.pi / dx:
         raise ValueError("band exceeds the grid; enlarge n or shrink half_width")
 
-    psi = FilterBank(curve=c, m=m).chirp_filters(j, xi, p0_subset=[p0])[0]
-    kern_vals = inverse_transform(Spectrum(xi[0], dxi, psi), x0=x0).values
+    psi = FilterBank(curve=c, m=m).chirp_filters(j, frequency_grid(n, dx), p0_subset=[p0])[0]
+    # the inversion sum at x = k dx (k = 0..N-1), recentred to start at x0
+    kern_vals = n * dxi * np.fft.fftshift(np.fft.ifft(psi))
     kernel = SampledFunction(x0, dx, kern_vals)
 
     x = kernel.x

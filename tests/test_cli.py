@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -114,21 +115,39 @@ def test_cz_and_sqfn(tmp_path):
 
 def test_decompose(tmp_path):
     r = run_cli(["--out", str(tmp_path / "g"), "decompose", "--curve", "poly: t^2",
-                 "--m", "4", "--count", "1", "--grid-n", "2048"], cwd=tmp_path)
+                 "--m", "9", "--count", "1", "--grid-n", "2048"], cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     lines = (tmp_path / "g" / "lambda_records.csv").read_text().strip().splitlines()
     assert lines[0] == "j,m,re,im,ratio,method"
     assert len(lines) > 1
+    # the overlap sweep stops at m = 8, and the file says so
+    overlap = json.loads((tmp_path / "g" / "overlap.json").read_text())
+    assert (overlap["m"], overlap["j_max"]) == (8, 3)
+
+
+def _decompose_with_spectral_factor(out, monkeypatch, factor) -> int:
+    spectral = TrilinearMachine.lam_spectral
+    monkeypatch.setattr(TrilinearMachine, "lam_spectral",
+                        lambda self, *a, **k: spectral(self, *a, **k) * factor)
+    return cli.main(["--out", str(out), "--format", "json", "decompose",
+                     "--curve", "poly: t^2", "--m", "4", "--count", "1", "--grid-n", "2048"])
 
 
 def test_decompose_route_mismatch_exit_1(tmp_path, monkeypatch, capsys):
-    spectral = TrilinearMachine.lam_spectral
-    monkeypatch.setattr(TrilinearMachine, "lam_spectral",
-                        lambda self, *a, **k: spectral(self, *a, **k) * (1.0 + 1e-3))
-    rc = cli.main(["--out", str(tmp_path / "g"), "decompose", "--curve", "poly: t^2",
-                   "--m", "4", "--count", "1", "--grid-n", "2048"])
-    assert rc == 1
+    assert _decompose_with_spectral_factor(tmp_path / "g", monkeypatch, 1.0 + 1e-3) == 1
     assert "differ by 9.99e-04" in capsys.readouterr().err
+
+
+def test_decompose_ratio_of_each_value(tmp_path, monkeypatch):
+    # inside the route tolerance; each row's ratio follows its own value
+    assert _decompose_with_spectral_factor(tmp_path / "g", monkeypatch, 1.0 + 1e-7) == 0
+    rows = json.loads((tmp_path / "g" / "lambda_records.json").read_text())
+    pairs = list(zip(rows[::2], rows[1::2]))
+    assert pairs and all((a["method"], b["method"]) == ("spatial", "spectral")
+                         for a, b in pairs)
+    for a, b in pairs:
+        assert a["ratio"] > 0
+        assert b["ratio"] == pytest.approx(a["ratio"] * (1.0 + 1e-7), rel=1e-9, abs=0)
 
 
 def test_decompose_energies_from_first_nonempty_draw(tmp_path):
@@ -153,6 +172,14 @@ def test_decompose_energies_from_first_nonempty_draw(tmp_path):
     ["sqfn", "--q", "1"],
     ["sqfn", "--l-list", "1,x"],
     ["bht", "--curve", "poly: t^2", "--g", "constl"],
+    ["cz", "--grid-n", "1000"],
+    ["bht", "--curve", "poly: t^2", "--count", "0"],
+    ["sqfn", "--count", "0"],
+    ["cz", "--half-width", "-1"],
+    ["decompose", "--curve", "poly: t^2", "--m", "-1"],
+    ["decompose", "--curve", "poly: t^2", "--j-lo", "3", "--j-hi", "2"],
+    ["curve-check", "--curve", "poly: t^2", "--j-max", "0"],
+    ["scan", "--curve", "poly: t^2", "--edge", "AC", "--m-list", "5..3"],
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, args):
     assert cli.main(["--out", str(tmp_path / "u"), *args]) == 2
@@ -166,10 +193,30 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     ["sqfn", "--slack", "-10"],
     ["curve-check", "--curve", "poly: t^2", "--variation-bound", "0"],
 ])
-def test_failed_check_exit_1(tmp_path, args):
+def test_failed_check_exit_1(tmp_path, capsys, args):
     # each command writes its outputs and then reports the failed check
     assert cli.main(["--out", str(tmp_path / "x"), *args]) == 1
     assert (tmp_path / "x" / "manifest.json").exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["curve-check", "--curve", "poly: t^2", "--j-max", "8"],
+    ["phase", "--curve", "poly: t^2", "--j", "3", "--count", "5"],
+    ["decompose", "--curve", "poly: t^2", "--m", "3", "--count", "1", "--grid-n", "1024"],
+    ["sqfn", "--count", "1", "--grid-n", "256", "--l-list", "1,16,256"],
+    ["cz", "--count", "1", "--levels", "2", "--grid-n", "256"],
+    ["scan", "--curve", "poly: t^2", "--edge", "AB", "--m-list", "3,4",
+     "--ensemble-size", "2", "--rounds", "1", "--grid-n", "1024", "--dat"],
+    ["bht", "--curve", "poly: t^2", "--g", "ensemble", "--count", "1", "--grid-n", "256"],
+], ids=lambda args: args[0])
+def test_manifest_lists_every_output(tmp_path, args):
+    out = tmp_path / "m"
+    assert cli.main(["--out", str(out), *args]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["command"] == args[0]
+    assert man["outputs"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                              for p in out.iterdir() if p.name != "manifest.json"}
 
 
 def test_bht_ensemble_rows(tmp_path):
