@@ -10,13 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "PHI_INNER",
-    "PHI_OUTER",
     "smooth_step",
     "bump_phi",
-    "plateau_window",
-    "log_plateau_window",
-    "log_bump",
 ]
 
 # bump_phi is supported in PHI_INNER < |x| < PHI_OUTER

@@ -4,15 +4,16 @@
 `error:` line on stderr before anything is written, an unknown curve, a
 --grid-n not a power of two >= 16, a --count, --levels, --ensemble-size or
 --j-max below 1, a --seed, --rounds, --m, --j-lo or --j-hi below 0, a --j-lo
-above --j-hi, a --half-width outside (0, inf), a --p-list entry or --q
-outside (1, inf), and a --l-list or --m-list that is not a list of integers
-(--m-list: a nonempty one of m >= 0, also as a..b).  It then creates the
-output directory and calls the subcommand, which writes its tables and
-returns them with the messages of its failed checks.  Last it writes
-manifest.json -- the version, `config` (each option's parsed value, the curve
-as its descriptor) and a sha256 per output file, so identical configurations
-are checkable for byte-identical results -- prints one `error:` line per
-failed check and exits 1 if there was one, else 0.
+above --j-hi, a --half-width outside (0, inf), a --slack or --tolerance that
+is nan or infinite, a --p-list entry or --q outside (1, inf), and a --l-list
+or --m-list that is not a list of integers (--m-list: a nonempty one of
+m >= 0, also as a..b).  It then creates the output directory and calls the
+subcommand, which writes its tables and returns them with the messages of
+its failed checks.  Last it writes manifest.json -- the version, `config`
+(each option's parsed value, the curve as its descriptor) and a sha256 per
+output file, so identical configurations are checkable for byte-identical
+results -- prints one `error:` line per failed check and exits 1 if there
+was one, else 0.
 """
 from __future__ import annotations
 
@@ -44,9 +45,10 @@ ROUTE_TOLERANCE = 1e-6
 
 
 def _write_json(path: Path, obj) -> None:
+    # a nan or inf raises ValueError before the file is opened: JSON has neither
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cell(v):
@@ -55,11 +57,13 @@ def _cell(v):
 
 def _write_table(out: Path, stem: str, header: list[str], rows, fmt: str) -> Path:
     """One table in the configured format; the JSON form mirrors the CSV
-    columns 1:1 as a list of row objects."""
+    columns 1:1 as a list of row objects, with null for a nan cell (JSON has
+    no nan; the CSV form writes `nan`)."""
     rows = [[_cell(v) for v in row] for row in rows]
     path = out / f"{stem}.{fmt}"
     if fmt == "json":
-        _write_json(path, [dict(zip(header, row)) for row in rows])
+        _write_json(path, [{k: None if isinstance(v, float) and math.isnan(v) else v
+                            for k, v in zip(header, row)} for row in rows])
         return path
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -154,12 +158,11 @@ def cmd_decompose(args, out: Path):
             for v, method in ((a, "spatial"), (b, "spectral")):
                 lam_rows.append((j, m, v.real, v.imag, abs(v) / den if den > 0 else 0.0,
                                  method))
-        if not energy_rows:    # block energies of the first nonempty draw
+        if not energy_rows:    # block energies of the first nonempty draw, by Parseval
             gh = np.fft.fft(g)
             for j in j_list:
                 gm = mach.bank.block_filters(j, mach.xi)
-                G = mach.back_batch(gm, gh)
-                en = np.sum(np.abs(G) ** 2, axis=1) * mach.dx
+                en = np.sum(np.abs(gm * gh) ** 2, axis=1) * (mach.dx / mach.n)
                 for p0, e in zip(mach.bank.p0_values, en):
                     energy_rows.append((j, int(p0), e))
     lam_path = _write_table(out, "lambda_records",
@@ -312,6 +315,13 @@ def _half_width(text: str) -> float:
 
 
 @_refusing
+def _finite(text: str) -> float:
+    if not math.isfinite(float(text)):
+        raise ValueError("must be finite")
+    return float(text)
+
+
+@_refusing
 def _exponent(text: str) -> float:
     # 1 < p < inf on either edge; --q has the same range
     return HolderTriple.on_edge("AC", float(text)).p
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_count, default=6)
     p.add_argument("--grid-n", type=_pow2, default=2 ** 12)
     p.add_argument("--half-width", type=_half_width, default=32.0)
-    p.add_argument("--slack", type=float, default=0.15)
+    p.add_argument("--slack", type=_finite, default=0.15)
     p.set_defaults(func=cmd_sqfn)
 
     p = sub.add_parser("cz", help="decomposition interval trees and invariants")
@@ -405,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_count, default=3)
     p.add_argument("--grid-n", type=_pow2, default=2 ** 12)
     p.add_argument("--half-width", type=_half_width, default=32.0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_finite, default=1e-4)
     p.set_defaults(func=cmd_bht)
 
     return ap

@@ -32,17 +32,13 @@ __all__ = [
     "Curve",
     "ProfileSlice",
     "builtin_curve",
-    "GRAMMAR_HELP",
     "variation_count",
     "asymptotic_profile",
     "profile_error_sequence",
     "r_profile",
-    "r_error_sequence",
     "nonflatness_report",
     "growth_dichotomy",
     "inverse_deriv",
-    "i_grid",
-    "j_grid",
 ]
 
 PROFILE_LIMIT_J = 30          # scale index treated as the profile limit

@@ -21,15 +21,17 @@ integral pairs it against h-content near -A_{j,p0}; for real h both
 descriptions carry the same data, and all square-function inequalities use
 moduli where the mirror is invisible.
 
-Both evaluation routes sample these exact multipliers from the bank: the
-spatial route is FFT convolution and pointwise products, on a short grid per
-scale that holds every row's nonzero bins and the same resonant triples
-(TrilinearMachine.mults); the spectral route is the direct double-frequency
-sum  2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)) over the whole grid, which
-on the symmetric grid is the same number by the DFT identity.  On the np.fft
-order the machine works in, that sum reads dx/N^2 sum_{k,l} F(k) G(l)
-H(-k-l mod N) over the plain DFTs.  Their agreement tests the transform
-plumbing, not the modeling.
+The trilinear form Lambda_{j,m} has two evaluation routes, and both sample
+these exact multipliers from the bank.  The spatial route is FFT convolution
+and pointwise products on a short grid per scale that holds every row's
+nonzero bins and the same resonant triples (TrilinearMachine.mults).  Those
+short rows are the only filtered rows transformed back to space, for the form
+and for its slot gradients alike.  The spectral route is the direct
+double-frequency sum  2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)) over the
+whole grid, which on the symmetric grid is the same number by the DFT
+identity.  On the np.fft order the machine works in, that sum reads
+dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the plain DFTs.  Their
+agreement tests the transform plumbing, not the modeling.
 """
 from __future__ import annotations
 
@@ -42,23 +44,17 @@ import numpy as np
 from .bumps import PHI_INNER, PHI_OUTER, bump_phi
 from .curves import Curve
 from .phase import profiles_for
-from .signal import HolderTriple, SampledFunction, frequency_grid, lp_norm
+from .signal import SampledFunction, frequency_grid
 
 __all__ = [
     "scale_factor",
     "BandSupport",
     "FilterBank",
-    "TrilinearRecord",
     "OverlapReport",
     "overlap_report",
     "overlap_count",
     "TrilinearMachine",
     "grid_for_bands",
-    "apply_Tjm",
-    "lambda_jm_spatial",
-    "lambda_jm_spectral",
-    "lambda_m_plus",
-    "active_scales",
     "structurally_zero",
     "chirp_kernel",
     "ChirpKernelResult",
@@ -72,29 +68,6 @@ def scale_factor(c: Curve, j: int) -> float:
     """D_j = 2^-j gamma'(2^-j)."""
     s = 2.0 ** (-j)
     return s * float(c.deriv(s))
-
-
-@dataclass(frozen=True)
-class TrilinearRecord:
-    """One trilinear evaluation with its exponent normalization."""
-
-    j: int
-    m: int
-    value: complex
-    method: str                    # 'spatial' | 'spectral'
-    triple: HolderTriple           # (p, q, r_prime); a plain 3-tuple is converted
-    ratio: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "triple", HolderTriple(*self.triple))
-
-
-def make_record(j: int, m: int, value: complex, method: str, triple,
-                f: SampledFunction, g: SampledFunction, h: SampledFunction) -> TrilinearRecord:
-    p, q, rp = triple
-    den = lp_norm(f, p) * lp_norm(g, q) * lp_norm(h, rp)
-    ratio = abs(value) / den if den > 0 else 0.0
-    return TrilinearRecord(j=j, m=m, value=value, method=method, triple=triple, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +330,8 @@ class TrilinearMachine:
         return SampledFunction(self.x0, self.dx, values, profile=profile)
 
     def back_batch(self, mults: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """Row-wise ifft(mults * spectrum); spectrum is one shared (N,) row
-        or one row per multiplier row."""
+        """Row-wise ifft(mults * spectrum) of short (P, L) rows (see mults),
+        with one spectrum row per multiplier row."""
         return np.fft.ifft(mults * spectrum, axis=-1)
 
     def fwd_batch(self, values: np.ndarray) -> np.ndarray:
@@ -512,66 +485,6 @@ class TrilinearMachine:
             vh_total += (np.bincount(target, w.real.ravel(), self.n)
                          + 1j * np.bincount(target, w.imag.ravel(), self.n))
         return np.fft.ifft(vh_total)
-
-
-# ---------------------------------------------------------------------------
-# module-level operation wrappers
-# ---------------------------------------------------------------------------
-
-def _machine_for(bank: FilterBank, f: SampledFunction) -> TrilinearMachine:
-    mach = TrilinearMachine(bank, f.n, f.dx)
-    if abs(mach.x0 - f.x0) > 1e-12 * max(1.0, abs(f.x0)):
-        raise ValueError("trilinear evaluation expects the symmetric grid")
-    return mach
-
-
-def apply_Tjm(bank: FilterBank, f: SampledFunction, g: SampledFunction, j: int,
-              p0_range: Optional[tuple] = None) -> SampledFunction:
-    """The main block operator at scale j: sum over p0 of
-    (f through chirp_filter) * (g through block filter)."""
-    mach = _machine_for(bank, f)
-    fm = bank.chirp_filters(j, mach.xi)
-    gm = bank.block_filters(j, mach.xi)
-    if p0_range is not None:
-        sel = (bank.p0_values >= p0_range[0]) & (bank.p0_values < p0_range[1])
-        fm, gm = fm[sel], gm[sel]
-    F = mach.back_batch(fm, np.fft.fft(f.values))
-    G = mach.back_batch(gm, np.fft.fft(g.values))
-    return SampledFunction(f.x0, f.dx, np.sum(F * G, axis=0))
-
-
-def lambda_jm_spatial(bank: FilterBank, f: SampledFunction, g: SampledFunction,
-                      h: SampledFunction, j: int) -> complex:
-    """Grid integral of the triple product summed over p0 (FFT route)."""
-    return _machine_for(bank, f).lam_spatial(f.values, g.values, h.values, j)
-
-
-def lambda_jm_spectral(bank: FilterBank, f: SampledFunction, g: SampledFunction,
-                       h: SampledFunction, j: int) -> complex:
-    """Direct double-frequency quadrature of the same multiplier (oracle route)."""
-    return _machine_for(bank, f).lam_spectral(f.values, g.values, h.values, j)
-
-
-def active_scales(bank: FilterBank, dx: float) -> list[int]:
-    """Scales whose three bands reach no further than 98% of the
-    representable frequency window; structurally zero D_j = 0 scales are
-    left out (see FilterBank.reach)."""
-    xi_max = math.pi / dx
-    return [j for j in range(bank.j_lo, bank.j_hi + 1)
-            if (r := bank.reach(j)) is not None and max(r) <= 0.98 * xi_max]
-
-
-def lambda_m_plus(bank: FilterBank, f: SampledFunction, g: SampledFunction,
-                  h: SampledFunction, j_list: Optional[list] = None) -> complex:
-    """Sum of the scale forms over the active window (exact for the grid
-    object: filters of scales outside the window vanish identically on it)."""
-    mach = _machine_for(bank, f)
-    if j_list is None:
-        j_list = active_scales(bank, f.dx)
-    total = 0.0 + 0.0j
-    for j in j_list:
-        total += mach.lam_spatial(f.values, g.values, h.values, j)
-    return complex(total)
 
 
 def structurally_zero(bank: FilterBank, j: int) -> bool:

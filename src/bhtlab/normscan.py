@@ -42,8 +42,8 @@ from .signal import HolderTriple, SampledFunction, lp_norm, multiply_spectrum
 __all__ = [
     "PVParams",
     "bht_direct",
+    "bht_direct_report",
     "hilbert_multiplier",
-    "trilinear_direct",
     "HolderTriple",
     "triangle_membership",
     "ScanResult",
@@ -53,7 +53,7 @@ __all__ = [
     "matched_triple",
     "scan_point",
     "scan_edge",
-    "decay_fit",
+    "envelope_check",
     "fit_decay_at_L2point",
 ]
 
@@ -219,13 +219,6 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
 def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     """Classical Hilbert transform through the multiplier -i pi sign(xi)."""
     return multiply_spectrum(f, lambda xi: -1j * math.pi * np.sign(xi))
-
-
-def trilinear_direct(c: Curve, f: SampledFunction, g: SampledFunction,
-                     h: SampledFunction, params: PVParams = PVParams()) -> complex:
-    """int B(f, g)(x) h(x) dx by direct PV quadrature."""
-    bf = bht_direct(c, f, g, params)
-    return complex(np.sum(bf.values * h.values) * f.dx)
 
 
 # ---------------------------------------------------------------------------

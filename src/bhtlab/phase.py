@@ -40,11 +40,15 @@ __all__ = [
     "CurveProfiles",
     "profiles_for",
     "critical_point",
+    "phase_residual",
     "phase_value",
     "scaling_residual",
     "modulation_constant",
     "chirp_phase_eval",
+    "chirp_phase_quadrature",
     "kernel_phase_eval",
+    "kernel_phase_quadrature",
+    "sample_scaling_queries",
     "adaptive_simpson",
     "sample_admissible_queries",
 ]

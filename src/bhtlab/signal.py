@@ -7,12 +7,13 @@ Fourier convention
 
 so Parseval reads ||f||_2^2 = 2pi * int |fhat|^2 dxi.  On the grid
 x_n = x0 + n dx (N a power of two) the companion frequency grid is
-xi_k = (k - N/2) dxi with dxi = 2pi/(N dx), and the forward/inverse pair
-below is an exact bijection (DFT identity), so round trips and Parseval hold
-to rounding.  That pair is the analytic-convention reference.
+xi_k = (k - N/2) dxi with dxi = 2pi/(N dx), and the discrete forward/inverse
+pair of this convention is an exact bijection (DFT identity), so round trips
+and Parseval hold to rounding.  That analytic pair is kept in the tests
+(tests/test_signal.py) as the reference for the convention.
 
-Filters do not go through it.  In forward -> multiplier -> inverse on one
-grid the phases e^{-+i xi x0} and the scalings dx/2pi and N dxi cancel
+The library does not go through it.  In forward -> multiplier -> inverse on
+one grid the phases e^{-+i xi x0} and the scalings dx/2pi and N dxi cancel
 (N dxi dx = 2pi) for any x0, so every filter is ifft(M * fft(v)) with M
 sampled on frequency_grid, the same frequencies in np.fft order.  Filters
 need no symmetric grid.  Only the spectral oracle does: written in the
@@ -23,31 +24,21 @@ k + l + n = 0 (mod N).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .bumps import bump_phi, smooth_step
+from .bumps import smooth_step
 
 __all__ = [
     "SampledFunction",
-    "Spectrum",
     "symmetric_grid",
-    "forward_transform",
-    "inverse_transform",
     "frequency_grid",
     "multiply_spectrum",
     "lp_norm",
-    "HolderTriple",
-    "bump_phi",
     "EnsembleShape",
     "make_ensemble",
-    "to_csv",
-    "from_csv",
-    "to_binary",
-    "from_binary",
 ]
 
 _MIN_N = 16
@@ -89,27 +80,6 @@ class SampledFunction:
         return replace(self, values=np.asarray(values, dtype=complex), profile=None)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Fourier coefficients on the frequency grid xi0 + dxi*arange(N)."""
-
-    xi0: float
-    dxi: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        _check_pow2(len(self.coeffs))
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.xi0 + self.dxi * np.arange(self.n)
-
-
 def symmetric_grid(half_width: float, n: int) -> tuple[float, float]:
     """(x0, dx) for a symmetric grid covering [-half_width, half_width)."""
     _check_pow2(n)
@@ -117,34 +87,9 @@ def symmetric_grid(half_width: float, n: int) -> tuple[float, float]:
     return -half_width, dx
 
 
-def _freq_grid(n: int, dx: float) -> tuple[float, float]:
-    dxi = 2.0 * np.pi / (n * dx)
-    return -(n // 2) * dxi, dxi
-
-
-def forward_transform(f: SampledFunction) -> Spectrum:
-    """Discrete realization of fhat(xi) = (1/2pi) int f e^{-i xi x} dx."""
-    n = f.n
-    xi0, dxi = _freq_grid(n, f.dx)
-    xi = xi0 + dxi * np.arange(n)
-    coeffs = (f.dx / (2.0 * np.pi)) * np.exp(-1j * xi * f.x0) * np.fft.fftshift(np.fft.fft(f.values))
-    return Spectrum(xi0=xi0, dxi=dxi, coeffs=coeffs)
-
-
-def inverse_transform(spec: Spectrum, x0: Optional[float] = None) -> SampledFunction:
-    """Exact inverse of forward_transform (Riemann sum of the inversion integral)."""
-    n = spec.n
-    dx = 2.0 * np.pi / (n * spec.dxi)
-    if x0 is None:
-        x0 = -(n // 2) * dx
-    phased = spec.coeffs * np.exp(1j * spec.xi * x0)
-    vals = np.fft.ifft(np.fft.ifftshift(phased)) * n * spec.dxi
-    return SampledFunction(x0=x0, dx=dx, values=vals)
-
-
 def frequency_grid(n: int, dx: float) -> np.ndarray:
-    """The frequencies of forward_transform in np.fft order: k dxi for
-    k = 0..N/2-1, -N/2..-1, the grid every filter multiplier is sampled on."""
+    """The companion frequencies in np.fft order: k dxi for k = 0..N/2-1,
+    -N/2..-1, the grid every filter multiplier is sampled on."""
     return np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi / (n * dx))
 
 
@@ -320,43 +265,3 @@ def make_ensemble(seed: int, count: int, shape: EnsembleShape,
     rng = np.random.default_rng(seed)
     maker = _MAKERS[shape.kind]
     return [maker(rng, x0, dx, n, shape) for _ in range(count)]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def to_csv(f: SampledFunction, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,re,im\n")
-        for xv, v in zip(f.x, f.values):
-            fh.write(f"{float(xv)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def from_csv(path) -> SampledFunction:
-    xs, re, im = [], [], []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            a, b, c = line.strip().split(",")
-            xs.append(float(a)); re.append(float(b)); im.append(float(c))
-    xs = np.array(xs)
-    dx = float(xs[1] - xs[0])
-    return SampledFunction(float(xs[0]), dx, np.array(re) + 1j * np.array(im))
-
-
-_BIN_HEADER = struct.Struct("<ddQ")
-
-
-def to_binary(f: SampledFunction, path) -> None:
-    """Compact binary: little-endian header (x0, dx, N) + complex64 payload."""
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(f.x0, f.dx, f.n))
-        fh.write(np.asarray(f.values, dtype="<c8").tobytes())
-
-
-def from_binary(path) -> SampledFunction:
-    with open(path, "rb") as fh:
-        x0, dx, n = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        vals = np.frombuffer(fh.read(int(n) * 8), dtype="<c8").astype(complex)
-    return SampledFunction(x0, dx, vals)

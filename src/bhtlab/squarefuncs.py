@@ -29,7 +29,6 @@ __all__ = [
     "cz_decompose",
     "ShiftedSquareData",
     "shifted_square_function",
-    "available_bands",
     "norm_growth_in_shift",
     "block_square_ratio",
     "randomized_operator",

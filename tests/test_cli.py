@@ -4,12 +4,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import child_env
 
 from bhtlab import builtin_curve, cli
 from bhtlab.decomposition import TrilinearMachine
-from bhtlab.normscan import decay_fit, scan_edge
+from bhtlab.normscan import decay_fit, resonant_triple, scan_edge, scan_machine
 
 
 def run_cli(args, cwd):
@@ -95,6 +96,24 @@ def test_scan_cli_matches_library(tmp_path):
         assert (out / "scan.dat").read_text() == "\n".join(dat) + "\n"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_scan_json_is_strict_json(tmp_path):
+    # two m values leave decay_fit's alpha_hat and residual nan: null in JSON
+    out = tmp_path / "s"
+    rc = cli.main(["--out", str(out), "--format", "json", "scan", "--curve", "poly: t^2",
+                   "--edge", "AC", "--m-list", "3..4", "--ensemble-size", "3",
+                   "--rounds", "1", "--grid-n", "2048"])
+    assert rc == 0
+    rows = json.loads((out / "scan.json").read_text(), parse_constant=_refuse_constant)
+    assert [row["m"] for row in rows] == [3, 4]
+    assert all(row["alpha_hat"] is None and row["residual"] is None for row in rows)
+    assert all(row["q"] == "inf" for row in rows)
+    json.loads((out / "manifest.json").read_text(), parse_constant=_refuse_constant)
+
+
 def test_bht_reduction_check(tmp_path):
     r = run_cli(["--out", str(tmp_path / "d"), "bht", "--curve", "poly: t^2",
                  "--g", "const1", "--count", "1", "--grid-n", "2048"], cwd=tmp_path)
@@ -163,6 +182,30 @@ def test_decompose_energies_from_first_nonempty_draw(tmp_path):
     assert len(energy) == 1 + 2 * 2 ** 8    # every block of j = 0 and j = 1
 
 
+def test_block_energy_matches_dense_filtering(tmp_path):
+    # block energies by Parseval against the dense route dx sum |ifft(phi g^)|^2
+    rc = cli.main(["--out", str(tmp_path / "e"), "--format", "json", "decompose",
+                   "--curve", "poly: t^3", "--m", "8", "--j-lo", "0", "--j-hi", "1",
+                   "--seed", "4", "--count", "3", "--grid-n", "4096"])
+    assert rc == 0
+    rows = json.loads((tmp_path / "e" / "block_energy.json").read_text())
+    mach = scan_machine(builtin_curve("poly: t^3"), 8, n=4096, j_list=[0, 1])
+    rng = np.random.default_rng(4)
+    made = 0
+    while made == 0:      # the first nonempty draw, as decompose takes it
+        _, g, _, made = resonant_triple(mach, rng)
+    zeros = 0
+    for j in (0, 1):
+        dense = np.fft.ifft(mach.bank.block_filters(j, mach.xi) * np.fft.fft(g), axis=1)
+        ref = np.sum(np.abs(dense) ** 2, axis=1) * mach.dx
+        got = np.array([r["energy"] for r in rows if r["j"] == j])
+        assert [r["p0"] for r in rows if r["j"] == j] == list(mach.bank.p0_values)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref.max())
+        assert np.all(got[ref == 0.0] == 0.0)
+        zeros += int(np.sum(ref == 0.0))
+    assert 0 < zeros < len(rows)
+
+
 @pytest.mark.parametrize("args", [
     ["scan", "--curve", "poly: t^2", "--edge", "AC", "--p-list", "1"],
     ["scan", "--curve", "poly: t^2", "--edge", "AC", "--p-list", "inf"],
@@ -180,6 +223,8 @@ def test_decompose_energies_from_first_nonempty_draw(tmp_path):
     ["decompose", "--curve", "poly: t^2", "--j-lo", "3", "--j-hi", "2"],
     ["curve-check", "--curve", "poly: t^2", "--j-max", "0"],
     ["scan", "--curve", "poly: t^2", "--edge", "AC", "--m-list", "5..3"],
+    ["bht", "--curve", "poly: t^2", "--tolerance", "inf"],
+    ["sqfn", "--slack", "nan"],
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, args):
     assert cli.main(["--out", str(tmp_path / "u"), *args]) == 2

@@ -10,7 +10,7 @@ from bhtlab.decomposition import scale_factor
 from bhtlab.normscan import (HolderTriple, PVParams, bht_direct, bht_direct_report,
                              fit_decay_at_L2point, hilbert_multiplier, live_scale,
                              matched_triple, resonant_triple, scan_machine, scan_point,
-                             triangle_membership, trilinear_direct, envelope_check,
+                             triangle_membership, envelope_check,
                              scan_edge, _bht_core, _evaluator, _pv_panels)
 from bhtlab.signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble
 
@@ -62,10 +62,10 @@ def test_bilinearity_and_zero(curve_t2, pv_ensemble):
 
 def test_trilinear_translation_invariance(curve_t2, pv_ensemble):
     f, g, h = pv_ensemble[:3]
-    lam0 = trilinear_direct(curve_t2, f, g, h)
+    lam0 = np.sum(bht_direct(curve_t2, f, g).values * h.values) * f.dx
     a = 16 * f.dx
-    lam1 = trilinear_direct(curve_t2, shift_member(f, a), shift_member(g, a),
-                            shift_member(h, a))
+    fa, ga, ha = shift_member(f, a), shift_member(g, a), shift_member(h, a)
+    lam1 = np.sum(bht_direct(curve_t2, fa, ga).values * ha.values) * fa.dx
     assert abs(lam0 - lam1) < 1e-8 * abs(lam0)
 
 
@@ -86,7 +86,7 @@ def test_trilinear_disjoint_supports(curve_t2):
     f = bump(0.0, 0.7)
     g = bump(0.0, 0.7)
     h = bump(11.0, 0.4)
-    lam = trilinear_direct(curve_t2, f, g, h)
+    lam = np.sum(bht_direct(curve_t2, f, g).values * h.values) * f.dx
     scale = lp_norm(f, 2.0) * lp_norm(g, 2.0) * lp_norm(h, math.inf)
     assert abs(lam) < 1e-8 * scale
 
@@ -281,4 +281,4 @@ def test_scan_edge_p43_envelope_nonincreasing(curve_t2):
 def test_trilinear_h_zero(curve_t2, pv_ensemble):
     f, g = pv_ensemble[0], pv_ensemble[1]
     zero = SampledFunction(f.x0, f.dx, np.zeros(f.n))
-    assert trilinear_direct(curve_t2, f, g, zero) == 0.0
+    assert np.sum(bht_direct(curve_t2, f, g).values * zero.values) * f.dx == 0.0
