@@ -141,9 +141,11 @@ def cmd_decompose(args, out: Path):
     lam_rows = []
     energy_rows = []
     worst = 0.0
+    empty = 0
     for _ in range(args.count):
         f, g, h, made = resonant_triple(mach, rng)
         if made == 0:
+            empty += 1
             continue
         fs = mach.grid_function(f)
         gs = mach.grid_function(g)
@@ -173,11 +175,14 @@ def cmd_decompose(args, out: Path):
     # the overlap sweep is sized for m <= 8, j_max <= 40; the file records both
     ov_path = out / "overlap.json"
     _write_json(ov_path, vars(overlap_report(c, min(m, 8), min(args.j_hi, 40))))
+    files = [lam_path, en_path, ov_path]
+    if empty == args.count:
+        return files, [f"all {empty} resonant draws came out empty: the two trilinear "
+                       "routes were not compared"]
     if worst > ROUTE_TOLERANCE:
-        return [lam_path, en_path, ov_path], [
-            f"spatial and spectral trilinear routes differ by {worst:.2e} "
-            f"relative (tolerance {ROUTE_TOLERANCE:g})"]
-    return [lam_path, en_path, ov_path], []
+        return files, [f"spatial and spectral trilinear routes differ by {worst:.2e} "
+                       f"relative (tolerance {ROUTE_TOLERANCE:g})"]
+    return files, []
 
 
 def cmd_sqfn(args, out: Path):

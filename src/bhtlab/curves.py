@@ -55,6 +55,8 @@ class Curve:
     k_gamma: the stationary-point window is [2^-k_gamma, 2^k_gamma].
     monotone_radius: probed radius of strict monotonicity of gamma' on (0, .).
     two_sided: gamma' changes sign across 0, so its inverse is two-branched.
+    smooth_at_zero: gamma is C^infinity across t = 0 (polynomials, t^a for even
+    a, sign(t)|t|^a for odd a), so the symmetric PV pairing is smooth at 0 too.
     """
 
     label: str
@@ -69,6 +71,7 @@ class Curve:
     two_sided: bool = True
     power_exponent: Optional[float] = None
     power_sign_variant: bool = False
+    smooth_at_zero: bool = False
 
     def __call__(self, t):
         return self.eval_fn(t)
@@ -155,7 +158,7 @@ def _poly_curve(coeffs: dict[int, float], label: str) -> Curve:
     if len(powers) == 1:
         kwargs = dict(power_exponent=float(lead), power_sign_variant=(lead % 2 == 1))
     return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
-                               two_sided=(lead % 2 == 0), **kwargs))
+                               two_sided=(lead % 2 == 0), smooth_at_zero=True, **kwargs))
 
 
 def _power_curve(alpha: float, sign_variant: bool, label: str) -> Curve:
@@ -187,14 +190,19 @@ def _power_curve(alpha: float, sign_variant: bool, label: str) -> Curve:
             t = np.asarray(t, dtype=float)
             return alpha * (alpha - 1.0) * np.abs(t) ** (alpha - 2.0)
 
+    # |t|^a is smooth at 0 for even a, sign(t)|t|^a for odd a: either way t^a
+    smooth = float(alpha).is_integer() and int(alpha) % 2 == int(sign_variant)
     return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
                                two_sided=not sign_variant,
-                               power_exponent=alpha, power_sign_variant=sign_variant))
+                               power_exponent=alpha, power_sign_variant=sign_variant,
+                               smooth_at_zero=smooth))
 
 
 def _powlog_curve(a: float, b: float, label: str) -> Curve:
     if a in (-1.0, 0.0, 1.0):
         raise ValueError("powlog curves need exponent a outside {-1, 0, 1}")
+    if not b >= 0.0:    # a nan fails too
+        raise ValueError(f"powlog curves need b >= 0, got b = {b} (singular at |t| = 1)")
 
     def L(t):
         return np.abs(np.log(np.abs(t)))

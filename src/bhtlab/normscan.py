@@ -64,10 +64,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PVParams:
-    """Quadrature layout: dyadic panels on (eps_min, min(1, t_max)), whole-cell
-    outer panels out to t_max (see _pv_panels; t_max defaults to the full grid
-    width, which captures the cross-domain pairs the periodic multiplier
-    reference sees)."""
+    """Quadrature layout and its closure check (see _pv_panels, _bht_core).
+
+    The inner region (0, top), top = min(1, t_max), ends in a closing Gauss
+    panel on (0, eps); the symmetric pairing is bounded at t = 0, so no
+    cutoff is left out.  On a curve smooth at 0 eps = top / 2 and one panel
+    covers (eps, top); on any other curve eps = eps_min and dyadic panels
+    (eps_min, 2 eps_min), ... grade up to top.  Whole-cell outer panels
+    follow out to t_max (default: the full grid width, which captures the
+    cross-domain pairs the periodic multiplier reference sees).
+
+    The closure check compares the closing panel on (0, eps) with the one on
+    (0, eps/2) plus the panel (eps/2, eps), keeps the finer sum, and halves
+    eps again while some point differs by tolerance or more: max_halvings
+    halvings at most, one at least.  The report gives the last largest
+    difference (last_delta), the final eps (eps_final) and the number of
+    points still at or above tolerance (flagged_points).  gl_order is the
+    Gauss-Legendre order of every panel.
+    """
 
     eps_min: float = 1e-7
     t_max: Optional[float] = None
@@ -103,13 +117,16 @@ def _evaluator(f: SampledFunction) -> Callable:
 class PVLayout:
     """The t > 0 panels of the symmetric PV pairing.
 
-    inner: dyadic panels (eps_min, 2 eps_min), ..., ending at min(1, t_max).
+    eps: the closing panel (0, eps) starts here (see PVParams).
+    inner: the panels on (eps, min(1, t_max)): one on a curve smooth at 0,
+    else dyadic (eps, 2 eps), ...
     Outer: `count` panels of `cells` grid cells each (width = cells * dx),
     panel q spanning [start + q width, start + (q + 1) width]; a whole number
     of cells apart, they read f(x -+ t) off two shared evaluations.
     tail: the remainder (start + count width, t_max), or None.
     """
 
+    eps: float
     inner: tuple
     start: float
     cells: int
@@ -118,15 +135,20 @@ class PVLayout:
     tail: Optional[tuple]
 
 
-def _pv_panels(params: PVParams, t_max: float, dx: float) -> PVLayout:
+def _pv_panels(params: PVParams, t_max: float, dx: float, smooth: bool) -> PVLayout:
     if t_max <= params.eps_min:
         raise ValueError(f"t_max = {t_max} must exceed eps_min = {params.eps_min}")
     top = min(1.0, t_max)
-    inner = []
-    lo = params.eps_min
-    while lo < top:
-        inner.append((lo, min(2.0 * lo, top)))
-        lo *= 2.0
+    if smooth:
+        eps = top / 2.0
+        inner = [(eps, top)]
+    else:
+        eps = params.eps_min
+        inner = []
+        lo = eps
+        while lo < top:
+            inner.append((lo, min(2.0 * lo, top)))
+            lo *= 2.0
     start = 1.0
     cells = max(1, round(1.0 / dx))
     width = cells * dx
@@ -134,7 +156,7 @@ def _pv_panels(params: PVParams, t_max: float, dx: float) -> PVLayout:
     count = max(0, math.floor((t_max - start) / width + 1e-9))
     end = start + count * width
     tail = (end, t_max) if t_max - end > 1e-9 * width else None
-    return PVLayout(tuple(inner), start, cells, width, count, tail)
+    return PVLayout(eps, tuple(inner), start, cells, width, count, tail)
 
 
 def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
@@ -142,7 +164,7 @@ def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
     """Principal-value evaluation of the curved bilinear transform on f's grid.
 
     bht_direct_report returns the same estimate together with its
-    convergence diagnostics (inner-cutoff deltas and flagged points).
+    convergence diagnostics (closure deltas and flagged points).
     """
     return _bht_core(c, f, g, params)[0]
 
@@ -157,7 +179,7 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
     xs = f.x
     n = f.n
     t_max = params.t_max if params.t_max is not None else n * f.dx
-    layout = _pv_panels(params, t_max, f.dx)
+    layout = _pv_panels(params, t_max, f.dx, c.smooth_at_zero)
     glx, glw = np.polynomial.legendre.leggauss(params.gl_order)
     total = np.zeros(n, dtype=complex)
 
@@ -174,6 +196,20 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
 
     for a, b in layout.inner:
         total += panel(a, b)
+
+    # the pairing is bounded at t = 0, so a Gauss panel closes (0, eps); check
+    # it against its own halving and keep the finer sum
+    eps = layout.eps
+    closure = panel(0.0, eps)
+    for _ in range(max(1, params.max_halvings)):
+        head, body = panel(0.0, eps / 2.0), panel(eps / 2.0, eps)
+        deltas = np.abs(head + body - closure)
+        total += body
+        closure = head
+        eps /= 2.0
+        if deltas.max() < params.tolerance:
+            break
+    total += closure
 
     if layout.count:
         # panel q's nodes are panel 0's nodes t0 moved by q * cells grid cells,
@@ -195,24 +231,9 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
     if layout.tail is not None:
         total += panel(*layout.tail)
 
-    # inner-cutoff refinement: halve eps until the added sliver is below tolerance
-    eps = params.eps_min
-    deltas = np.zeros(n)
-    flagged = 0
-    last = np.inf
-    for _ in range(params.max_halvings):
-        sliver = panel(eps / 2.0, eps)
-        total += sliver
-        deltas = np.abs(sliver)
-        last = float(deltas.max())
-        eps /= 2.0
-        if last < params.tolerance:
-            break
-    else:
-        flagged = int(np.sum(deltas >= params.tolerance))
-
     out = SampledFunction(f.x0, f.dx, total)
-    diag = {"last_delta": last, "flagged_points": flagged, "eps_final": eps}
+    diag = {"last_delta": float(deltas.max()),
+            "flagged_points": int(np.sum(deltas >= params.tolerance)), "eps_final": eps}
     return out, diag
 
 

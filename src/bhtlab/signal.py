@@ -196,10 +196,15 @@ def _gaussian_member(rng, x0, dx, n, shape):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for a, c, s, w in terms:
-            # one complex exp(i w t - z^2), taken only where exp(-z^2) is a normal number
+            # one complex exp(i w t - z^2), taken only where exp(-z^2) is a normal number;
+            # a term with no such point adds nothing (out never holds -0, so + 0 is exact)
             z2 = ((t - c) / s) ** 2
-            out += a * np.exp((1j * w) * t - z2, out=np.zeros(t.shape, dtype=complex),
-                              where=z2 < 700.0)
+            live = z2 < 700.0
+            if live.all():
+                out += a * np.exp((1j * w) * t - z2)
+            elif live.any():
+                out += a * np.exp((1j * w) * t - z2, out=np.zeros(t.shape, dtype=complex),
+                                  where=live)
         return out
 
     x = x0 + dx * np.arange(n)

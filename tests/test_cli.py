@@ -35,6 +35,15 @@ def test_unknown_curve_exit_2(tmp_path):
     assert "descriptors" in r.stderr
 
 
+def test_powlog_negative_b_exit_2(tmp_path, capsys):
+    # b < 0 is singular at |t| = 1; the grammar refuses it before anything is written
+    out = tmp_path / "u"
+    assert cli.main(["--out", str(out), "curve-check", "--curve", "powlog: a=3 b=-1"]) == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "b >= 0" in errors[0]
+    assert not out.exists()
+
+
 def test_phase_csv_rows(tmp_path):
     r = run_cli(["--out", str(tmp_path / "c"), "phase", "--curve", "poly: t^2",
                  "--j", "3", "--count", "7", "--seed", "5"], cwd=tmp_path)
@@ -180,6 +189,18 @@ def test_decompose_energies_from_first_nonempty_draw(tmp_path):
     energy = (tmp_path / "h" / "block_energy.csv").read_text().strip().splitlines()
     assert energy[0] == "j,p0,energy"
     assert len(energy) == 1 + 2 * 2 ** 8    # every block of j = 0 and j = 1
+
+
+def test_decompose_all_draws_empty_exit_1(tmp_path, capsys):
+    # at m = 8 on t^3 with the default seed all three draws come out empty
+    out = tmp_path / "z"
+    rc = cli.main(["--out", str(out), "decompose", "--curve", "poly: t^3", "--m", "8",
+                   "--j-lo", "0", "--j-hi", "1", "--grid-n", "4096"])
+    assert rc == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "all 3 resonant draws came out empty" in errors[0]
+    assert (out / "lambda_records.csv").read_text() == "j,m,re,im,ratio,method\n"
+    assert (out / "manifest.json").exists()
 
 
 def test_block_energy_matches_dense_filtering(tmp_path):

@@ -24,8 +24,18 @@ def test_parser_rejects_flat():
             builtin_curve(f"pow: {alpha}")
     with pytest.raises(ValueError):
         builtin_curve("powlog: a=1 b=2")
+    with pytest.raises(ValueError, match="b >= 0"):    # singular at |t| = 1
+        builtin_curve("powlog: a=3 b=-1")
     with pytest.raises(ValueError):
         builtin_curve("gibberish")
+
+
+def test_smooth_at_zero():
+    # gamma is C^infinity across 0 exactly when it is a polynomial in t
+    smooth = ("poly: t^3", "poly: 1*t^2 + 0.5*t^3", "pow: 2", "pow: 4", "pow: 3 sign")
+    rough = ("pow: 1.5", "pow: 3", "pow: 2 sign", "pow: 2.5 sign", "powlog: a=2 b=1")
+    assert all(builtin_curve(d).smooth_at_zero for d in smooth)
+    assert not any(builtin_curve(d).smooth_at_zero for d in rough)
 
 
 def test_regimes(curve_t2, curve_pow):

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 import bhtlab
 from bhtlab import signal
@@ -12,13 +14,68 @@ from bhtlab.normscan import (HolderTriple, PVParams, bht_direct, bht_direct_repo
                              matched_triple, resonant_triple, scan_machine, scan_point,
                              triangle_membership, envelope_check,
                              scan_edge, _bht_core, _evaluator, _pv_panels)
-from bhtlab.signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble
+from bhtlab.signal import (EnsembleShape, SampledFunction, lp_norm, make_ensemble,
+                           symmetric_grid)
+
+# the members of criterion 9 and of `bhtlab bht`
+PV_SHAPE = EnsembleShape(kind="gaussian", n_terms=3, freq_lo=4.0, freq_hi=8.0,
+                         width_lo_frac=0.02, width_hi_frac=0.04)
 
 
 def const_one(n, x0, dx):
     return SampledFunction(x0, dx, np.ones(n),
                            profile=lambda t: np.ones_like(np.asarray(t, dtype=float),
                                                           dtype=complex))
+
+
+def gaussian_terms(rng, shape, span):
+    """The terms (a, c, s, w) of one Gaussian member, a e^{iwx - ((x-c)/s)^2},
+    drawn in make_ensemble's order."""
+    terms = []
+    for _ in range(shape.n_terms):
+        a = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        c = rng.uniform(-signal.ENSEMBLE_CENTER_FRAC, signal.ENSEMBLE_CENTER_FRAC) * span
+        s = rng.uniform(shape.width_lo_frac, shape.width_hi_frac) * span
+        w = rng.uniform(shape.freq_lo, shape.freq_hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        terms.append((a, c, s, w))
+    return terms
+
+
+def masked_profile(terms):
+    """The Gaussian sum with every term's exp taken under its z^2 < 700 mask."""
+    def profile(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape, dtype=complex)
+        for a, c, s, w in terms:
+            z2 = ((t - c) / s) ** 2
+            out += a * np.exp((1j * w) * t - z2, out=np.zeros(t.shape, dtype=complex),
+                              where=z2 < 700.0)
+        return out
+    return profile
+
+
+def hilbert_line(terms, x):
+    """p.v. int f(x - t) dt/t over the whole line, in closed form.
+
+    A term is a e^{iwc} F(u) with u = (x - c)/s, F(u) = e^{iku - u^2} and
+    k = ws; its p.v. integral is -i pi (F+ - F-), where
+    F+- = 1/2 e^{-k^2/4} w(+-(u - ik/2)) and w is the Faddeeva function.
+    The part whose argument has Im >= 0 is evaluated (w grows below the
+    real axis), the other one is F minus it.
+    """
+    out = np.zeros(len(x), dtype=complex)
+    for a, c, s, w in terms:
+        u = (x - c) / s
+        k = w * s
+        big_f = np.exp(1j * k * u - u * u)
+        if k > 0:
+            f_minus = 0.5 * math.exp(-k * k / 4.0) * wofz(-u + 0.5j * k)
+            diff = big_f - 2.0 * f_minus
+        else:
+            f_plus = 0.5 * math.exp(-k * k / 4.0) * wofz(u - 0.5j * k)
+            diff = 2.0 * f_plus - big_f
+        out += a * np.exp(1j * w * c) * (-1j * math.pi) * diff
+    return out
 
 
 def shift_member(m, a):
@@ -29,9 +86,7 @@ def shift_member(m, a):
 
 @pytest.fixture(scope="module")
 def pv_ensemble():
-    shape = EnsembleShape(kind="gaussian", n_terms=3, freq_lo=4.0, freq_hi=8.0,
-                          width_lo_frac=0.02, width_hi_frac=0.04)
-    return make_ensemble(5, 4, shape, x0=-32.0, dx=64.0 / 2 ** 12, n=2 ** 12)
+    return make_ensemble(5, 4, PV_SHAPE, x0=-32.0, dx=64.0 / 2 ** 12, n=2 ** 12)
 
 
 def test_hilbert_reduction(curve_t2, pv_ensemble):
@@ -56,7 +111,7 @@ def test_bilinearity_and_zero(curve_t2, pv_ensemble):
     scaled = SampledFunction(f.x0, f.dx, 2.0 * f.values,
                              profile=lambda t, pr=f.profile: 2.0 * pr(t))
     out2 = bht_direct(curve_t2, scaled, g)
-    # the adaptive inner cutoff may stop one halving apart for the two runs
+    # the closure check may stop one halving apart for the two runs
     assert np.max(np.abs(out2.values - 2.0 * out1.values)) < 1e-7 * np.max(np.abs(out1.values))
 
 
@@ -92,19 +147,21 @@ def test_trilinear_disjoint_supports(curve_t2):
 
 
 def _per_node_pv(c, f, g, params, eps_final):
-    """The PV sum over the _pv_panels layout and the inner-cutoff halvings
-    down to eps_final, with f and g evaluated afresh at every Gauss node."""
+    """The PV sum over the _pv_panels layout, the closure halvings down to
+    eps_final and the closing panel (0, eps_final), with f and g evaluated
+    afresh at every Gauss node."""
     fe, ge = _evaluator(f), _evaluator(g)
-    layout = _pv_panels(params, params.t_max, f.dx)
+    layout = _pv_panels(params, params.t_max, f.dx, c.smooth_at_zero)
     panels = list(layout.inner)
     panels += [(layout.start + q * layout.width, layout.start + (q + 1) * layout.width)
                for q in range(layout.count)]
     if layout.tail is not None:
         panels.append(layout.tail)
-    eps = params.eps_min
+    eps = layout.eps
     while eps > eps_final:
         panels.append((eps / 2.0, eps))
         eps /= 2.0
+    panels.append((0.0, eps_final))
     glx, glw = np.polynomial.legendre.leggauss(params.gl_order)
     x = f.x
     total = np.zeros(f.n, dtype=complex)
@@ -127,11 +184,11 @@ def test_pv_whole_cell_outer_panels_exact():
                           width_lo_frac=0.02, width_hi_frac=0.04)
     f, g = make_ensemble(3, 2, shape, x0=-(n // 2) * dx, dx=dx, n=n)
     params = PVParams(t_max=n * dx)
-    layout = _pv_panels(params, params.t_max, dx)
+    c = builtin_curve("poly: 1*t^2 + 0.5*t^3")
+    layout = _pv_panels(params, params.t_max, dx, c.smooth_at_zero)
     assert layout.cells == 82 and layout.width != 1.0
     assert layout.count == 48 and layout.tail is not None
 
-    c = builtin_curve("poly: 1*t^2 + 0.5*t^3")
     bare = lambda m: SampledFunction(m.x0, m.dx, m.values)  # interpolating evaluator
     for ff, gg in ((f, g), (bare(f), bare(g))):
         out, diag = _bht_core(c, ff, gg, params)
@@ -144,20 +201,30 @@ def test_pv_whole_cell_outer_panels_exact():
 
 
 def test_pv_short_t_max_ends_inner_panels():
-    # t_max < 1: the dyadic ladder stops at t_max and no outer panel is laid
+    # t_max < 1: the inner panels stop at t_max and no outer panel is laid, on
+    # both inner layouts: the dyadic ladder (pow 1.5) and the single panel (t^2)
     params = PVParams(t_max=0.5)
-    layout = _pv_panels(params, params.t_max, 1.0 / 64)
-    assert layout.inner[-1][1] == 0.5
-    assert layout.count == 0 and layout.tail is None
+    ladder = _pv_panels(params, params.t_max, 1.0 / 64, False)
+    assert ladder.eps == params.eps_min and ladder.inner[0][0] == params.eps_min
+    assert all(b == 2.0 * a for a, b in ladder.inner[:-1])
+    assert all(p[1] == q[0] for p, q in zip(ladder.inner, ladder.inner[1:]))
+    a, b = ladder.inner[-1]
+    assert b == 0.5 and a < b < 2.0 * a
+    smooth = _pv_panels(params, params.t_max, 1.0 / 64, True)
+    assert smooth.eps == 0.25 and smooth.inner == ((0.25, 0.5),)
+    for layout in (ladder, smooth):
+        assert layout.count == 0 and layout.tail is None
 
     n, dx = 2 ** 10, 1.0 / 64
     shape = EnsembleShape(kind="gaussian", n_terms=2, freq_lo=4.0, freq_hi=8.0,
                           width_lo_frac=0.02, width_hi_frac=0.04)
     f, g = make_ensemble(2, 2, shape, x0=-(n // 2) * dx, dx=dx, n=n)
-    c = builtin_curve("poly: t^2")
-    out, diag = _bht_core(c, f, g, params)
-    ref = _per_node_pv(c, f, g, params, diag["eps_final"])
-    assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
+    for desc, smooth_at_zero in (("pow: 1.5", False), ("poly: t^2", True)):
+        c = builtin_curve(desc)
+        assert c.smooth_at_zero == smooth_at_zero
+        out, diag = _bht_core(c, f, g, params)
+        ref = _per_node_pv(c, f, g, params, diag["eps_final"])
+        assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
 
     with pytest.raises(ValueError):    # t_max must exceed eps_min = 1e-7
         bht_direct(c, f, g, PVParams(t_max=1e-7))
@@ -169,6 +236,74 @@ def test_pv_flagging_params(curve_t2, pv_ensemble):
     _, diag = bht_direct_report(curve_t2, f, g1,
                                 PVParams(eps_min=1e-3, tolerance=1e-30, max_halvings=3))
     assert diag["flagged_points"] > 0  # unreachable tolerance is reported, not hidden
+
+
+def test_pv_line_oracle(curve_t2):
+    # criterion 9's members (seed 7) against the exact line Hilbert transform,
+    # which, unlike the periodic multiplier (up to 1.15e-6 off it), sees the
+    # quadrature error alone
+    n, dx = 2 ** 12, 64.0 / 2 ** 12
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        terms = gaussian_terms(rng, PV_SHAPE, n * dx)
+        prof = masked_profile(terms)
+        f = SampledFunction(-32.0, dx, prof(-32.0 + dx * np.arange(n)), profile=prof)
+        out, diag = bht_direct_report(curve_t2, f, const_one(n, f.x0, dx))
+        ref = hilbert_line(terms, f.x)
+        assert np.linalg.norm(out.values - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert diag["flagged_points"] == 0
+
+
+@pytest.mark.parametrize("desc", ["poly: t^2", "poly: t^3", "poly: 1*t^2 + 0.5*t^3",
+                                  "pow: 1.5", "powlog: a=2 b=1"])
+def test_pv_inner_region_matches_fine_quadrature(desc):
+    # t_max = 1 leaves the inner region alone.  The reference grades dyadic
+    # panels of twice the order from 1e-13 on every curve, smooth or not
+    c = builtin_curve(desc)
+    f, g = make_ensemble(11, 2, PV_SHAPE, x0=-32.0, dx=0.125, n=2 ** 9)
+    out, diag = bht_direct_report(c, f, g, PVParams(t_max=1.0))
+    ref = bht_direct(replace(c, smooth_at_zero=False), f, g,
+                     PVParams(t_max=1.0, eps_min=1e-13, gl_order=32))
+    assert np.linalg.norm(out.values - ref.values) <= 1e-12 * np.linalg.norm(ref.values)
+    assert diag["flagged_points"] == 0
+
+
+def test_pv_inner_panel_count(curve_t2):
+    # the default `bhtlab bht --g const1` run on t^2: f is read twice per inner
+    # panel at its (n, gl_order) nodes, on longer blocks for the outer panels
+    x0, dx = symmetric_grid(32.0, 2 ** 12)
+    f = make_ensemble(7, 1, PV_SHAPE, x0=x0, dx=dx, n=2 ** 12)[0]
+    shapes = []
+
+    def counted(t):
+        shapes.append(np.shape(t))
+        return f.profile(t)
+
+    member = SampledFunction(x0, dx, f.values, profile=counted)
+    _, diag = bht_direct_report(curve_t2, member, const_one(f.n, x0, dx))
+    inner = shapes.count((f.n, PVParams().gl_order))
+    assert inner % 2 == 0 and 0 < inner // 2 <= 8
+    assert diag["flagged_points"] == 0
+
+
+def test_gaussian_profile_matches_masked_formula():
+    # dead terms are skipped and all-live ones drop the mask; neither may move a bit
+    n, dx = 2 ** 12, 64.0 / 2 ** 12
+    f = make_ensemble(3, 1, PV_SHAPE, x0=-32.0, dx=dx, n=n)[0]
+    terms = gaussian_terms(np.random.default_rng(3), PV_SHAPE, n * dx)
+    ref = masked_profile(terms)
+    _, c, s, _ = terms[0]
+    edge = c + s * math.sqrt(700.0)
+    near = edge * (1.0 + 1e-15 * np.arange(-64, 65))
+    z2 = ((near - c) / s) ** 2
+    assert np.any(z2 < 700.0) and np.any(z2 >= 700.0)
+    cases = {"live": np.linspace(-17.0, 17.0, 2001),    # every term live
+             "dead": np.linspace(1e3, 2e3, 501),
+             "mixed": np.linspace(-300.0, 300.0, 16 * 513).reshape(513, 16),
+             "edge": near}
+    for name, t in cases.items():
+        got, want = f.profile(t), ref(t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
 
 def test_holder_triple_validation():
