@@ -50,19 +50,18 @@ DICHOTOMY_RESIDUAL_TOL = 0.5  # growth_dichotomy's largest rms residual of a mem
 class Curve:
     """A curve t -> gamma(t) (t != 0) with derivative closures and measured class data.
 
+    eval_fn, deriv, deriv2: gamma, gamma' and gamma'', all three required.
     regime: 'derivative_vanishes_at_zero' or 'derivative_blows_up_at_zero'.
     c_gamma: half the measured non-degeneracy floor (self-consistent threshold).
     k_gamma: the stationary-point window is [2^-k_gamma, 2^k_gamma].
     monotone_radius: probed radius of strict monotonicity of gamma' on (0, .).
     two_sided: gamma' changes sign across 0, so its inverse is two-branched.
-    smooth_at_zero: gamma is C^infinity across t = 0 (polynomials, t^a for even
-    a, sign(t)|t|^a for odd a), so the symmetric PV pairing is smooth at 0 too.
     """
 
     label: str
     eval_fn: Callable = field(repr=False)
     deriv: Callable = field(repr=False)
-    deriv2: Optional[Callable] = field(default=None, repr=False)
+    deriv2: Callable = field(repr=False)
     delta: float = 1.0
     c_gamma: float = 0.0
     k_gamma: int = 0
@@ -71,7 +70,6 @@ class Curve:
     two_sided: bool = True
     power_exponent: Optional[float] = None
     power_sign_variant: bool = False
-    smooth_at_zero: bool = False
 
     def __call__(self, t):
         return self.eval_fn(t)
@@ -90,19 +88,6 @@ class ProfileSlice:
     limit: np.ndarray
     sup_error: float
     j: int
-
-
-def _second_derivative(c: Curve, t):
-    """Analytic gamma'' when available, else centered differences with one
-    Richardson step (h = 1e-5 relative)."""
-    if c.deriv2 is not None:
-        return np.asarray(c.deriv2(t), dtype=float)
-    t = np.asarray(t, dtype=float)
-    h = 1e-5 * np.maximum(np.abs(t), 1e-30)
-    d = lambda hh: (np.asarray(c.deriv(t + hh), dtype=float)
-                    - np.asarray(c.deriv(t - hh), dtype=float)) / (2.0 * hh)
-    d1, d2 = d(h), d(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +143,7 @@ def _poly_curve(coeffs: dict[int, float], label: str) -> Curve:
     if len(powers) == 1:
         kwargs = dict(power_exponent=float(lead), power_sign_variant=(lead % 2 == 1))
     return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
-                               two_sided=(lead % 2 == 0), smooth_at_zero=True, **kwargs))
+                               two_sided=(lead % 2 == 0), **kwargs))
 
 
 def _power_curve(alpha: float, sign_variant: bool, label: str) -> Curve:
@@ -190,12 +175,9 @@ def _power_curve(alpha: float, sign_variant: bool, label: str) -> Curve:
             t = np.asarray(t, dtype=float)
             return alpha * (alpha - 1.0) * np.abs(t) ** (alpha - 2.0)
 
-    # |t|^a is smooth at 0 for even a, sign(t)|t|^a for odd a: either way t^a
-    smooth = float(alpha).is_integer() and int(alpha) % 2 == int(sign_variant)
     return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
                                two_sided=not sign_variant,
-                               power_exponent=alpha, power_sign_variant=sign_variant,
-                               smooth_at_zero=smooth))
+                               power_exponent=alpha, power_sign_variant=sign_variant))
 
 
 def _powlog_curve(a: float, b: float, label: str) -> Curve:
@@ -260,7 +242,7 @@ def _probe_monotone_radius(c: Curve) -> float:
     t = np.logspace(-9, 2, 1200)
     radius = math.inf
     for side in (1.0, -1.0):
-        d2 = _second_derivative(c, side * t)
+        d2 = np.asarray(c.deriv2(side * t), dtype=float)
         s0 = np.sign(d2[0])
         bad = np.nonzero(np.sign(d2) != s0)[0]
         if len(bad):
@@ -363,7 +345,7 @@ def inverse_deriv(c: Curve, w):
     mag = 0.5 * (lo + hi)
     for _ in range(8):
         g1 = f(mag)
-        g2 = _second_derivative(c, sgn * mag) * sgn
+        g2 = np.asarray(c.deriv2(sgn * mag), dtype=float) * sgn
         step = np.where(g2 != 0.0, g1 / g2, 0.0)
         new = mag - step
         ok = np.isfinite(new) & (new > 0.5 * lo) & (new < 2.0 * hi)
@@ -483,7 +465,7 @@ def _limit_r_prime(c: Curve, s: np.ndarray) -> np.ndarray:
     scale = 2.0 ** (-PROFILE_LIMIT_J)
     gp = float(c.deriv(scale))
     tt = np.asarray(inverse_deriv(c, np.asarray(s, dtype=float) * gp), dtype=float)
-    g2 = _second_derivative(c, tt)
+    g2 = np.asarray(c.deriv2(tt), dtype=float)
     return gp / (g2 * scale)
 
 
@@ -496,7 +478,7 @@ def nonflatness_report(c: Curve) -> dict:
     """
     tg = i_grid()
     scale = 2.0 ** (-PROFILE_LIMIT_J)
-    q2 = scale * _second_derivative(c, scale * tg) / float(c.deriv(scale))
+    q2 = scale * np.asarray(c.deriv2(scale * tg), dtype=float) / float(c.deriv(scale))
     inf_q2 = float(np.min(np.abs(q2)))
 
     sg = j_grid(c)

@@ -66,13 +66,14 @@ __all__ = [
 class PVParams:
     """Quadrature layout and its closure check (see _pv_panels, _bht_core).
 
-    The inner region (0, top), top = min(1, t_max), ends in a closing Gauss
-    panel on (0, eps); the symmetric pairing is bounded at t = 0, so no
-    cutoff is left out.  On a curve smooth at 0 eps = top / 2 and one panel
-    covers (eps, top); on any other curve eps = eps_min and dyadic panels
-    (eps_min, 2 eps_min), ... grade up to top.  Whole-cell outer panels
-    follow out to t_max (default: the full grid width, which captures the
-    cross-domain pairs the periodic multiplier reference sees).
+    The inner region (0, top), top = min(1, t_max), is one panel (eps, top)
+    with eps = top / 2 and a closing panel on (0, eps) whose Gauss nodes sit
+    in u, t = eps u^2: the pairing near 0 is a sum of powers t^(m + a k)
+    (a the curve's exponent), and the map turns those of integer and
+    half-integer a into whole powers of u, so one rule serves every curve.
+    Whole-cell outer panels follow out to t_max (default: the full grid
+    width, which captures the cross-domain pairs the periodic multiplier
+    reference sees).
 
     The closure check compares the closing panel on (0, eps) with the one on
     (0, eps/2) plus the panel (eps/2, eps), keeps the finer sum, and halves
@@ -80,7 +81,9 @@ class PVParams:
     halvings at most, one at least.  The report gives the last largest
     difference (last_delta), the final eps (eps_final) and the number of
     points still at or above tolerance (flagged_points).  gl_order is the
-    Gauss-Legendre order of every panel.
+    Gauss-Legendre order of every panel.  eps_min only bounds t_max from
+    below (t_max must exceed it); it stays a field because the benchmark's
+    tracer reads it to count halvings.
     """
 
     eps_min: float = 1e-7
@@ -117,46 +120,31 @@ def _evaluator(f: SampledFunction) -> Callable:
 class PVLayout:
     """The t > 0 panels of the symmetric PV pairing.
 
-    eps: the closing panel (0, eps) starts here (see PVParams).
-    inner: the panels on (eps, min(1, t_max)): one on a curve smooth at 0,
-    else dyadic (eps, 2 eps), ...
+    eps: the inner panel is (eps, 2 eps = min(1, t_max)), the closing panel
+    (0, eps) (see PVParams).
     Outer: `count` panels of `cells` grid cells each (width = cells * dx),
-    panel q spanning [start + q width, start + (q + 1) width]; a whole number
-    of cells apart, they read f(x -+ t) off two shared evaluations.
-    tail: the remainder (start + count width, t_max), or None.
+    panel q spanning [1 + q width, 1 + (q + 1) width]; a whole number of
+    cells apart, they read f(x -+ t) off two shared evaluations.
+    tail: the remainder (1 + count width, t_max), or None.
     """
 
     eps: float
-    inner: tuple
-    start: float
     cells: int
     width: float
     count: int
     tail: Optional[tuple]
 
 
-def _pv_panels(params: PVParams, t_max: float, dx: float, smooth: bool) -> PVLayout:
+def _pv_panels(params: PVParams, t_max: float, dx: float) -> PVLayout:
     if t_max <= params.eps_min:
         raise ValueError(f"t_max = {t_max} must exceed eps_min = {params.eps_min}")
-    top = min(1.0, t_max)
-    if smooth:
-        eps = top / 2.0
-        inner = [(eps, top)]
-    else:
-        eps = params.eps_min
-        inner = []
-        lo = eps
-        while lo < top:
-            inner.append((lo, min(2.0 * lo, top)))
-            lo *= 2.0
-    start = 1.0
     cells = max(1, round(1.0 / dx))
     width = cells * dx
     # a t_max that sits on a panel edge up to rounding leaves no sliver of a tail
-    count = max(0, math.floor((t_max - start) / width + 1e-9))
-    end = start + count * width
+    count = max(0, math.floor((t_max - 1.0) / width + 1e-9))
+    end = 1.0 + count * width
     tail = (end, t_max) if t_max - end > 1e-9 * width else None
-    return PVLayout(eps, tuple(inner), start, cells, width, count, tail)
+    return PVLayout(min(1.0, t_max) / 2.0, cells, width, count, tail)
 
 
 def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
@@ -179,7 +167,7 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
     xs = f.x
     n = f.n
     t_max = params.t_max if params.t_max is not None else n * f.dx
-    layout = _pv_panels(params, t_max, f.dx, c.smooth_at_zero)
+    layout = _pv_panels(params, t_max, f.dx)
     glx, glw = np.polynomial.legendre.leggauss(params.gl_order)
     total = np.zeros(n, dtype=complex)
 
@@ -194,15 +182,19 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
         ws = 0.5 * (b - a) * glw
         return paired(ts) @ ws
 
-    for a, b in layout.inner:
-        total += panel(a, b)
+    u = 0.5 * (glx + 1.0)
 
-    # the pairing is bounded at t = 0, so a Gauss panel closes (0, eps); check
-    # it against its own halving and keep the finer sum
+    def closing(e):
+        # t = e u^2 on (0, e), weight 2 e u: the pairing's powers of t become
+        # (near-)whole powers of u, which Gauss nodes integrate
+        return paired(e * u ** 2) @ (glw * e * u)
+
+    # check the closing panel against its own halving and keep the finer sum
     eps = layout.eps
-    closure = panel(0.0, eps)
+    total += panel(eps, 2.0 * eps)
+    closure = closing(eps)
     for _ in range(max(1, params.max_halvings)):
-        head, body = panel(0.0, eps / 2.0), panel(eps / 2.0, eps)
+        head, body = closing(eps / 2.0), panel(eps / 2.0, eps)
         deltas = np.abs(head + body - closure)
         total += body
         closure = head
@@ -215,7 +207,7 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
         # panel q's nodes are panel 0's nodes t0 moved by q * cells grid cells,
         # so f(x_i -+ t) = f(x_{i -+ q cells} -+ t0): f is evaluated once per
         # node on the grid extended by (count - 1) * cells cells, then sliced
-        t0 = layout.start + 0.5 * layout.width * (glx + 1.0)
+        t0 = 1.0 + layout.width * u
         ws = 0.5 * layout.width * glw
         ext = (layout.count - 1) * layout.cells
         f_minus = fe((f.x0 + f.dx * np.arange(-ext, n))[:, None] - t0[None, :])

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,30 +145,40 @@ def test_trilinear_disjoint_supports(curve_t2):
     assert abs(lam) < 1e-8 * scale
 
 
+def _gauss_nodes(panels, order):
+    glx, glw = np.polynomial.legendre.leggauss(order)
+    return [(0.5 * (b - a) * glx + 0.5 * (a + b), 0.5 * (b - a) * glw) for a, b in panels]
+
+
+def _node_sum(c, f, g, nodes):
+    """The symmetric PV pairing summed over (t, w) node arrays, f and g
+    evaluated afresh at every node (no values shared between panels)."""
+    fe, ge = _evaluator(f), _evaluator(g)
+    x = f.x[:, None]
+    total = np.zeros(f.n, dtype=complex)
+    for ts, ws in nodes:
+        gp, gm = c.eval_fn(ts), c.eval_fn(-ts)
+        total += ((fe(x - ts) * ge(x + gp) - fe(x + ts) * ge(x + gm)) / ts) @ ws
+    return total
+
+
 def _per_node_pv(c, f, g, params, eps_final):
     """The PV sum over the _pv_panels layout, the closure halvings down to
-    eps_final and the closing panel (0, eps_final), with f and g evaluated
-    afresh at every Gauss node."""
-    fe, ge = _evaluator(f), _evaluator(g)
-    layout = _pv_panels(params, params.t_max, f.dx, c.smooth_at_zero)
-    panels = list(layout.inner)
-    panels += [(layout.start + q * layout.width, layout.start + (q + 1) * layout.width)
+    eps_final and the graded closing panel (0, eps_final), t = eps_final u^2."""
+    layout = _pv_panels(params, params.t_max, f.dx)
+    eps = layout.eps
+    panels = [(eps, 2.0 * eps)]
+    panels += [(1.0 + q * layout.width, 1.0 + (q + 1) * layout.width)
                for q in range(layout.count)]
     if layout.tail is not None:
         panels.append(layout.tail)
-    eps = layout.eps
     while eps > eps_final:
         panels.append((eps / 2.0, eps))
         eps /= 2.0
-    panels.append((0.0, eps_final))
     glx, glw = np.polynomial.legendre.leggauss(params.gl_order)
-    x = f.x
-    total = np.zeros(f.n, dtype=complex)
-    for a, b in panels:
-        for t, w in zip(0.5 * (b - a) * glx + 0.5 * (a + b), 0.5 * (b - a) * glw):
-            total += w / t * (fe(x - t) * ge(x + float(c.eval_fn(t)))
-                              - fe(x + t) * ge(x + float(c.eval_fn(-t))))
-    return total
+    u = 0.5 * (glx + 1.0)
+    closing = (eps_final * u ** 2, glw * eps_final * u)
+    return _node_sum(c, f, g, _gauss_nodes(panels, params.gl_order) + [closing])
 
 
 def test_pv_whole_cell_outer_panels_exact():
@@ -185,7 +194,7 @@ def test_pv_whole_cell_outer_panels_exact():
     f, g = make_ensemble(3, 2, shape, x0=-(n // 2) * dx, dx=dx, n=n)
     params = PVParams(t_max=n * dx)
     c = builtin_curve("poly: 1*t^2 + 0.5*t^3")
-    layout = _pv_panels(params, params.t_max, dx, c.smooth_at_zero)
+    layout = _pv_panels(params, params.t_max, dx)
     assert layout.cells == 82 and layout.width != 1.0
     assert layout.count == 48 and layout.tail is not None
 
@@ -201,27 +210,17 @@ def test_pv_whole_cell_outer_panels_exact():
 
 
 def test_pv_short_t_max_ends_inner_panels():
-    # t_max < 1: the inner panels stop at t_max and no outer panel is laid, on
-    # both inner layouts: the dyadic ladder (pow 1.5) and the single panel (t^2)
+    # t_max < 1: the inner panel (0.25, 0.5) ends at t_max and no outer panel is laid
     params = PVParams(t_max=0.5)
-    ladder = _pv_panels(params, params.t_max, 1.0 / 64, False)
-    assert ladder.eps == params.eps_min and ladder.inner[0][0] == params.eps_min
-    assert all(b == 2.0 * a for a, b in ladder.inner[:-1])
-    assert all(p[1] == q[0] for p, q in zip(ladder.inner, ladder.inner[1:]))
-    a, b = ladder.inner[-1]
-    assert b == 0.5 and a < b < 2.0 * a
-    smooth = _pv_panels(params, params.t_max, 1.0 / 64, True)
-    assert smooth.eps == 0.25 and smooth.inner == ((0.25, 0.5),)
-    for layout in (ladder, smooth):
-        assert layout.count == 0 and layout.tail is None
+    layout = _pv_panels(params, params.t_max, 1.0 / 64)
+    assert layout.eps == 0.25 and layout.count == 0 and layout.tail is None
 
     n, dx = 2 ** 10, 1.0 / 64
     shape = EnsembleShape(kind="gaussian", n_terms=2, freq_lo=4.0, freq_hi=8.0,
                           width_lo_frac=0.02, width_hi_frac=0.04)
     f, g = make_ensemble(2, 2, shape, x0=-(n // 2) * dx, dx=dx, n=n)
-    for desc, smooth_at_zero in (("pow: 1.5", False), ("poly: t^2", True)):
+    for desc in ("pow: 1.5", "poly: t^2"):
         c = builtin_curve(desc)
-        assert c.smooth_at_zero == smooth_at_zero
         out, diag = _bht_core(c, f, g, params)
         ref = _per_node_pv(c, f, g, params, diag["eps_final"])
         assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -254,17 +253,26 @@ def test_pv_line_oracle(curve_t2):
         assert diag["flagged_points"] == 0
 
 
+# The closing map t = eps u^2 turns the pairing's powers t^(m + a k) into
+# whole powers of u only for integer and half-integer a.  At a = 1.25 and 1.1
+# the fractional powers left cost 1.0-1.3e-11 and 2.6-3.2e-11 (measured on
+# input seeds 11 and 3), far under the closure tolerance 1e-8: bound 1e-10.
+FRACTIONAL_POWER_BOUND = {"pow: 1.25": 1e-10, "pow: 1.1": 1e-10}
+
+
 @pytest.mark.parametrize("desc", ["poly: t^2", "poly: t^3", "poly: 1*t^2 + 0.5*t^3",
-                                  "pow: 1.5", "powlog: a=2 b=1"])
+                                  "pow: 1.5", "powlog: a=2 b=1", "pow: 2.5", "pow: 0.5",
+                                  "pow: 1.25", "pow: 1.1"])
 def test_pv_inner_region_matches_fine_quadrature(desc):
-    # t_max = 1 leaves the inner region alone.  The reference grades dyadic
-    # panels of twice the order from 1e-13 on every curve, smooth or not
+    # t_max = 1 leaves the inner region alone.  The reference is plain Gauss
+    # panels of twice the order, (0, 1e-13) and then dyadic up to 1
     c = builtin_curve(desc)
     f, g = make_ensemble(11, 2, PV_SHAPE, x0=-32.0, dx=0.125, n=2 ** 9)
     out, diag = bht_direct_report(c, f, g, PVParams(t_max=1.0))
-    ref = bht_direct(replace(c, smooth_at_zero=False), f, g,
-                     PVParams(t_max=1.0, eps_min=1e-13, gl_order=32))
-    assert np.linalg.norm(out.values - ref.values) <= 1e-12 * np.linalg.norm(ref.values)
+    edges = [0.0] + [1e-13 * 2.0 ** k for k in range(44)] + [1.0]
+    ref = _node_sum(c, f, g, _gauss_nodes(zip(edges, edges[1:]), 32))
+    bound = FRACTIONAL_POWER_BOUND.get(desc, 1e-12)
+    assert np.linalg.norm(out.values - ref) <= bound * np.linalg.norm(ref)
     assert diag["flagged_points"] == 0
 
 
