@@ -23,10 +23,11 @@ moduli where the mirror is invisible.
 
 The trilinear form Lambda_{j,m} has two evaluation routes, and both sample
 these exact multipliers from the bank.  The spatial route is FFT convolution
-and pointwise products on a short grid per scale that holds every row's
-nonzero bins and the same resonant triples (TrilinearMachine.mults).  Those
-short rows are the only filtered rows transformed back to space, for the form
-and for its slot gradients alike.  The spectral route is the direct
+and pointwise products on a short grid per scale that holds the same resonant
+triples (TrilinearMachine.mults): every row's nonzero g and h bins, and only
+the bins of f's band that can meet them.  Those short rows are the only
+filtered rows transformed back to space, for the form and for its slot
+gradients alike.  The spectral route, on dense rows, is the direct
 double-frequency sum  2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)) over the
 whole grid, which on the symmetric grid is the same number by the DFT
 identity.  On the np.fft order the machine works in, that sum reads
@@ -181,17 +182,23 @@ class FilterBank:
 
     def chirp_filters(self, j: int, xi: np.ndarray,
                       p0_subset: Optional[np.ndarray] = None) -> np.ndarray:
-        """(P, N) array of 2^{-m/2} e^{-i p0 R(|xi|/(2^j p0))} phi(xi/2^{m+j})."""
+        """(P, W) rows 2^{-m/2} e^{-i p0 R(|xi|/(2^j p0))} phi(xi/2^{m+j}),
+        one per p0 (of p0_subset when given), on a shared xi of shape (W,) or
+        on one row of frequencies per p0 when xi has shape (P, W)."""
         prof = profiles_for(self.curve)
         p0s = (self.p0_values if p0_subset is None else np.asarray(p0_subset)).astype(float)
         env = bump_phi(xi / 2.0 ** (self.m + j))
         nz = np.abs(env) > 0
-        out = np.zeros((len(p0s), len(xi)), dtype=complex)
+        out = np.zeros((len(p0s), xi.shape[-1]), dtype=complex)
         if not np.any(nz):
             return out
-        s = np.abs(xi[nz])[None, :] / (2.0 ** j * p0s[:, None])
-        out[:, nz] = np.exp(-1j * p0s[:, None] * prof.chirp_phase(s)) * env[nz][None, :]
-        return 2.0 ** (-self.m / 2.0) * out
+        if xi.ndim == 1:
+            at, p0, xs, e = (slice(None), nz), p0s[:, None], xi[nz][None, :], env[nz][None, :]
+        else:
+            at, p0, xs, e = nz, np.broadcast_to(p0s[:, None], xi.shape)[nz], xi[nz], env[nz]
+        s = np.abs(xs) / (2.0 ** j * p0)
+        out[at] = 2.0 ** (-self.m / 2.0) * (np.exp(-1j * p0 * prof.chirp_phase(s)) * e)
+        return out
 
     def block_filters(self, j: int, xi: np.ndarray) -> np.ndarray:
         """(P, N) rows phi(D_j xi - p0) on a shared xi of shape (N,), or on
@@ -357,16 +364,22 @@ class TrilinearMachine:
 
         Per row p0 the three families are nonzero only on signed bin windows
         [a_f, b_f], [a_g, b_g], [a_h, b_h] (from the bank's supports), so a
-        resonant triple k + l + n = 0 (mod N) has k + l + n = tN for the one
-        multiple tN of N in [a_f + a_g + a_h, b_f + b_g + b_h]; a row with
-        none contributes nothing and is dropped.  Bin k of a family goes to
-        position (k - a) mod L, f's moved on by a_f + a_g + a_h - tN, so the
-        positions of a triple sum to k + l + n - tN (mod L).  With
-        L >= W_f + W_g + W_h (W = b - a + 1) that is 0 mod L exactly when
-        k + l + n = tN: the short grid holds the same resonant triples as the
-        full one, and Lambda_p = dx L^2/N^2 sum ifft_L(F) ifft_L(G) ifft_L(H).
-        L is the smallest 2^a 3^b 5^c >= max(W_f + W_g + W_h), capped at N,
-        where the placement only relabels the bins.
+        resonant triple k + l + n = 0 (mod N) has k + l + n = tN for a
+        multiple tN of N in [a_f + a_g + a_h, b_f + b_g + b_h], t from t_lo
+        to t_hi; a row with none contributes nothing and is dropped.  Given
+        l and n, such a k lies in [t_lo N - b_g - b_h, t_hi N - a_g - a_h],
+        so f's window is cut to its meet with that range, [a_f', b_f'], and
+        f's samples past b_f' (band values the padding to a common row
+        length reaches) are set to zero.  Bin k of a family goes to position
+        (k - a) mod L (a_f' for f), f's moved on by a_f' + a_g + a_h - t_lo N,
+        so the positions of a triple sum to k + l + n - t_lo N (mod L).  When
+        t_lo = t_hi and L >= W_f' + W_g + W_h (W = b - a + 1, W_f' from the
+        cut window) that is 0 mod L exactly when k + l + n = t_lo N: the
+        short grid holds the same resonant triples as the full one, and
+        Lambda_p = dx L^2/N^2 sum ifft_L(F) ifft_L(G) ifft_L(H).  L is the
+        smallest 2^a 3^b 5^c >= max(W_f' + W_g + W_h), capped at N, where
+        the placement only relabels the bins; a cut window that reaches two
+        multiples of N has W_f' + W_g + W_h > N, so it always lands there.
 
         Returns the (P, L) rows, sampled from the bank's filter methods at
         their bins' frequencies; the bins, in np.fft order, are kept in
@@ -378,22 +391,27 @@ class TrilinearMachine:
             (af, bf), (ag, bg), (ah, bh) = (self._windows(sup) for sup in bank.supports(j))
             t = -(-(af + ag + ah) // n)
             live = (af <= bf) & (ag <= bg) & (ah <= bh) & (t * n <= bf + bg + bh)
+            # only f bins k = tN - l - n with l, n in the g and h windows can resonate
+            af, bf = (np.maximum(af, t * n - bg - bh),
+                      np.minimum(bf, (bf + bg + bh) // n * n - ag - ah))
             width = (bf - af + 1) + (bg - ag + 1) + (bh - ah + 1)
             L = min(n, _smooth_length(int(width[live].max(initial=1))))
-            # offsets past a row's window reach bins outside it, where every sample is zero
-            o_f, o_g, o_h = (np.arange(np.broadcast_to(b - a + 1, live.shape)[live].max(initial=1))
+            # offsets past a row's g or h window reach bins outside it, where
+            # every sample is zero; past its cut f window they are zeroed below
+            o_f, o_g, o_h = (np.arange((b - a + 1)[live].max(initial=1))
                              for a, b in ((af, bf), (ag, bg), (ah, bh)))
-            kf = af[0] + o_f                                 # the f band is one shared window
-            kg, kh = ag[:, None] + o_g, ah[:, None] + o_h
-            rows = ((bank.chirp_filters(j, self.xi[kf % n])
-                     * bank.band_dyadic(bank.m + j, self.xi[kf % n]))[live],
-                    bank.block_filters(j, self.xi[kg % n])[live],
-                    bank.h_block_filters(j, self.xi[kh % n])[live])
-            bins = [np.broadcast_to(kf, rows[0].shape), kg[live], kh[live]]
-            # f moves on by a_f + a_g + a_h - tN
+            kf, kg, kh = ((a[:, None] + o) % n for a, o in ((af[live], o_f), (ag, o_g), (ah, o_h)))
+            f_rows = bank.chirp_filters(j, self.xi[kf], p0_subset=bank.p0_values[live])
+            f_rows *= bank.band_dyadic(bank.m + j, self.xi[kf])
+            f_rows[o_f > (bf - af)[live][:, None]] = 0.0
+            rows = (f_rows,
+                    bank.block_filters(j, self.xi[kg])[live],
+                    bank.h_block_filters(j, self.xi[kh])[live])
+            bins = [kf, kg[live], kh[live]]
+            # f moves on by a_f' + a_g + a_h - tN
             still = np.zeros(np.count_nonzero(live), dtype=np.int64)
             shifts = ((af + ag + ah - t * n)[live] % L, still, still)
-            placed = [_place(mm, kk % n, sh, L) for mm, kk, sh in zip(rows, bins, shifts)]
+            placed = [_place(mm, kk, sh, L) for mm, kk, sh in zip(rows, bins, shifts)]
             hit = tuple(mm for mm, _ in placed)
             self._mults[j] = hit
             self._bins[j] = tuple(kk for _, kk in placed)

@@ -47,6 +47,23 @@ def test_chirp_filter_unimodular(curve_t2, curve_t3):
         assert np.max(np.abs(np.abs(psi) - env[None, :])) < 1e-14
 
 
+def test_chirp_filter_rows_match_shared(curve_t2, curve_powlog):
+    # one row of frequencies per p0, across the band's edges, against the
+    # shared-frequency call for that p0 alone: equal bit for bit
+    rng = np.random.default_rng(4)
+    for c in (curve_t2, curve_powlog):
+        bank = FilterBank(curve=c, m=4)
+        edge = 1.2 * bank.reach(2)[0]
+        for p0s in (None, bank.p0_values[3:7]):
+            rows = bank.p0_values if p0s is None else p0s
+            xi_rows = rng.uniform(-edge, edge, size=(len(rows), 300))
+            got = bank.chirp_filters(2, xi_rows, p0_subset=p0s)
+            assert np.count_nonzero(got) and not np.all(got)
+            for p0, xi, row in zip(rows, xi_rows, got):
+                ref = bank.chirp_filters(2, xi, p0_subset=[p0])[0]
+                assert row.tobytes() == ref.tobytes()
+
+
 def test_chirp_amplitude_scaling(curve_t2):
     # m -> m+2 halves the filter amplitude
     a4 = FilterBank(curve=curve_t2, m=4)
@@ -210,7 +227,27 @@ SHORT_GRID_CASES = {
     "powlog": lambda: _scan_case("powlog: a=2 b=1", 5, 2 ** 12),
     # a grid sized for j = 2 holds the j = 3 windows only at L = N
     "L=N": lambda: _scan_case("poly: t^2", 4, 2 ** 12, [2], at=[3]),
+    # f's band spans about 2300 of the 4096 bins; each row keeps only those that meet g and h
+    "t2 cut": lambda: _scan_case("poly: t^2", 8, 2 ** 12, [2]),
+    "t3 cut": lambda: _scan_case("poly: t^3", 8, 2 ** 12, [3]),
 }
+
+
+def _f_bins_can_resonate(mach, j) -> bool:
+    """Every nonzero f sample of a short row sits at a bin k with
+    k + l + n = tN for some l, n within two bins of that row's nonzero g and
+    h bins."""
+    n = mach.n
+    nonzero = []
+    for mm, bins in zip(mach.mults(j), mach._bins[j]):
+        signed = np.where(bins < n // 2, bins, bins - n)
+        nonzero.append([k[v != 0] for k, v in zip(signed, mm)])
+    for kf, kg, kh in zip(*nonzero):
+        if len(kf) and len(kg) and len(kh):
+            lo, hi = kf + kg.min() + kh.min() - 4, kf + kg.max() + kh.max() + 4
+            if np.any(hi // n * n < lo):
+                return False
+    return True
 
 
 @pytest.mark.parametrize("case", SHORT_GRID_CASES)
@@ -218,6 +255,9 @@ def test_short_grid_matches_dense(case):
     mach, j_list = SHORT_GRID_CASES[case]()
     lengths = {mach.mults(j)[0].shape[1] for j in j_list}
     assert (lengths == {mach.n}) == (case == "L=N")
+    if case == "t2 cut":
+        assert max(lengths) <= mach.n // 8
+    assert all(_f_bins_can_resonate(mach, j) for j in j_list)
     rng = np.random.default_rng(5)
     fv, gv, hv = (rng.normal(size=mach.n) + 1j * rng.normal(size=mach.n) for _ in range(3))
     rows = {j: _dense_rows(mach, j) for j in j_list}
