@@ -49,8 +49,18 @@ def plateau_window(a, lo_supp, lo_flat, hi_flat, hi_supp):
 
 
 def bump_phi(x):
-    """The dyadic band window: even, 1 on 1/5<=|x|<=5, supported in 1/10<|x|<10."""
-    return plateau_window(x, PHI_INNER, 0.2, 5.0, PHI_OUTER)
+    """The dyadic band window: even, 1 on 1/5<=|x|<=5, supported in 1/10<|x|<10.
+
+    Equal bit for bit to plateau_window(x, PHI_INNER, 0.2, 5.0, PHI_OUTER),
+    whose ramps are evaluated here only where it can be nonzero.
+    """
+    a = np.abs(np.asarray(x, dtype=float))
+    out = np.zeros(a.shape)
+    on = (PHI_INNER < a) & (a < PHI_OUTER)
+    out[on] = plateau_window(a[on], PHI_INNER, 0.2, 5.0, PHI_OUTER)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def log_plateau_window(y, flat_lo, flat_hi, supp_lo, supp_hi):

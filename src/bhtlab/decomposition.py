@@ -27,11 +27,14 @@ and pointwise products on a short grid per scale that holds the same resonant
 triples (TrilinearMachine.mults): every row's nonzero g and h bins, and only
 the bins of f's band that can meet them.  Those short rows are the only
 filtered rows transformed back to space, for the form and for its slot
-gradients alike.  The spectral route, on dense rows, is the direct
-double-frequency sum  2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)) over the
-whole grid, which on the symmetric grid is the same number by the DFT
-identity.  On the np.fft order the machine works in, that sum reads
-dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the plain DFTs.  Their
+gradients alike.  The spectral route is the direct double-frequency sum
+2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)) over the whole grid, which on
+the symmetric grid is the same number by the DFT identity.  On the np.fft
+order the machine works in, that sum reads
+dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the plain DFTs.  It shares no
+code with the short rows: g and h are sampled on the whole grid, and f only
+on the bins k whose -k the row's g and h bins can sum to (mod N), since
+every other term is an exact zero (TrilinearMachine._oracle_rows).  Their
 agreement tests the transform plumbing, not the modeling.
 """
 from __future__ import annotations
@@ -62,7 +65,7 @@ __all__ = [
 ]
 
 
-ORACLE_COLUMNS = 1024    # grid bins per block when sampling the oracle's dense rows
+ORACLE_COLUMNS = 1024    # grid bins per block when sampling the oracle's dense g and h rows
 
 
 def scale_factor(c: Curve, j: int) -> float:
@@ -301,6 +304,26 @@ def _filtered_row(fam: tuple, p: int, spectrum: np.ndarray) -> tuple:
     return k[nz], v[nz]
 
 
+def _row_major(rows: np.ndarray, bins: np.ndarray, vals: np.ndarray, p: int) -> tuple:
+    """(row starts, bins, values) of entries given by row, ordered by row
+    (stably), with row q's entries at starts[q]:starts[q + 1]."""
+    order = np.argsort(rows, kind="stable")
+    starts = np.searchsorted(rows[order], np.arange(p + 1))
+    return starts, bins[order].astype(np.int32), vals[order]
+
+
+def _signed_hull(fam: tuple, n: int) -> tuple:
+    """Per row of a sparse-held multiplier, its least and greatest nonzero
+    bin as signed bins (-N/2..N/2-1); lo > hi for a row with none."""
+    starts, bins, _ = fam
+    signed = np.where(bins < n // 2, bins, bins - n)
+    full = starts[:-1] < starts[1:]
+    lo, hi = np.zeros(len(full), dtype=np.int64), np.full(len(full), -1, dtype=np.int64)
+    lo[full] = np.minimum.reduceat(signed, starts[:-1][full])
+    hi[full] = np.maximum.reduceat(signed, starts[:-1][full])
+    return lo, hi
+
+
 def _stretch(bins: np.ndarray, vals: np.ndarray, n: int) -> tuple:
     """(first signed bin, values on every signed bin from it to the last)."""
     signed = np.where(bins < n // 2, bins, bins - n)
@@ -428,35 +451,56 @@ class TrilinearMachine:
         return complex(np.sum(F * G * H) * (self.dx * L ** 2 / self.n ** 2))
 
     def _oracle_rows(self, j: int) -> list:
-        """lam_spectral's multipliers: the dense (P, N) rows of the three
-        families sampled on the whole grid from the bank's filter methods, a
-        block of ORACLE_COLUMNS bins at a time, and held by their nonzero
-        entries as (row starts, bins, values) in row-major order."""
+        """lam_spectral's multipliers for f, g and h, each held by its
+        nonzero entries as (row starts, bins, values) in row-major order.
+
+        g and h are the dense (P, N) rows, sampled on the whole grid from the
+        bank's filter methods a block of ORACLE_COLUMNS bins at a time.  f is
+        sampled only where lam_spectral can use it: F(k) is paired with
+        C(-k mod N), C the cyclic convolution of the row's filtered G and H,
+        and C is exactly zero unless -k lies in [lo_g + lo_h, hi_g + hi_h]
+        (mod N), lo and hi the least and greatest signed nonzero bins of the
+        row's g and h.  So row p's f is sampled through chirp_filters (one
+        row of frequencies per p0) times band_dyadic on k = -hi, ..., -lo
+        (mod N), cut to its first N bins so that no bin is taken twice.
+        """
         hit = self._oracle.get(j)
         if hit is None:
-            bank = self.bank
-            hit = []
-            for family in (lambda xi: bank.chirp_filters(j, xi) * bank.band_dyadic(bank.m + j, xi),
-                           lambda xi: bank.block_filters(j, xi),
-                           lambda xi: bank.h_block_filters(j, xi)):
-                rows, bins, vals = [], [], []
-                for c0 in range(0, self.n, ORACLE_COLUMNS):
-                    mm = family(self.xi[c0:c0 + ORACLE_COLUMNS])
-                    r, c = np.nonzero(mm)
-                    rows.append(r.astype(np.int32))
-                    bins.append((c + c0).astype(np.int32))
-                    vals.append(mm[r, c])
-                rows = np.concatenate(rows)
-                order = np.argsort(rows, kind="stable")
-                starts = np.searchsorted(rows[order], np.arange(len(bank.p0_values) + 1))
-                hit.append((starts, np.concatenate(bins)[order], np.concatenate(vals)[order]))
+            bank, n = self.bank, self.n
+            p0s = bank.p0_values
+            g, h = (self._dense_nonzeros(family)
+                    for family in (lambda xi: bank.block_filters(j, xi),
+                                   lambda xi: bank.h_block_filters(j, xi)))
+            (lo_g, hi_g), (lo_h, hi_h) = (_signed_hull(fam, n) for fam in (g, h))
+            live = (lo_g <= hi_g) & (lo_h <= hi_h)
+            lo, hi = (lo_g + lo_h)[live], (hi_g + hi_h)[live]
+            width = np.minimum(hi - lo + 1, n)
+            offsets = np.arange(width.max(initial=0))
+            k = (offsets - hi[:, None]) % n
+            xi = self.xi[k]
+            f = bank.chirp_filters(j, xi, p0_subset=p0s[live]) * bank.band_dyadic(bank.m + j, xi)
+            r, c = np.nonzero((offsets < width[:, None]) & (f != 0))
+            hit = [_row_major(np.flatnonzero(live)[r], k[r, c], f[r, c], len(p0s)), g, h]
             self._oracle[j] = hit
         return hit
 
+    def _dense_nonzeros(self, family) -> tuple:
+        """The nonzero entries of family's (P, N) rows on the whole grid, as
+        (row starts, bins, values), sampled ORACLE_COLUMNS bins at a time."""
+        rows, bins, vals = [], [], []
+        for c0 in range(0, self.n, ORACLE_COLUMNS):
+            mm = family(self.xi[c0:c0 + ORACLE_COLUMNS])
+            r, c = np.nonzero(mm)
+            rows.append(r)
+            bins.append(c + c0)
+            vals.append(mm[r, c])
+        return _row_major(np.concatenate(rows), np.concatenate(bins), np.concatenate(vals),
+                          len(self.bank.p0_values))
+
     def lam_spectral(self, fv, gv, hv, j: int) -> complex:
         """dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the filtered DFTs,
-        row by row over the dense rows of _oracle_rows (the independent
-        oracle for lam_spatial's short grid).  Each row's sum is taken as
+        row by row over the rows of _oracle_rows (the independent oracle
+        for lam_spatial's short grid).  Each row's sum is taken as
         sum_k F(k) C(-k mod N), with C(m) = sum_{l+n=m mod N} G(l) H(n) the
         direct (np.convolve) convolution of G's and H's nonzero stretches."""
         fams = self._oracle_rows(j)

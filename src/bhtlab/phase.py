@@ -89,8 +89,11 @@ class CurveProfiles:
     """Limit profiles of one curve: r, r', r^{-1}, the chirp primitive
     chirp_phase (vanishing at 1), and the kernel phase on the r-range.
 
-    Power-family curves use exact closed forms; otherwise dense splines of
-    the profiles at scale PROFILE_LIMIT_J over s in [1/64, 48].
+    Power-family curves use exact closed forms.  Otherwise r is the
+    not-a-knot cubic spline (_not_a_knot) of the profile at scale
+    PROFILE_LIMIT_J on 3073 log-spaced knots over s in [1/64, 48]; r' and the
+    chirp primitive are its exact derivative and antiderivative, and past
+    the ends all three follow the end cubics.
     """
 
     curve: Curve
@@ -139,26 +142,82 @@ def _power_profiles(c: Curve) -> CurveProfiles:
                          chirp_phase=chirp, kernel_phase=kernel)
 
 
-def _generic_profiles(c: Curve) -> CurveProfiles:
-    from scipy.interpolate import CubicSpline
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Local coefficients c (4, n-1), highest power first, of the not-a-knot
+    cubic spline through (x, y): piece i is sum_q c[q, i] (s - x[i])^(3-q).
 
+    The knot slopes solve the usual tridiagonal system: at each interior
+    knot the second derivative is continuous, and at x[1] and x[-2] the
+    third one is too (not-a-knot).  A Thomas sweep solves it: elimination
+    without row exchanges, which on the profile knots are the ones partial
+    pivoting makes too (no subdiagonal entry exceeds the pivot above it).
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    lower, diag, upper, rhs = (np.empty(len(x)) for _ in range(4))
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    lo, di, up, b = (v.tolist() for v in (lower, diag, upper, rhs))
+    for i in range(1, len(b)):
+        w = lo[i] / di[i - 1]
+        di[i] -= w * up[i - 1]
+        b[i] -= w * b[i - 1]
+    b[-1] /= di[-1]
+    for i in range(len(b) - 2, -1, -1):
+        b[i] = (b[i] - up[i] * b[i + 1]) / di[i]
+    s = np.array(b)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _piecewise(x: np.ndarray, c: np.ndarray) -> Callable:
+    """s -> the piecewise polynomial with local coefficients c (as from
+    _not_a_knot, of any degree) on the knots x, by Horner's rule; piece i
+    holds [x[i], x[i+1]), the last one also x[-1], and the end pieces
+    extend past the ends."""
+    def ev(s):
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+        u = s - x[i]
+        out = c[0, i]
+        for row in c[1:]:
+            out = out * u + row[i]
+        return out
+    return ev
+
+
+def _antiderivative(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Coefficients of the continuous antiderivative of piecewise c that
+    vanishes at x[0]."""
+    a = np.vstack((c / np.arange(len(c), 0, -1)[:, None], np.zeros(c.shape[1])))
+    # each piece starts at the value where the previous one ends
+    dx = np.diff(x)
+    rise = a[0]
+    for row in a[1:]:
+        rise = rise * dx + row
+    a[-1, 1:] = np.cumsum(rise[:-1])
+    return a
+
+
+def _generic_profiles(c: Curve) -> CurveProfiles:
     knots = np.exp(np.linspace(math.log(_S_MIN), math.log(_S_MAX), _N_KNOTS))
     r_vals = _r_values(c, PROFILE_LIMIT_J, knots)
 
-    r_sp = CubicSpline(knots, r_vals)
-    rp_sp = r_sp.derivative()
-    anti = r_sp.antiderivative()
+    coef = _not_a_knot(knots, r_vals)
+    r_sp = _piecewise(knots, coef)
+    rp_sp = _piecewise(knots, coef[:-1] * np.array([3.0, 2.0, 1.0])[:, None])
+    anti = _piecewise(knots, _antiderivative(knots, coef))
     anti_at_1 = float(anti(1.0))
 
     increasing = r_vals[-1] > r_vals[0]
     rv = r_vals if increasing else r_vals[::-1]
     kn = knots if increasing else knots[::-1]
-
-    def r(s):
-        return r_sp(np.asarray(s, dtype=float))
-
-    def r_prime(s):
-        return rp_sp(np.asarray(s, dtype=float))
 
     def r_inverse(y):
         y = np.asarray(y, dtype=float)
@@ -173,21 +232,18 @@ def _generic_profiles(c: Curve) -> CurveProfiles:
 
     kernel = None
     if c.regime == "derivative_vanishes_at_zero":
-        # kernel_phase(y) = u* y - int_0^{u*} r,  u* = r^{-1}(y); the piece of
-        # the integral below the first knot comes from a local power fit.
+        # kernel_phase(y) = u* y - int_0^{u*} r,  u* = r^{-1}(y); anti
+        # vanishes at the first knot, and the piece of the integral below it
+        # comes from a local power fit.
         e_fit = math.log(r_vals[1] / r_vals[0]) / math.log(knots[1] / knots[0])
         tail = r_vals[0] * knots[0] / (e_fit + 1.0)
-        anti_at_min = float(anti(knots[0]))
-
-        def r_integral_from_zero(u):
-            return (anti(u) - anti_at_min) + tail
 
         def kernel(y):
             y = np.asarray(y, dtype=float)
             u = r_inverse(y)
-            return u * y - r_integral_from_zero(u)
+            return u * y - (anti(u) + tail)
 
-    return CurveProfiles(curve=c, r=r, r_prime=r_prime, r_inverse=r_inverse,
+    return CurveProfiles(curve=c, r=r_sp, r_prime=rp_sp, r_inverse=r_inverse,
                          chirp_phase=chirp, kernel_phase=kernel)
 
 

@@ -161,6 +161,18 @@ def _decompose_with_spectral_factor(out, monkeypatch, factor) -> int:
                      "--curve", "poly: t^2", "--m", "4", "--count", "1", "--grid-n", "2048"])
 
 
+def test_decompose_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: a generic-curve decompose, which builds
+    # the spline profiles, runs in a child where importing scipy fails
+    code = ("import sys; sys.modules['scipy'] = None; from bhtlab import cli; "
+            f"sys.exit(cli.main(['--out', {str(tmp_path / 'n')!r}, 'decompose', "
+            "'--curve', 'powlog: a=2 b=1']))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=tmp_path, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "n" / "manifest.json").exists()
+
+
 def test_decompose_route_mismatch_exit_1(tmp_path, monkeypatch, capsys):
     assert _decompose_with_spectral_factor(tmp_path / "g", monkeypatch, 1.0 + 1e-3) == 1
     assert "differ by 9.99e-04" in capsys.readouterr().err

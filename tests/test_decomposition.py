@@ -215,6 +215,13 @@ def _equal_bank_case(j, edge=None):
     return TrilinearMachine(bank, 2 ** 11, dx), [j]
 
 
+def _coarse_case():
+    """Default t^2 banks at m = 2, j = 2 on 2048 bins, the grid's edge at 0.8
+    of the block reach."""
+    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=2, j_lo=2, j_hi=2)
+    return TrilinearMachine(bank, 2 ** 11, math.pi / (0.8 * bank.reach(2)[1])), [2]
+
+
 SHORT_GRID_CASES = {
     "t2": lambda: _scan_case("poly: t^2", 6, 2 ** 13),
     "t3": lambda: _scan_case("poly: t^3", 5, 2 ** 12),
@@ -230,7 +237,30 @@ SHORT_GRID_CASES = {
     # f's band spans about 2300 of the 4096 bins; each row keeps only those that meet g and h
     "t2 cut": lambda: _scan_case("poly: t^2", 8, 2 ** 12, [2]),
     "t3 cut": lambda: _scan_case("poly: t^3", 8, 2 ** 12, [3]),
+    # default banks on a grid so coarse that each row's g and h windows
+    # together span more than N bins (about 2600 of 2048)
+    "hull > N": _coarse_case,
 }
+
+
+def _widest_hull(mach, rows) -> int:
+    """Over the rows with nonzero g and h samples, the widest span of signed
+    bins hi_g + hi_h - lo_g - lo_h + 1 that their sums can reach."""
+    n = mach.n
+    signed = np.where(np.arange(n) < n // 2, np.arange(n), np.arange(n) - n)
+    width = 0
+    for g, h in zip(rows[1], rows[2]):
+        if np.any(g) and np.any(h):
+            sg, sh = signed[g != 0], signed[h != 0]
+            width = max(width, int(sg.max() - sg.min() + sh.max() - sh.min() + 1))
+    return width
+
+
+def _oracle_bins_once(mach, j) -> bool:
+    """No row of any family of the spectral oracle holds a bin twice."""
+    return all(len(np.unique(bins[a:b])) == b - a
+               for starts, bins, _ in mach._oracle_rows(j)
+               for a, b in zip(starts[:-1], starts[1:]))
 
 
 def _f_bins_can_resonate(mach, j) -> bool:
@@ -254,16 +284,20 @@ def _f_bins_can_resonate(mach, j) -> bool:
 def test_short_grid_matches_dense(case):
     mach, j_list = SHORT_GRID_CASES[case]()
     lengths = {mach.mults(j)[0].shape[1] for j in j_list}
-    assert (lengths == {mach.n}) == (case == "L=N")
+    assert (lengths == {mach.n}) == (case in ("L=N", "hull > N"))
     if case == "t2 cut":
         assert max(lengths) <= mach.n // 8
     assert all(_f_bins_can_resonate(mach, j) for j in j_list)
     rng = np.random.default_rng(5)
     fv, gv, hv = (rng.normal(size=mach.n) + 1j * rng.normal(size=mach.n) for _ in range(3))
     rows = {j: _dense_rows(mach, j) for j in j_list}
+    assert (max(_widest_hull(mach, rows[j]) for j in j_list) > mach.n) == (case == "hull > N")
     for j in j_list:
         ref = _dense_lam(mach, rows[j], fv, gv, hv)
         assert abs(mach.lam_spatial(fv, gv, hv, j) - ref) <= 1e-12 * abs(ref)
+        # the spectral oracle samples f only where the row's g and h can reach
+        assert abs(mach.lam_spectral(fv, gv, hv, j) - ref) <= 1e-12 * abs(ref)
+        assert _oracle_bins_once(mach, j)
     for slot in "fgh":
         ref = sum(_dense_grad(mach, rows[j], slot, fv, gv, hv) for j in j_list)
         got = mach.grad_slot(slot, fv, gv, hv, j_list)

@@ -157,3 +157,45 @@ def test_profile_cache_keyed_on_curve(curve_t2):
     relabelled = dataclasses.replace(builtin_curve("poly: t^3"), label=curve_t2.label)
     assert profiles_for(relabelled).r(4.0) == pytest.approx(2.0)
     assert profiles_for(curve_t2).r(4.0) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("desc", ["poly: 1*t^2 + 0.5*t^3", "powlog: a=2 b=1"])
+def test_generic_spline_matches_cubic_spline(desc):
+    # the not-a-knot spline against scipy's on the same knots and values,
+    # with every profile formed from it as _generic_profiles does
+    from scipy.interpolate import CubicSpline
+
+    from bhtlab.curves import PROFILE_LIMIT_J, _r_values
+    from bhtlab.phase import _N_KNOTS, _S_MAX, _S_MIN
+
+    c = builtin_curve(desc)
+    prof = profiles_for(c)
+    knots = np.exp(np.linspace(math.log(_S_MIN), math.log(_S_MAX), _N_KNOTS))
+    r_vals = _r_values(c, PROFILE_LIMIT_J, knots)
+    sp = CubicSpline(knots, r_vals)
+    dsp, anti = sp.derivative(), sp.antiderivative()
+    order = np.argsort(r_vals)
+
+    def kernel(y):
+        u = np.interp(y, r_vals[order], knots[order])
+        for _ in range(3):
+            u = u - (sp(u) - y) / dsp(u)
+        e_fit = math.log(r_vals[1] / r_vals[0]) / math.log(knots[1] / knots[0])
+        return u * y - ((anti(u) - anti(knots[0])) + r_vals[0] * knots[0] / (e_fit + 1.0))
+
+    s = np.exp(np.linspace(math.log(_S_MIN), math.log(_S_MAX), 20001))
+    pairs = [(prof.r, sp, s), (prof.r_prime, dsp, s),
+             (prof.chirp_phase, lambda u: anti(u) - anti(1.0), s)]
+    assert prof.kernel_phase is not None
+    pairs.append((prof.kernel_phase, kernel, sp(s)))
+    for i, (got, ref, x) in enumerate(pairs):
+        a, b = got(x), ref(x)
+        if i < 2:    # r and r' pointwise (measured 2.3e-16)
+            assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-14
+        # the primitives vanish inside the range, so relative to their sup
+        # there (measured at most 2.0e-15)
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+        # past the knots both follow the end cubics: measured at most 9.1e-16
+        # relative at s = 1/100 and s = 80 on these curves
+        ends = np.array([0.01, 80.0]) if i < 3 else sp(np.array([0.01, 80.0]))
+        assert np.max(np.abs(got(ends) - ref(ends)) / np.abs(ref(ends))) <= 1e-14

@@ -5,7 +5,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from bhtlab.bumps import bump_phi
+from bhtlab.bumps import PHI_INNER, PHI_OUTER, bump_phi, plateau_window
 from bhtlab.signal import (EnsembleShape, SampledFunction, _check_pow2, frequency_grid, lp_norm,
                            make_ensemble, multiply_spectrum, symmetric_grid)
 
@@ -219,6 +219,25 @@ def test_bump_phi_pins():
     x = np.linspace(-12, 12, 1001)
     assert np.max(np.abs(bump_phi(x) - bump_phi(-x))) == 0.0
     assert np.all((bump_phi(x) >= 0) & (bump_phi(x) <= 1))
+
+
+def test_bump_phi_matches_plateau_window():
+    # bump_phi ramps only on its support; the values are those of the plateau
+    # window bit for bit, on every shape, edge and non-finite input
+    rng = np.random.default_rng(3)
+    edges = np.array([PHI_INNER, 0.2, 5.0, PHI_OUTER])
+    inputs = [rng.uniform(-12.0, 12.0, size=5000), rng.normal(scale=4.0, size=(7, 300)),
+              np.concatenate([edges, -edges, np.nextafter(edges, 0.0), np.nextafter(edges, 20.0)]),
+              np.array([0.0, -0.0, np.nan, np.inf, -np.inf]), np.zeros((3, 0))]
+    for x in inputs:
+        got = bump_phi(x)
+        ref = plateau_window(x, PHI_INNER, 0.2, 5.0, PHI_OUTER)
+        assert got.shape == x.shape and got.tobytes() == ref.tobytes()
+    for x in (0.0, 0.15, 7.5, 10.0, np.nan, -np.inf, np.float64(0.3), np.array(4.0)):
+        got = bump_phi(x)
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(plateau_window(x, PHI_INNER, 0.2, 5.0,
+                                                                  PHI_OUTER)).tobytes()
 
 
 def test_ensemble_determinism_and_decay():
