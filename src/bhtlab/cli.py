@@ -273,10 +273,13 @@ def cmd_bht(args, out: Path):
             rows.append((i, lp_norm(direct, 2.0), diag["last_delta"], diag["flagged_points"]))
     path = _write_table(out, "bht_check", ["member", "metric", "last_delta", "flagged"],
                         rows, args.format)
+    failures = [f"PV closure check of member {i} leaves {flagged} points at or above "
+                f"its tolerance (last delta {delta:.2e})"
+                for i, _, delta, flagged in rows if flagged > 0]
     if args.g == "const1" and not worst < args.tolerance:
-        return [path], [f"Hilbert reduction error {worst:.2e} not below tolerance "
-                        f"{args.tolerance:g}"]
-    return [path], []
+        failures.append(f"Hilbert reduction error {worst:.2e} not below tolerance "
+                        f"{args.tolerance:g}")
+    return [path], failures
 
 
 # option types: each refuses a bad value, with the library's own check where

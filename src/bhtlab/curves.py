@@ -62,7 +62,6 @@ class Curve:
     eval_fn: Callable = field(repr=False)
     deriv: Callable = field(repr=False)
     deriv2: Callable = field(repr=False)
-    delta: float = 1.0
     c_gamma: float = 0.0
     k_gamma: int = 0
     regime: str = "derivative_vanishes_at_zero"
@@ -70,9 +69,6 @@ class Curve:
     two_sided: bool = True
     power_exponent: Optional[float] = None
     power_sign_variant: bool = False
-
-    def __call__(self, t):
-        return self.eval_fn(t)
 
     @property
     def has_closed_profiles(self) -> bool:
@@ -256,10 +252,7 @@ def _probe_regime(c: Curve) -> str:
 
 
 def _finish_curve(c: Curve) -> Curve:
-    radius = _probe_monotone_radius(c)
-    delta = min(1.0, 0.5 * radius) if math.isfinite(radius) else 1.0
-    regime = _probe_regime(c)
-    base = replace(c, delta=delta, regime=regime, monotone_radius=radius)
+    base = replace(c, regime=_probe_regime(c), monotone_radius=_probe_monotone_radius(c))
     rep = nonflatness_report(base)
     floor = min(rep["infQ2"], rep["infr1"], rep["inf_dual"])
     return replace(base, c_gamma=0.5 * floor, k_gamma=_probe_k_gamma(base))
@@ -452,10 +445,6 @@ def r_profile(c: Curve, j: int, grid: Optional[np.ndarray] = None) -> ProfileSli
                         sup_error=float(np.max(np.abs(vals - lim))), j=j)
 
 
-def r_error_sequence(c: Curve, j_list) -> np.ndarray:
-    return np.array([r_profile(c, j).sup_error for j in j_list])
-
-
 def _limit_r_prime(c: Curve, s: np.ndarray) -> np.ndarray:
     """r'(s) at the limit scale, via gamma'' along the inverse branch."""
     if c.has_closed_profiles:
@@ -504,11 +493,12 @@ def growth_dichotomy(c: Curve) -> dict:
     """Log-log fit of |gamma'| near 0: regime, sandwich constants, residual.
 
     Fits K2^-1 |t|^C2 < |gamma'(t)| < K1^-1 |t|^C1 with C1 = C2 the fitted
-    slope and the K's from the extreme prefactors on a 256-point log grid.
-    A residual above DICHOTOMY_RESIDUAL_TOL flags the curve as having no
-    clean power behavior.
+    slope and the K's from the extreme prefactors on a 256-point log grid
+    over six decades up to min(1, monotone_radius / 2) / 2.  A residual
+    above DICHOTOMY_RESIDUAL_TOL flags the curve as having no clean power
+    behavior.
     """
-    hi = min(c.delta, 1.0) / 2.0
+    hi = min(1.0, 0.5 * c.monotone_radius) / 2.0
     t = np.logspace(math.log10(hi) - 6, math.log10(hi), 256)
     g = np.abs(np.asarray(c.deriv(t), dtype=float))
     slope, intercept = np.polyfit(np.log(t), np.log(g), 1)

@@ -56,7 +56,6 @@ __all__ = [
     "FilterBank",
     "OverlapReport",
     "overlap_report",
-    "overlap_count",
     "TrilinearMachine",
     "grid_for_bands",
     "structurally_zero",
@@ -110,7 +109,7 @@ def _max_cover(ends: np.ndarray) -> int:
 def overlap_report(c: Curve, m: int, j_max: int) -> OverlapReport:
     if m > 8 or j_max > 40:
         raise ValueError("overlap sweep is sized for m <= 8, j_max <= 40")
-    bank = FilterBank(curve=c, m=m, j_hi=j_max)
+    bank = FilterBank(curve=c, m=m)
     pairs, hulls = [], []
     n_pair = n_scale = 0          # whole-line supports (D_j = 0) cover every point
     for j in range(j_max + 1):
@@ -123,11 +122,6 @@ def overlap_report(c: Curve, m: int, j_max: int) -> OverlapReport:
     return OverlapReport(max_scale_overlap=n_scale + _max_cover(np.array(hulls).reshape(-1, 2)),
                          max_pair_overlap=n_pair + _max_cover(np.concatenate(pairs)),
                          m=m, j_max=j_max)
-
-
-def overlap_count(c: Curve, m: int, j_max: int) -> int:
-    """Scale-overlap count of the block supports (see OverlapReport)."""
-    return overlap_report(c, m, j_max).max_scale_overlap
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +140,9 @@ class BandSupport:
 
 @dataclass(frozen=True)
 class FilterBank:
-    """The three multiplier families for one (curve, m), grid-agnostic.
+    """The three multiplier families for one (curve, m), grid-agnostic and
+    defined at every scale j >= 0; which scales a computation uses is the
+    caller's (TrilinearMachine.scan_scales).
 
     h_widen is the widening factor of the third-slot window (2 by default);
     h_mirror reflects that window to negative frequencies (the pairing
@@ -165,16 +161,12 @@ class FilterBank:
 
     curve: Curve
     m: int
-    j_lo: int = 0
-    j_hi: int = 24
     h_widen: float = 2.0
     h_mirror: bool = True
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("m must be >= 0")
-        if self.j_lo < 0 or self.j_hi < self.j_lo:
-            raise ValueError("need 0 <= j_lo <= j_hi")
 
     @property
     def p0_values(self) -> np.ndarray:
@@ -191,16 +183,14 @@ class FilterBank:
         prof = profiles_for(self.curve)
         p0s = (self.p0_values if p0_subset is None else np.asarray(p0_subset)).astype(float)
         env = bump_phi(xi / 2.0 ** (self.m + j))
-        nz = np.abs(env) > 0
-        out = np.zeros((len(p0s), xi.shape[-1]), dtype=complex)
-        if not np.any(nz):
-            return out
-        if xi.ndim == 1:
-            at, p0, xs, e = (slice(None), nz), p0s[:, None], xi[nz][None, :], env[nz][None, :]
-        else:
-            at, p0, xs, e = nz, np.broadcast_to(p0s[:, None], xi.shape)[nz], xi[nz], env[nz]
-        s = np.abs(xs) / (2.0 ** j * p0)
-        out[at] = 2.0 ** (-self.m / 2.0) * (np.exp(-1j * p0 * prof.chirp_phase(s)) * e)
+        shape = (len(p0s), xi.shape[-1])
+        nz = np.broadcast_to(np.abs(env) > 0, shape)
+        # the in-band samples as one flat run; p0 R(s) is formed in p0's
+        # array, so one real and one complex run are alive at a time
+        phase = np.broadcast_to(p0s[:, None], shape)[nz]
+        phase *= prof.chirp_phase(np.abs(np.broadcast_to(xi, shape)[nz]) / (2.0 ** j * phase))
+        out = np.zeros(shape, dtype=complex)
+        out[nz] = 2.0 ** (-self.m / 2.0) * (np.exp(-1j * phase) * np.broadcast_to(env, shape)[nz])
         return out
 
     def block_filters(self, j: int, xi: np.ndarray) -> np.ndarray:
@@ -255,17 +245,16 @@ class FilterBank:
         return PHI_OUTER * 2.0 ** (self.m + j), blocks
 
 
-def grid_for_bands(bank: FilterBank, j_list, n: int) -> tuple[float, float]:
-    """(x0, dx) for a symmetric grid representing every band of the given
-    scales, with 25% headroom over their reach (structurally zero D_j = 0
-    scales need none)."""
+def grid_for_bands(bank: FilterBank, j_list) -> float:
+    """The spacing dx of a grid representing every band of the given scales,
+    with 25% headroom over their reach (structurally zero D_j = 0 scales
+    need none)."""
     reach = [r for r in map(bank.reach, j_list) if r is not None]
     if not reach:
         raise ValueError(f"scales {list(j_list)} are all structurally zero")
     psi_hi = max(r[0] for r in reach)
     blk_hi = max(r[1] for r in reach)
-    dx = math.pi / (1.25 * (psi_hi + blk_hi))
-    return -(n // 2) * dx, dx
+    return math.pi / (1.25 * (psi_hi + blk_hi))
 
 
 def _smooth_length(w: int) -> int:
@@ -336,13 +325,15 @@ def _stretch(bins: np.ndarray, vals: np.ndarray, n: int) -> tuple:
 class TrilinearMachine:
     """A FilterBank bound to a concrete symmetric grid, with batched FFT paths.
 
-    The multipliers are sampled on the np.fft-order frequency grid, so every
-    filter is ifft(M * fft(v)) and a spectrum is the plain fft of the
-    samples.  Each scale's rows live on a short grid (see mults); all
+    scan_scales are the scales the machine was built for, taken as given:
+    the scales its grid represents (grid_for_bands) and the ones the scans
+    sum over.  The multipliers are sampled on the np.fft-order frequency
+    grid, so every filter is ifft(M * fft(v)) and a spectrum is the plain
+    fft of the samples.  Each scale's rows live on a short grid (see mults); all
     reductions are sequential and deterministic.
     """
 
-    def __init__(self, bank: FilterBank, n: int, dx: float):
+    def __init__(self, bank: FilterBank, n: int, dx: float, scan_scales):
         self.bank = bank
         self.n = n
         self.dx = dx
@@ -353,7 +344,7 @@ class TrilinearMachine:
         self._mults: dict[int, tuple] = {}       # j -> short (P, L) rows of f, g, h
         self._bins: dict[int, tuple] = {}        # j -> their (P, L) grid bins
         self._oracle: dict[int, list] = {}       # j -> lam_spectral's dense rows
-        self.scan_scales: list[int] = list(range(bank.j_lo, bank.j_hi + 1))
+        self.scan_scales: list[int] = list(scan_scales)
 
     # -- transforms ---------------------------------------------------------
     def grid_function(self, values, profile=None) -> SampledFunction:

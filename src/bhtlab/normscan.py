@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .bumps import PHI_OUTER, bump_phi, smooth_step
+from .bumps import PHI_OUTER, smooth_step
 from .curves import Curve
 from .decomposition import FilterBank, TrilinearMachine, grid_for_bands, scale_factor
-from .phase import profiles_for
 from .signal import HolderTriple, SampledFunction, lp_norm, multiply_spectrum
 
 __all__ = [
@@ -93,29 +92,6 @@ class PVParams:
     max_halvings: int = 20
 
 
-def _evaluator(f: SampledFunction) -> Callable:
-    """Closed-form profile when the member carries one, else band-limited
-    interpolation on an 8x zero-padded refinement (0 outside the grid)."""
-    if f.profile is not None:
-        return f.profile
-    up = 8
-    n = f.n
-    spec = np.fft.fft(f.values)
-    coeffs = np.zeros(up * n, dtype=complex)
-    coeffs[: n // 2] = spec[: n // 2]
-    coeffs[-n // 2:] = spec[-n // 2:]
-    fine = np.fft.ifft(coeffs) * up
-    fine_x = f.x0 + (f.dx / up) * np.arange(up * n)
-
-    def interp(t):
-        t = np.asarray(t, dtype=float)
-        re = np.interp(t, fine_x, fine.real, left=0.0, right=0.0)
-        im = np.interp(t, fine_x, fine.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    return interp
-
-
 @dataclass(frozen=True)
 class PVLayout:
     """The t > 0 panels of the symmetric PV pairing.
@@ -151,6 +127,8 @@ def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
                params: PVParams = PVParams()) -> SampledFunction:
     """Principal-value evaluation of the curved bilinear transform on f's grid.
 
+    The quadrature evaluates f and g off the grid, through their closed-form
+    profiles; a member without one is refused (ValueError).
     bht_direct_report returns the same estimate together with its
     convergence diagnostics (closure deltas and flagged points).
     """
@@ -163,7 +141,10 @@ def bht_direct_report(c: Curve, f: SampledFunction, g: SampledFunction,
 
 
 def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams):
-    fe, ge = _evaluator(f), _evaluator(g)
+    if f.profile is None or g.profile is None:
+        raise ValueError("the PV quadrature evaluates f and g off the grid: "
+                         "both members need a closed-form profile")
+    fe, ge = f.profile, g.profile
     xs = f.x
     n = f.n
     t_max = params.t_max if params.t_max is not None else n * f.dx
@@ -309,9 +290,8 @@ def scan_machine(c: Curve, m: int, n: int = 2 ** 13,
     if j_list is None:
         j0 = live_scale(c, m)
         j_list = list(range(j0, j0 + SCAN_SCALES))
-    bank = FilterBank(curve=c, m=m, j_lo=min(j_list), j_hi=max(j_list))
-    x0, dx = grid_for_bands(bank, j_list, n)
-    return TrilinearMachine(bank, n, dx)
+    bank = FilterBank(curve=c, m=m)
+    return TrilinearMachine(bank, n, grid_for_bands(bank, j_list), j_list)
 
 
 def resonant_triple(mach: TrilinearMachine, rng):
@@ -354,9 +334,6 @@ def resonant_triple(mach: TrilinearMachine, rng):
 def _holder_extremal(mach: TrilinearMachine, v: np.ndarray, p: float,
                      taper: np.ndarray) -> np.ndarray:
     """argmax of Re int s v dx under ||s||_p = 1 (Holder equality case)."""
-    if p == 2.0:
-        nrm = lp_norm(mach.grid_function(v), 2.0)
-        return np.conj(v) / nrm if nrm > 0 else v * 0.0
     a = np.abs(v)
     if math.isinf(p):
         return np.where(a > 0, np.conj(v) / np.maximum(a, 1e-300), 0.0) * taper
@@ -384,12 +361,9 @@ def _comb_init(mach: TrilinearMachine, rng, j: int) -> np.ndarray:
 
 def _chirped_init(mach: TrilinearMachine, rng, j: int) -> np.ndarray:
     """First-slot packet with the conjugate chirp of the mid-block reference."""
-    bank = mach.bank
-    m = bank.m
-    prof = profiles_for(bank.curve)
+    m = mach.bank.m
     pbar = 3 * 2 ** (m - 1) if m >= 1 else 1
-    s = np.abs(mach.xi) / (2.0 ** j * pbar)
-    fh = np.exp(1j * pbar * prof.chirp_phase(s)) * bump_phi(mach.xi / 2.0 ** (m + j))
+    fh = np.conj(mach.bank.chirp_filters(j, mach.xi, p0_subset=[pbar])[0])
     fh = fh * np.exp(2j * np.pi * rng.uniform())
     # synthesized about x = 0, i.e. index n/2; matched_triple normalizes the scale
     return np.fft.fftshift(np.fft.ifft(fh))

@@ -44,9 +44,7 @@ __all__ = [
     "phase_value",
     "scaling_residual",
     "modulation_constant",
-    "chirp_phase_eval",
     "chirp_phase_quadrature",
-    "kernel_phase_eval",
     "kernel_phase_quadrature",
     "sample_scaling_queries",
     "adaptive_simpson",
@@ -96,20 +94,11 @@ class CurveProfiles:
     the ends all three follow the end cubics.
     """
 
-    curve: Curve
     r: Callable = field(repr=False)
     r_prime: Callable = field(repr=False)
     r_inverse: Callable = field(repr=False)
     chirp_phase: Callable = field(repr=False)
     kernel_phase: Optional[Callable] = field(repr=False, default=None)
-
-    def theta(self, p0: float, y):
-        """Kernel phase with its first-argument homogeneity: theta(p0,y) = p0*theta(1,y)."""
-        if self.kernel_phase is None:
-            raise ValueError(
-                f"kernel phase undefined for {self.curve.label}: the defining integral "
-                "diverges when gamma' blows up at 0")
-        return p0 * self.kernel_phase(y)
 
 
 def _power_profiles(c: Curve) -> CurveProfiles:
@@ -138,7 +127,7 @@ def _power_profiles(c: Curve) -> CurveProfiles:
             y = np.abs(np.asarray(y, dtype=float))
             return y ** a / a
 
-    return CurveProfiles(curve=c, r=r, r_prime=r_prime, r_inverse=r_inverse,
+    return CurveProfiles(r=r, r_prime=r_prime, r_inverse=r_inverse,
                          chirp_phase=chirp, kernel_phase=kernel)
 
 
@@ -243,7 +232,7 @@ def _generic_profiles(c: Curve) -> CurveProfiles:
             u = r_inverse(y)
             return u * y - (anti(u) + tail)
 
-    return CurveProfiles(curve=c, r=r_sp, r_prime=rp_sp, r_inverse=r_inverse,
+    return CurveProfiles(r=r_sp, r_prime=rp_sp, r_inverse=r_inverse,
                          chirp_phase=chirp, kernel_phase=kernel)
 
 
@@ -333,20 +322,10 @@ def scaling_residual(c: Curve, xi, eta, j: int):
 # profile integrals, with the quadrature cross-check route
 # ---------------------------------------------------------------------------
 
-def chirp_phase_eval(c: Curve, s):
-    """chirp_phase(s) = int_1^|s| r(u) du (fast route; even in s)."""
-    return profiles_for(c).chirp_phase(s)
-
-
 def chirp_phase_quadrature(c: Curve, s: float) -> float:
     """Independent adaptive-Simpson evaluation of int_1^|s| r(u) du."""
     prof = profiles_for(c)
     return adaptive_simpson(lambda u: float(prof.r(u)), 1.0, abs(float(s)))
-
-
-def kernel_phase_eval(c: Curve, p0: float, y):
-    """theta(p0, y) = p0 * int_0^{r^{-1}(y)} t r'(t) dt."""
-    return profiles_for(c).theta(p0, y)
 
 
 def kernel_phase_quadrature(c: Curve, p0: float, y: float) -> float:

@@ -480,7 +480,6 @@ class CheckReport:
 def _periodic_convolve(values: np.ndarray, kernel: np.ndarray, dx: float) -> np.ndarray:
     """(values * kernel)(x) dx on the periodic grid; kernel given on the same
     symmetric grid and treated as centered at 0."""
-    n = len(values)
     kv = np.fft.fft(np.fft.ifftshift(kernel))
     return np.fft.ifft(np.fft.fft(values) * kv) * dx
 

@@ -23,7 +23,7 @@ import pytest
 
 from bhtlab.curves import (asymptotic_profile, builtin_curve, inverse_deriv,
                            nonflatness_report, r_profile)
-from bhtlab.decomposition import overlap_count, overlap_report, structurally_zero
+from bhtlab.decomposition import overlap_report, structurally_zero
 from bhtlab.normscan import (live_scale, resonant_triple, scan_machine, scan_point,
                              bht_direct, hilbert_multiplier)
 from bhtlab.phase import (phase_residual, phase_value, sample_admissible_queries,
@@ -169,7 +169,7 @@ def test_criterion_5_finite_intersection(t2, t3):
     counts = {}
     for c in (t2, t3):
         for m in range(2, 9):
-            counts[(c.label, m)] = overlap_count(c, m, 40)
+            counts[(c.label, m)] = overlap_report(c, m, 40).max_scale_overlap
     worst = max(v for (lbl, m), v in counts.items() if m >= 4)
     degenerate = {k: v for k, v in counts.items() if k[1] < 4}
     t = time.time() - t0

@@ -10,7 +10,8 @@ from conftest import child_env
 
 from bhtlab import builtin_curve, cli
 from bhtlab.decomposition import TrilinearMachine
-from bhtlab.normscan import decay_fit, resonant_triple, scan_edge, scan_machine
+from bhtlab.normscan import (decay_fit, hilbert_multiplier, resonant_triple, scan_edge,
+                             scan_machine)
 
 
 def run_cli(args, cwd):
@@ -127,6 +128,34 @@ def test_bht_reduction_check(tmp_path):
     r = run_cli(["--out", str(tmp_path / "d"), "bht", "--curve", "poly: t^2",
                  "--g", "const1", "--count", "1", "--grid-n", "2048"], cwd=tmp_path)
     assert r.returncode == 0, r.stderr
+
+
+def _bht_with_flags(out, monkeypatch, g_mode, flags) -> int:
+    """`bht` with the quadrature replaced by the Hilbert multiplier and
+    flags[i] points left flagged by member i's closure check."""
+    calls = iter(flags)
+
+    def report(c, f, g, params=None):
+        flagged = next(calls)
+        return hilbert_multiplier(f), {"last_delta": 2e-8 if flagged else 1e-13,
+                                       "flagged_points": flagged, "eps_final": 1e-3}
+
+    monkeypatch.setattr(cli, "bht_direct_report", report)
+    return cli.main(["--out", str(out), "bht", "--curve", "poly: t^2", "--g", g_mode,
+                     "--count", "3", "--grid-n", "1024"])
+
+
+@pytest.mark.parametrize("g_mode", ["const1", "ensemble"])
+def test_bht_closure_flags_exit_1(tmp_path, monkeypatch, capsys, g_mode):
+    assert _bht_with_flags(tmp_path / "a", monkeypatch, g_mode, [0, 0, 0]) == 0
+    assert capsys.readouterr().err == ""
+    assert _bht_with_flags(tmp_path / "b", monkeypatch, g_mode, [0, 5, 2]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: PV closure check") for line in err)
+    assert "member 1 leaves 5 points" in err[0] and "member 2 leaves 2 points" in err[1]
+    # the outputs and the manifest are written before the exit
+    assert (tmp_path / "b" / "bht_check.csv").exists()
+    assert (tmp_path / "b" / "manifest.json").exists()
 
 
 def test_cz_and_sqfn(tmp_path):

@@ -5,13 +5,13 @@ import pytest
 
 from bhtlab.curves import (asymptotic_profile, builtin_curve, growth_dichotomy, i_grid,
                            inverse_deriv, nonflatness_report, profile_error_sequence,
-                           r_profile, r_error_sequence, variation_count)
+                           r_profile, variation_count)
 
 
 def test_parser_accepts_and_differentiates(curve_t2, curve_mixed):
     assert float(curve_t2.deriv(3.0)) == 6.0
     assert float(curve_mixed.deriv(1.0)) == 5.0
-    assert float(curve_t2(2.0)) == 4.0
+    assert float(curve_t2.eval_fn(2.0)) == 4.0
 
 
 def test_parser_rejects_flat():
@@ -97,7 +97,7 @@ def test_mixed_profile_error_decay(curve_mixed):
 
 def test_r_error_decay(curve_mixed):
     # shallow scales leave part of J unreachable for this curve; start at j=6
-    errs = r_error_sequence(curve_mixed, [6, 8, 10, 12])
+    errs = [r_profile(curve_mixed, j).sup_error for j in (6, 8, 10, 12)]
     assert np.all(np.diff(errs) < 0)
 
 
@@ -114,7 +114,7 @@ def test_variation_scale_invariance(curve_t2):
         scaled = type(scaled)(label="scaled", eval_fn=lambda t, s=scale: s * np.asarray(t) ** 2,
                               deriv=lambda t, s=scale: 2.0 * s * np.asarray(t),
                               deriv2=lambda t, s=scale: 2.0 * s * np.ones_like(np.asarray(t, dtype=float)),
-                              delta=1.0, c_gamma=0.5, k_gamma=7,
+                              c_gamma=0.5, k_gamma=7,
                               monotone_radius=math.inf)
         assert variation_count(scaled, 30) == base
 

@@ -6,7 +6,7 @@ import pytest
 
 from bhtlab.curves import builtin_curve
 from bhtlab.decomposition import (FilterBank, TrilinearMachine, chirp_kernel, grid_for_bands,
-                                  overlap_count, overlap_report, scale_factor, structurally_zero)
+                                  overlap_report, scale_factor, structurally_zero)
 from bhtlab.normscan import resonant_triple, scan_machine
 
 
@@ -77,7 +77,7 @@ def test_chirp_amplitude_scaling(curve_t2):
 def test_overlap_counts(curve_t2, curve_t3):
     for c in (curve_t2, curve_t3):
         for m in (4, 6, 8):
-            assert overlap_count(c, m, 20) <= 3
+            assert overlap_report(c, m, 20).max_scale_overlap <= 3
     rep = overlap_report(curve_t2, 4, 20)
     # raw pair count carries the sliding-window constant ~ 2*10
     assert 10 <= rep.max_pair_overlap <= 21
@@ -166,9 +166,8 @@ def test_triangle_of_sums_bound(curve_t2):
 
 def test_symmetry_with_equal_banks(curve_t2):
     m, j = 4, 2
-    bank = FilterBank(curve=curve_t2, m=m, j_lo=j, j_hi=j, h_widen=1.0, h_mirror=False)
-    x0, dx = grid_for_bands(bank, [j], 2 ** 11)
-    mach = TrilinearMachine(bank, 2 ** 11, dx)
+    bank = FilterBank(curve=curve_t2, m=m, h_widen=1.0, h_mirror=False)
+    mach = TrilinearMachine(bank, 2 ** 11, grid_for_bands(bank, [j]), [j])
     rng = np.random.default_rng(2)
     fv = rng.normal(size=2 ** 11) + 1j * rng.normal(size=2 ** 11)
     gv = rng.normal(size=2 ** 11) + 1j * rng.normal(size=2 ** 11)
@@ -208,18 +207,16 @@ def _scan_case(desc, m, n, j_list=None, at=None):
 def _equal_bank_case(j, edge=None):
     """Equal banks on the grid_for_bands grid, or on one whose frequency edge
     sits at `edge` times the block reach."""
-    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=4, j_lo=j, j_hi=j,
-                      h_widen=1.0, h_mirror=False)
-    dx = grid_for_bands(bank, [j], 2 ** 11)[1] if edge is None else \
-        math.pi / (edge * bank.reach(j)[1])
-    return TrilinearMachine(bank, 2 ** 11, dx), [j]
+    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=4, h_widen=1.0, h_mirror=False)
+    dx = grid_for_bands(bank, [j]) if edge is None else math.pi / (edge * bank.reach(j)[1])
+    return TrilinearMachine(bank, 2 ** 11, dx, [j]), [j]
 
 
 def _coarse_case():
     """Default t^2 banks at m = 2, j = 2 on 2048 bins, the grid's edge at 0.8
     of the block reach."""
-    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=2, j_lo=2, j_hi=2)
-    return TrilinearMachine(bank, 2 ** 11, math.pi / (0.8 * bank.reach(2)[1])), [2]
+    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=2)
+    return TrilinearMachine(bank, 2 ** 11, math.pi / (0.8 * bank.reach(2)[1]), [2]), [2]
 
 
 SHORT_GRID_CASES = {
@@ -340,9 +337,9 @@ def test_support_discipline(curve_t2):
 
 
 def test_structural_zero_detection(curve_t2, curve_t3):
-    assert structurally_zero(FilterBank(curve=curve_t2, m=8, j_lo=0, j_hi=0), 0)
-    assert structurally_zero(FilterBank(curve=curve_t3, m=8, j_lo=0, j_hi=0), 0)
-    assert not structurally_zero(FilterBank(curve=curve_t2, m=6, j_lo=0, j_hi=0), 0)
+    assert structurally_zero(FilterBank(curve=curve_t2, m=8), 0)
+    assert structurally_zero(FilterBank(curve=curve_t3, m=8), 0)
+    assert not structurally_zero(FilterBank(curve=curve_t2, m=6), 0)
     assert not structurally_zero(FilterBank(curve=curve_t2, m=8), 4)
 
 
@@ -350,7 +347,7 @@ def test_structural_zero_negative_scale_factor():
     # D_0 = -1 for t^2 - t^3: xi in (25.6, 30) meets the resonance plane at m = 8
     c = builtin_curve("poly: t^2 - t^3")
     assert scale_factor(c, 0) == -1.0
-    assert not structurally_zero(FilterBank(curve=c, m=8, j_lo=0, j_hi=0), 0)
+    assert not structurally_zero(FilterBank(curve=c, m=8), 0)
 
 
 def test_zero_scale_factor(curve_powlog):
@@ -371,12 +368,12 @@ def test_zero_scale_factor(curve_powlog):
 
 def test_zero_scale_factor_reach(curve_powlog):
     # D_0 = 0 at m = 4: every g block is empty, so scale 0 needs no grid ...
-    bank = FilterBank(curve=curve_powlog, m=4, j_lo=0, j_hi=3)
+    bank = FilterBank(curve=curve_powlog, m=4)
     assert bank.reach(0) is None
-    assert grid_for_bands(bank, [0, 1, 2], 2 ** 12) == grid_for_bands(bank, [1, 2], 2 ** 12)
+    assert grid_for_bands(bank, [0, 1, 2]) == grid_for_bands(bank, [1, 2])
     # ... while at m = 2 the g and h blocks of every p0 fill the whole line
     bank = FilterBank(curve=curve_powlog, m=2)
-    for call in (lambda: bank.reach(0), lambda: grid_for_bands(bank, [0, 1], 2 ** 12)):
+    for call in (lambda: bank.reach(0), lambda: grid_for_bands(bank, [0, 1])):
         with pytest.raises(ValueError, match="j=0"):
             call()
 

@@ -12,7 +12,7 @@ from bhtlab.normscan import (HolderTriple, PVParams, bht_direct, bht_direct_repo
                              fit_decay_at_L2point, hilbert_multiplier, live_scale,
                              matched_triple, resonant_triple, scan_machine, scan_point,
                              triangle_membership, envelope_check,
-                             scan_edge, _bht_core, _evaluator, _pv_panels)
+                             scan_edge, _bht_core, _pv_panels)
 from bhtlab.signal import (EnsembleShape, SampledFunction, lp_norm, make_ensemble,
                            symmetric_grid)
 
@@ -153,7 +153,7 @@ def _gauss_nodes(panels, order):
 def _node_sum(c, f, g, nodes):
     """The symmetric PV pairing summed over (t, w) node arrays, f and g
     evaluated afresh at every node (no values shared between panels)."""
-    fe, ge = _evaluator(f), _evaluator(g)
+    fe, ge = f.profile, g.profile
     x = f.x[:, None]
     total = np.zeros(f.n, dtype=complex)
     for ts, ws in nodes:
@@ -198,15 +198,22 @@ def test_pv_whole_cell_outer_panels_exact():
     assert layout.cells == 82 and layout.width != 1.0
     assert layout.count == 48 and layout.tail is not None
 
-    bare = lambda m: SampledFunction(m.x0, m.dx, m.values)  # interpolating evaluator
-    for ff, gg in ((f, g), (bare(f), bare(g))):
-        out, diag = _bht_core(c, ff, gg, params)
-        ref = _per_node_pv(c, ff, gg, params, diag["eps_final"])
-        assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
+    out, diag = _bht_core(c, f, g, params)
+    ref = _per_node_pv(c, f, g, params, diag["eps_final"])
+    assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
 
     direct = bht_direct(c, f, const_one(n, f.x0, dx), params)
     ref = hilbert_multiplier(f)
     assert lp_norm(direct.with_values(direct.values - ref.values), 2.0) < 1e-6 * lp_norm(ref, 2.0)
+
+
+def test_pv_refuses_member_without_profile(curve_t2, pv_ensemble):
+    # the quadrature reads f and g off the grid; samples alone do not give that
+    f, g = pv_ensemble[0], pv_ensemble[1]
+    bare = lambda m: SampledFunction(m.x0, m.dx, m.values)
+    for ff, gg in ((bare(f), g), (f, bare(g))):
+        with pytest.raises(ValueError, match="profile"):
+            _bht_core(curve_t2, ff, gg, PVParams())
 
 
 def test_pv_short_t_max_ends_inner_panels():
@@ -367,6 +374,15 @@ def test_live_scale_skips_zero_scale(curve_powlog):
     for _ in range(4):
         f, g, h, made = resonant_triple(mach, rng)
         assert made > 0 and np.all(np.isfinite(f))
+
+
+def test_scan_machine_takes_scale_list_as_given(curve_t2):
+    # the machine sums exactly the scales its grid was sized for, no scale
+    # filled in between them
+    mach = scan_machine(curve_t2, 4, n=2 ** 11, j_list=[2, 4])
+    assert mach.scan_scales == [2, 4]
+    j0 = live_scale(curve_t2, 4)
+    assert scan_machine(curve_t2, 4, n=2 ** 11).scan_scales == [j0, j0 + 1]
 
 
 def test_matched_triple_beats_random(curve_t2):
