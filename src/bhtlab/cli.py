@@ -33,7 +33,7 @@ from .curves import (DICHOTOMY_RESIDUAL_TOL, GRAMMAR_HELP, Curve, builtin_curve,
                      profile_error_sequence, variation_count)
 from .decomposition import overlap_report
 from .normscan import (bht_direct_report, decay_fit, hilbert_multiplier, resonant_triple,
-                       scan_edge, scan_machine)
+                       scan_machine, scan_triples)
 from .phase import (phase_residual, phase_value, sample_admissible_queries,
                     sample_scaling_queries, scaling_residual)
 from .signal import (EnsembleShape, HolderTriple, SampledFunction, _check_pow2, lp_norm,
@@ -232,12 +232,11 @@ def cmd_cz(args, out: Path):
 
 def cmd_scan(args, out: Path):
     m_list = args.m_list
-    results = scan_edge(args.curve, args.edge, args.p_list, m_list, args.seed,
-                        args.ensemble_size, n=args.grid_n, rounds=args.rounds)
+    triples = [HolderTriple.on_edge(args.edge, p) for p in args.p_list]
     inf_str = lambda e: "inf" if math.isinf(e) else e
     rows = []
-    for i in range(0, len(results), len(m_list)):    # scan_edge is p-major
-        per_p = results[i: i + len(m_list)]
+    for per_p in scan_triples(args.curve, triples, m_list, args.seed, args.ensemble_size,
+                              n=args.grid_n, rounds=args.rounds):
         alpha, resid = decay_fit(m_list, [r.sup_ratio for r in per_p])
         rows += [(*map(inf_str, r.triple), r.m, r.sup_ratio, alpha, resid) for r in per_p]
     files = [_write_table(out, "scan",

@@ -99,9 +99,10 @@ GRAMMAR_HELP = (
 
 
 def _parse_poly(body: str) -> dict[int, float]:
-    body = body.replace("-", "+-")
+    # a sign after e/E belongs to a coefficient's exponent, not to a new term
+    body = _re.sub(r"(?<![eE])-", "+-", body)
     coeffs: dict[int, float] = {}
-    for raw in body.split("+"):
+    for raw in _re.split(r"(?<![eE])\+", body):
         if not raw.strip():
             continue
         m = _TERM_RE.match(raw)

@@ -21,6 +21,11 @@ alive (10 * 2^m * gamma'(2^-j) <= 20); two kinds of members are drawn:
     These track the grid operator norm and keep the measured sup from being
     an artifact of random-alignment entropy.
 
+scan_triples measures any set of exponent triples (points of the Banach
+triangle) at each m in one pass: the machine and the resonant draws depend
+on (curve, m, seed) alone, so every triple reuses them and only the matched
+ascents and the three L^p norms are taken per triple.
+
 Empirical sup ratios lower-bound operator norms; every "boundedness" check
 here is a stability statement across m, seeds and grids, never a norm
 certificate.
@@ -51,9 +56,7 @@ __all__ = [
     "resonant_triple",
     "matched_triple",
     "scan_point",
-    "scan_edge",
-    "envelope_check",
-    "fit_decay_at_L2point",
+    "scan_triples",
 ]
 
 
@@ -260,14 +263,13 @@ class ScanResult:
     triple: HolderTriple
     m: int
     sup_ratio: float
-    ensemble_size: int
-    seed: int
     scales: tuple = ()
 
 
 LIVE_SCALE_CAP = 40     # largest j live_scale tries
 SCAN_SCALES = 2         # consecutive scales a scan machine sums, from the live one
 RESONANT_TERMS = 4      # packet triples in one resonant draw
+MATCHED_MEMBERS = 2     # Holder-ascent members in one ensemble, the rest resonant draws
 
 
 def live_scale(c: Curve, m: int) -> int:
@@ -395,64 +397,53 @@ def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
     return f, g, h
 
 
-def _ratio(mach: TrilinearMachine, f, g, h, exps) -> float:
-    den = math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip((f, g, h), exps))
-    if den <= 0:
-        return 0.0
-    lam = sum(mach.lam_spatial(f, g, h, j) for j in mach.scan_scales)
-    return abs(lam) / den
+def _ratios(mach: TrilinearMachine, f, g, h, triples) -> list[float]:
+    """|sum_j Lambda_j| / (||f||_p ||g||_q ||h||_r') per triple; Lambda is
+    evaluated once, only the norms per triple."""
+    lam = abs(sum(mach.lam_spatial(f, g, h, j) for j in mach.scan_scales))
+    ratios = []
+    for exps in triples:
+        den = math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip((f, g, h), exps))
+        ratios.append(lam / den if den > 0 else 0.0)
+    return ratios
 
 
-def scan_point(c: Curve, m: int, exps, seed: int, ensemble_size: int = 32,
-               n_matched: int = 2, rounds: int = 6, n: int = 2 ** 13) -> ScanResult:
-    """Ensemble sup of |Lambda_m^+| normalized by the exponent triple
-    (a HolderTriple or anything that unpacks into one)."""
-    triple = HolderTriple(*exps)
+def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 32,
+               rounds: int = 6, n: int = 2 ** 13) -> list[ScanResult]:
+    """Ensemble sup of |Lambda_m^+| normalized by each exponent triple
+    (HolderTriples or anything that unpacks into one), one ScanResult each.
+
+    The machine and the resonant draws depend on (c, m, seed) alone, so every
+    triple shares them; only the matched members' ascent runs per triple.
+    An ensemble holds min(MATCHED_MEMBERS, ensemble_size) matched members and
+    resonant draws for the rest.
+    """
+    triples = [HolderTriple(*t) for t in triples]
     mach = scan_machine(c, m, n=n)
     rng = np.random.default_rng(seed * 1000003 + m)
-    best = 0.0
-    n_random = max(ensemble_size - n_matched, 0)
-    for _ in range(n_random):
+    ascents = min(MATCHED_MEMBERS, ensemble_size)
+    best = [0.0] * len(triples)
+    for _ in range(ensemble_size - ascents):
         f, g, h, made = resonant_triple(mach, rng)
         if made == 0:
             continue
-        best = max(best, _ratio(mach, f, g, h, triple))
-    for i in range(n_matched):
-        f, g, h = matched_triple(mach, seed * 7919 + m * 131 + i, triple, rounds=rounds)
-        best = max(best, _ratio(mach, f, g, h, triple))
-    return ScanResult(triple=triple, m=m, sup_ratio=best,
-                      ensemble_size=ensemble_size, seed=seed,
-                      scales=tuple(mach.scan_scales))
+        best = [max(b, r) for b, r in zip(best, _ratios(mach, f, g, h, triples))]
+    for k, triple in enumerate(triples):
+        for i in range(ascents):
+            f, g, h = matched_triple(mach, seed * 7919 + m * 131 + i, triple, rounds=rounds)
+            best[k] = max(best[k], _ratios(mach, f, g, h, [triple])[0])
+    return [ScanResult(triple=t, m=m, sup_ratio=b, scales=tuple(mach.scan_scales))
+            for t, b in zip(triples, best)]
 
 
-def scan_edge(c: Curve, edge: str, p_list, m_list, seed: int = 7,
-              ensemble_size: int = 32, n: int = 2 ** 13,
-              rounds: int = 6) -> list[ScanResult]:
-    """Per (p, m) ensemble sup ratios along one open edge of the triangle,
-    p-major: the one (p, m) loop behind every scan, the CLI's included.
-
-    The reference envelope is (1 + m^{2/p'-1}); callers calibrate its
-    constant at the two smallest m and check stability across the sweep.
-    """
-    results = []
-    for p in p_list:
-        triple = HolderTriple.on_edge(edge, p)
-        for m in m_list:
-            results.append(scan_point(c, m, triple, seed, ensemble_size,
-                                      rounds=rounds, n=n))
-    return results
-
-
-def envelope_check(results: list[ScanResult], p: float) -> dict:
-    """Calibrate C at the two smallest m and test sup <= C (1 + m^{2/p'-1})."""
-    pp = p / (p - 1.0)
-    expo = 2.0 / pp - 1.0
-    by_m = sorted((r.m, r.sup_ratio) for r in results)
-    env = lambda m: 1.0 + m ** expo
-    cal = max(s / env(m) for m, s in by_m[:2])
-    worst = max(s / (cal * env(m)) for m, s in by_m)
-    return {"constant": cal, "worst_envelope_ratio": worst, "exponent": expo,
-            "passed": bool(worst <= 1.0 + 1e-9)}
+def scan_triples(c: Curve, triples, m_list, seed: int = 7, ensemble_size: int = 32,
+                 n: int = 2 ** 13, rounds: int = 6) -> list[list[ScanResult]]:
+    """Per-m ensemble sups at each exponent triple: one list per triple, in
+    m_list's order.  This is the one loop over m behind every scan, the CLI's
+    included; each m's machine and resonant draws serve all the triples."""
+    triples = list(triples)
+    per_m = [scan_point(c, m, triples, seed, ensemble_size, rounds, n) for m in m_list]
+    return [[row[k] for row in per_m] for k in range(len(triples))]
 
 
 def decay_fit(m_list, sups) -> tuple[float, float]:
@@ -465,31 +456,3 @@ def decay_fit(m_list, sups) -> tuple[float, float]:
     slope, intercept = np.polyfit(ms, np.log2(sups), 1)
     resid = np.log2(sups) - (slope * ms + intercept)
     return float(-slope), float(np.sqrt(np.mean(resid ** 2)))
-
-
-def fit_decay_at_L2point(c: Curve, m_list, seed: int, ensemble_size: int = 32,
-                         n: int = 2 ** 13, rounds: int = 6) -> dict:
-    """Least-squares decay rate of log2(sup ratio) against m at the point
-    (1/2, 1/2, 0): norms (||f||_2, ||g||_2, ||h||_inf).
-
-    Refuses fewer than three scales or a degenerate (all-zero) ensemble.
-    The reference rate 1/16 from the scale-decay theory is reported for
-    comparison, never enforced.
-    """
-    m_list = list(m_list)
-    if len(m_list) < 3:
-        raise ValueError("decay fit needs at least 3 values of m")
-    # (2, 2, inf) is edge AB at p = 2
-    results = scan_edge(c, "AB", [2.0], m_list, seed, ensemble_size, n=n, rounds=rounds)
-    sups = np.array([r.sup_ratio for r in results])
-    if np.any(sups <= 0):
-        raise ValueError("degenerate ensemble: zero ratios; fit refused")
-    alpha, resid = decay_fit(m_list, sups)
-    return {
-        "alpha_hat": alpha,
-        "residual": resid,
-        "sup_ratios": sups,
-        "m_list": m_list,
-        "reference_alpha": 1.0 / 16.0,
-        "seed": seed,
-    }

@@ -10,8 +10,8 @@ from conftest import child_env
 
 from bhtlab import builtin_curve, cli
 from bhtlab.decomposition import TrilinearMachine
-from bhtlab.normscan import (decay_fit, hilbert_multiplier, resonant_triple, scan_edge,
-                             scan_machine)
+from bhtlab.normscan import (HolderTriple, decay_fit, hilbert_multiplier, resonant_triple,
+                             scan_machine, scan_triples)
 
 
 def run_cli(args, cwd):
@@ -27,6 +27,11 @@ def test_curve_check_pass(tmp_path):
     assert all(row["pass"] for row in report["axioms"])
     man = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert "curve_check.json" in man["outputs"]
+
+
+def test_curve_check_signed_exponent_coefficient(tmp_path):
+    assert cli.main(["--out", str(tmp_path / "e"), "curve-check",
+                     "--curve", "poly: 1e-3*t^2"]) == 0
 
 
 def test_unknown_curve_exit_2(tmp_path):
@@ -82,7 +87,8 @@ def test_scan_powlog_zero_scale_exit_0(tmp_path):
 
 
 def test_scan_cli_matches_library(tmp_path):
-    # the CLI's table and scan.dat hold exactly scan_edge's sups and decay_fit's fit
+    # the CLI's table and scan.dat hold exactly scan_triples' sups and decay_fit's fit,
+    # one p after another
     c = builtin_curve("poly: t^2")
     p_list, m_list = [2.0, 1.5], [3, 4, 5]
     for edge in ("AC", "AB"):
@@ -92,15 +98,15 @@ def test_scan_cli_matches_library(tmp_path):
                        "--ensemble-size", "3", "--rounds", "1", "--grid-n", "2048", "--dat"])
         assert rc == 0
         rows = json.loads((out / "scan.json").read_text())
-        results = scan_edge(c, edge, p_list, m_list, seed=7, ensemble_size=3, n=2048,
-                            rounds=1)
-        assert [row["sup_ratio"] for row in rows] == [r.sup_ratio for r in results]
+        scans = scan_triples(c, [HolderTriple.on_edge(edge, p) for p in p_list], m_list,
+                             seed=7, ensemble_size=3, n=2048, rounds=1)
+        assert [row["sup_ratio"] for row in rows] == [r.sup_ratio for rs in scans for r in rs]
         dat = []
-        for i, p in enumerate(p_list):
+        for i, (p, results) in enumerate(zip(p_list, scans)):
             per_p = slice(i * len(m_list), (i + 1) * len(m_list))
-            alpha, resid = decay_fit(m_list, [r.sup_ratio for r in results[per_p]])
+            alpha, resid = decay_fit(m_list, [r.sup_ratio for r in results])
             assert [row["alpha_hat"] for row in rows[per_p]] == [alpha] * len(m_list)
-            for r in results[per_p]:
+            for r in results:
                 q, rp = (("inf" if math.isinf(e) else e) for e in (r.triple.q, r.triple.r_prime))
                 dat.append(" ".join(str(v) for v in (p, q, rp, r.m, r.sup_ratio, alpha, resid)))
         assert (out / "scan.dat").read_text() == "\n".join(dat) + "\n"

@@ -14,6 +14,18 @@ def test_parser_accepts_and_differentiates(curve_t2, curve_mixed):
     assert float(curve_t2.eval_fn(2.0)) == 4.0
 
 
+@pytest.mark.parametrize("signed, plain", [
+    ("poly: 1e-3*t^2", "poly: 0.001*t^2"),
+    ("poly: 2.5E-1*t^2 + t^3", "poly: 0.25*t^2 + t^3"),
+    ("poly: t^2 - 1e-2*t^3", "poly: t^2 - 0.01*t^3"),
+    ("poly: 1e+1*t^2", "poly: 10*t^2"),
+])
+def test_parser_reads_signed_exponents(signed, plain):
+    # the sign of a coefficient's exponent does not start a new term
+    t = np.linspace(-2.0, 2.0, 41)
+    assert np.array_equal(builtin_curve(signed).eval_fn(t), builtin_curve(plain).eval_fn(t))
+
+
 def test_parser_rejects_flat():
     with pytest.raises(ValueError):
         builtin_curve("poly: t")

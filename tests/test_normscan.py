@@ -8,11 +8,11 @@ import bhtlab
 from bhtlab import signal
 from bhtlab.curves import builtin_curve
 from bhtlab.decomposition import scale_factor
+from bhtlab import normscan
 from bhtlab.normscan import (HolderTriple, PVParams, bht_direct, bht_direct_report,
-                             fit_decay_at_L2point, hilbert_multiplier, live_scale,
+                             decay_fit, hilbert_multiplier, live_scale,
                              matched_triple, resonant_triple, scan_machine, scan_point,
-                             triangle_membership, envelope_check,
-                             scan_edge, _bht_core, _pv_panels)
+                             scan_triples, triangle_membership, _bht_core, _pv_panels)
 from bhtlab.signal import (EnsembleShape, SampledFunction, lp_norm, make_ensemble,
                            symmetric_grid)
 
@@ -334,8 +334,9 @@ def test_holder_triple_validation():
     assert HolderTriple.on_edge("AB", 2.0) == HolderTriple(2.0, 2.0, math.inf)
     pf, pg, ph = HolderTriple.on_edge("AB", 4.0)
     assert (pf, pg, ph) == (4.0, 4.0 / 3.0, math.inf)
-    with pytest.raises(ValueError):
-        HolderTriple.on_edge("BC", 2.0)
+    for edge in ("BC", "XX"):
+        with pytest.raises(ValueError, match="edge must be"):
+            HolderTriple.on_edge(edge, 2.0)
     assert bhtlab.HolderTriple is signal.HolderTriple is HolderTriple
 
 
@@ -388,50 +389,105 @@ def test_scan_machine_takes_scale_list_as_given(curve_t2):
 def test_matched_triple_beats_random(curve_t2):
     m = 4
     mach = scan_machine(curve_t2, m, n=2 ** 12)
-    exps = (2.0, 2.0, math.inf)
+    exps = [(2.0, 2.0, math.inf)]
     rng = np.random.default_rng(1)
-    from bhtlab.normscan import _ratio
+    from bhtlab.normscan import _ratios
     best_random = 0.0
     for _ in range(6):
         f, g, h, made = resonant_triple(mach, rng)
         if made:
-            best_random = max(best_random, _ratio(mach, f, g, h, exps))
-    f, g, h = matched_triple(mach, 3, exps, rounds=4)
-    assert _ratio(mach, f, g, h, exps) > best_random
+            best_random = max(best_random, _ratios(mach, f, g, h, exps)[0])
+    f, g, h = matched_triple(mach, 3, exps[0], rounds=4)
+    assert _ratios(mach, f, g, h, exps)[0] > best_random
 
 
 def test_scan_point_determinism(curve_t2):
-    a = scan_point(curve_t2, 3, (2.0, 2.0, math.inf), seed=9, ensemble_size=6,
-                   n_matched=1, rounds=2, n=2 ** 12)
-    b = scan_point(curve_t2, 3, (2.0, 2.0, math.inf), seed=9, ensemble_size=6,
-                   n_matched=1, rounds=2, n=2 ** 12)
-    assert a.sup_ratio == b.sup_ratio
-    c = scan_point(curve_t2, 3, (2.0, 2.0, math.inf), seed=10, ensemble_size=6,
-                   n_matched=1, rounds=2, n=2 ** 12)
-    assert c.sup_ratio != a.sup_ratio
+    def sup(seed):
+        [r] = scan_point(curve_t2, 3, [(2.0, 2.0, math.inf)], seed=seed, ensemble_size=6,
+                         rounds=2, n=2 ** 12)
+        return r.sup_ratio
+    assert sup(9) == sup(9)
+    assert sup(10) != sup(9)
 
 
-def test_fit_decay_refusals(curve_t2):
-    with pytest.raises(ValueError):
-        fit_decay_at_L2point(curve_t2, [2, 3], seed=1)
+def _counting(monkeypatch, name):
+    """Count the calls of normscan.<name>, which keeps working as before."""
+    calls = []
+    real = getattr(normscan, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(normscan, name, counted)
+    return calls
+
+
+def test_scan_triples_share_machine_and_draws(curve_t2, monkeypatch):
+    # the machine and the resonant draws depend on (curve, m, seed) alone:
+    # three triples cost one machine and ensemble_size - 2 draws per m, and
+    # each triple's sups equal a scan of that triple alone, bit for bit
+    triples = [HolderTriple.on_edge("AB", 2.0), HolderTriple.on_edge("AC", 1.5),
+               HolderTriple(3.0, 3.0, 3.0)]
+    m_list, size = [3, 4], 5
+    kw = dict(seed=5, ensemble_size=size, n=2 ** 11, rounds=1)
+    alone = [[r.sup_ratio for r in scan_triples(curve_t2, [t], m_list, **kw)[0]]
+             for t in triples]
+    machines = _counting(monkeypatch, "scan_machine")
+    draws = _counting(monkeypatch, "resonant_triple")
+    matched = _counting(monkeypatch, "matched_triple")
+    shared = scan_triples(curve_t2, triples, m_list, **kw)
+    assert len(machines) == len(m_list)
+    assert len(draws) == (size - 2) * len(m_list)
+    assert len(matched) == 2 * len(triples) * len(m_list)
+    assert [[r.triple for r in rs] for rs in shared] == [[t] * len(m_list) for t in triples]
+    assert [[r.m for r in rs] for rs in shared] == [m_list] * len(triples)
+    assert [[r.sup_ratio for r in rs] for rs in shared] == alone
+
+
+@pytest.mark.parametrize("size, ascents", [(1, 1), (2, 2), (4, 2)])
+def test_scan_point_ensemble_size_bounds_members(curve_t2, monkeypatch, size, ascents):
+    # ensemble_size counts every member: a one-member ensemble is one matched member
+    draws = _counting(monkeypatch, "resonant_triple")
+    matched = _counting(monkeypatch, "matched_triple")
+    [r] = scan_point(curve_t2, 3, [(2.0, 2.0, math.inf)], seed=5, ensemble_size=size,
+                     rounds=1, n=2 ** 11)
+    assert (len(matched), len(draws)) == (ascents, size - ascents)
+    assert r.sup_ratio > 0
+
+
+def test_fit_decay_refusals():
+    # fewer than three m, or a sup that is not positive, leaves no fit
+    assert all(math.isnan(v) for v in decay_fit([2, 3], [1.0, 0.5]))
+    assert all(math.isnan(v) for v in decay_fit([2, 3, 4], [1.0, 0.0, 0.5]))
+    alpha, resid = decay_fit([2, 3, 4], [1.0, 0.5, 0.25])
+    assert alpha == pytest.approx(1.0) and resid == pytest.approx(0.0, abs=1e-12)
+
+
+def envelope_check(results, p: float) -> dict:
+    """Calibrate C at the two smallest m and test sup <= C (1 + m^{2/p'-1})."""
+    pp = p / (p - 1.0)
+    expo = 2.0 / pp - 1.0
+    by_m = sorted((r.m, r.sup_ratio) for r in results)
+    env = lambda m: 1.0 + m ** expo
+    cal = max(s / env(m) for m, s in by_m[:2])
+    worst = max(s / (cal * env(m)) for m, s in by_m)
+    return {"constant": cal, "worst_envelope_ratio": worst, "exponent": expo,
+            "passed": bool(worst <= 1.0 + 1e-9)}
 
 
 def test_scan_edge_and_envelope(curve_t2):
-    results = scan_edge(curve_t2, "AC", [2.0], [3, 4, 5], seed=5, ensemble_size=4,
-                        n=2 ** 12, rounds=2)
-    assert len(results) == 3
+    [results] = scan_triples(curve_t2, [HolderTriple.on_edge("AC", 2.0)], [3, 4, 5], seed=5,
+                             ensemble_size=4, n=2 ** 12, rounds=2)
+    assert [r.m for r in results] == [3, 4, 5]
     rep = envelope_check(results, 2.0)
     assert rep["exponent"] == 0.0
     assert rep["passed"]
 
-    with pytest.raises(ValueError):
-        scan_edge(curve_t2, "XX", [2.0], [3], seed=5)
-
 
 def test_scan_edge_p43_envelope_nonincreasing(curve_t2):
     # the predicted envelope exponent at p = 4/3 is 2/p' - 1 = -1/2
-    results = scan_edge(curve_t2, "AC", [4.0 / 3.0], [3, 4, 5], seed=5,
-                        ensemble_size=4, n=2 ** 12, rounds=2)
+    [results] = scan_triples(curve_t2, [HolderTriple.on_edge("AC", 4.0 / 3.0)], [3, 4, 5],
+                             seed=5, ensemble_size=4, n=2 ** 12, rounds=2)
     rep = envelope_check(results, 4.0 / 3.0)
     assert rep["exponent"] == pytest.approx(-0.5)
     assert rep["passed"]
