@@ -6,14 +6,14 @@
 --j-max below 1, a --seed, --rounds, --m, --j-lo or --j-hi below 0, a --j-lo
 above --j-hi, a --half-width outside (0, inf), a --slack or --tolerance that
 is nan or infinite, a --p-list entry or --q outside (1, inf), and a --l-list
-or --m-list that is not a list of integers (--m-list: a nonempty one of
-m >= 0, also as a..b).  It then creates the output directory and calls the
-subcommand, which writes its tables and returns them with the messages of
-its failed checks.  Last it writes manifest.json -- the version, `config`
-(each option's parsed value, the curve as its descriptor) and a sha256 per
-output file, so identical configurations are checkable for byte-identical
-results -- prints one `error:` line per failed check and exits 1 if there
-was one, else 0.
+or --m-list that is not a list of integers (--l-list: one with at least two
+distinct |l|; --m-list: a nonempty one of m >= 0, also as a..b).  It then
+creates the output directory and calls the subcommand, which writes its
+tables and returns them with the messages of its failed checks.  Last it
+writes manifest.json -- the version, `config` (each option's parsed value,
+the curve as its descriptor) and a sha256 per output file, so identical
+configurations are checkable for byte-identical results -- prints one
+`error:` line per failed check and exits 1 if there was one, else 0.
 """
 from __future__ import annotations
 
@@ -335,8 +335,11 @@ def _exponent(text: str) -> float:
 
 
 @_refusing
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+def _l_list(text: str) -> list[int]:
+    shifts = [int(v) for v in text.split(",")]
+    if len({abs(l) for l in shifts}) < 2:
+        raise ValueError("need at least two distinct |l| to fit a growth exponent")
+    return shifts
 
 
 @_refusing
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sqfn", help="shifted square-function growth tables")
     p.add_argument("--q", type=_exponent, default=4.0 / 3.0)
-    p.add_argument("--l-list", type=_int_list, default="1,4,16,64,256,1024")
+    p.add_argument("--l-list", type=_l_list, default="1,4,16,64,256,1024")
     p.add_argument("--seed", type=_natural, default=7)
     p.add_argument("--count", type=_count, default=6)
     p.add_argument("--grid-n", type=_pow2, default=2 ** 12)

@@ -32,10 +32,11 @@ gradients alike.  The spectral route is the direct double-frequency sum
 the symmetric grid is the same number by the DFT identity.  On the np.fft
 order the machine works in, that sum reads
 dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the plain DFTs.  It shares no
-code with the short rows: g and h are sampled on the whole grid, and f only
-on the bins k whose -k the row's g and h bins can sum to (mod N), since
-every other term is an exact zero (TrilinearMachine._oracle_rows).  Their
-agreement tests the transform plumbing, not the modeling.
+code with the short rows: g and h are found by sampling the whole grid, and
+f is sampled only on the bins k whose -k the row's g and h bins can sum to
+(mod N), since every other term is an exact zero
+(TrilinearMachine._oracle_rows).  Their agreement tests the transform
+plumbing, not the modeling.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 
-ORACLE_COLUMNS = 1024    # grid bins per block when sampling the oracle's dense g and h rows
+ORACLE_COLUMNS = 1024    # grid bins per block when the oracle scans g and h for their hulls
 
 
 def scale_factor(c: Curve, j: int) -> float:
@@ -283,45 +284,6 @@ def _place(vals: np.ndarray, bins: np.ndarray, shift: np.ndarray, L: int) -> tup
     return rows, at
 
 
-def _filtered_row(fam: tuple, p: int, spectrum: np.ndarray) -> tuple:
-    """Bins and values of row p of a sparse-held multiplier times the
-    spectrum, where the product is nonzero."""
-    starts, bins, vals = fam
-    k = bins[starts[p]:starts[p + 1]]
-    v = vals[starts[p]:starts[p + 1]] * spectrum[k]
-    nz = v != 0
-    return k[nz], v[nz]
-
-
-def _row_major(rows: np.ndarray, bins: np.ndarray, vals: np.ndarray, p: int) -> tuple:
-    """(row starts, bins, values) of entries given by row, ordered by row
-    (stably), with row q's entries at starts[q]:starts[q + 1]."""
-    order = np.argsort(rows, kind="stable")
-    starts = np.searchsorted(rows[order], np.arange(p + 1))
-    return starts, bins[order].astype(np.int32), vals[order]
-
-
-def _signed_hull(fam: tuple, n: int) -> tuple:
-    """Per row of a sparse-held multiplier, its least and greatest nonzero
-    bin as signed bins (-N/2..N/2-1); lo > hi for a row with none."""
-    starts, bins, _ = fam
-    signed = np.where(bins < n // 2, bins, bins - n)
-    full = starts[:-1] < starts[1:]
-    lo, hi = np.zeros(len(full), dtype=np.int64), np.full(len(full), -1, dtype=np.int64)
-    lo[full] = np.minimum.reduceat(signed, starts[:-1][full])
-    hi[full] = np.maximum.reduceat(signed, starts[:-1][full])
-    return lo, hi
-
-
-def _stretch(bins: np.ndarray, vals: np.ndarray, n: int) -> tuple:
-    """(first signed bin, values on every signed bin from it to the last)."""
-    signed = np.where(bins < n // 2, bins, bins - n)
-    lo = int(signed.min())
-    out = np.zeros(int(signed.max()) - lo + 1, dtype=complex)
-    out[signed - lo] = vals
-    return lo, out
-
-
 class TrilinearMachine:
     """A FilterBank bound to a concrete symmetric grid, with batched FFT paths.
 
@@ -343,7 +305,7 @@ class TrilinearMachine:
         self._refl_idx = (n - np.arange(n)) % n
         self._mults: dict[int, tuple] = {}       # j -> short (P, L) rows of f, g, h
         self._bins: dict[int, tuple] = {}        # j -> their (P, L) grid bins
-        self._oracle: dict[int, list] = {}       # j -> lam_spectral's dense rows
+        self._oracle: dict[int, list] = {}       # j -> lam_spectral's row stretches
         self.scan_scales: list[int] = list(scan_scales)
 
     # -- transforms ---------------------------------------------------------
@@ -442,72 +404,78 @@ class TrilinearMachine:
         return complex(np.sum(F * G * H) * (self.dx * L ** 2 / self.n ** 2))
 
     def _oracle_rows(self, j: int) -> list:
-        """lam_spectral's multipliers for f, g and h, each held by its
-        nonzero entries as (row starts, bins, values) in row-major order.
+        """lam_spectral's multipliers for f, g and h, each held as per-row
+        stretches (bins, values) (see _stretch), one row per p0 whose g and h
+        are both nonzero somewhere.
 
-        g and h are the dense (P, N) rows, sampled on the whole grid from the
-        bank's filter methods a block of ORACLE_COLUMNS bins at a time.  f is
-        sampled only where lam_spectral can use it: F(k) is paired with
-        C(-k mod N), C the cyclic convolution of the row's filtered G and H,
-        and C is exactly zero unless -k lies in [lo_g + lo_h, hi_g + hi_h]
-        (mod N), lo and hi the least and greatest signed nonzero bins of the
-        row's g and h.  So row p's f is sampled through chirp_filters (one
-        row of frequencies per p0) times band_dyadic on k = -hi, ..., -lo
-        (mod N), cut to its first N bins so that no bin is taken twice.
+        g and h are sampled on the whole grid to find each row's least and
+        greatest signed nonzero bins lo and hi (_hull), then on their rows'
+        bins lo..hi.  f is sampled only where lam_spectral can use it: F(k)
+        is paired with C(-k mod N), C the cyclic convolution of the row's
+        filtered G and H, and C is exactly zero unless -k lies in
+        [lo_g + lo_h, hi_g + hi_h] (mod N).  So row p's f holds the bins
+        k = -(lo_g + lo_h) - i (mod N), i = 0, 1, ..., cut to N bins so that
+        none is taken twice, and F[i] pairs with C at lo_g + lo_h + i.
         """
         hit = self._oracle.get(j)
         if hit is None:
             bank, n = self.bank, self.n
-            p0s = bank.p0_values
-            g, h = (self._dense_nonzeros(family)
-                    for family in (lambda xi: bank.block_filters(j, xi),
-                                   lambda xi: bank.h_block_filters(j, xi)))
-            (lo_g, hi_g), (lo_h, hi_h) = (_signed_hull(fam, n) for fam in (g, h))
+            g_fam, h_fam = (lambda xi: bank.block_filters(j, xi),
+                            lambda xi: bank.h_block_filters(j, xi))
+            (lo_g, hi_g), (lo_h, hi_h) = self._hull(g_fam), self._hull(h_fam)
             live = (lo_g <= hi_g) & (lo_h <= hi_h)
+            g, h = (self._stretch(fam, lo, hi - lo + 1)
+                    for fam, lo, hi in ((g_fam, lo_g, hi_g), (h_fam, lo_h, hi_h)))
             lo, hi = (lo_g + lo_h)[live], (hi_g + hi_h)[live]
-            width = np.minimum(hi - lo + 1, n)
-            offsets = np.arange(width.max(initial=0))
-            k = (offsets - hi[:, None]) % n
-            xi = self.xi[k]
-            f = bank.chirp_filters(j, xi, p0_subset=p0s[live]) * bank.band_dyadic(bank.m + j, xi)
-            r, c = np.nonzero((offsets < width[:, None]) & (f != 0))
-            hit = [_row_major(np.flatnonzero(live)[r], k[r, c], f[r, c], len(p0s)), g, h]
+            f_fam = lambda xi: (bank.chirp_filters(j, xi, p0_subset=bank.p0_values[live])
+                                * bank.band_dyadic(bank.m + j, xi))
+            f = self._stretch(f_fam, -lo, np.minimum(hi - lo + 1, n), step=-1)
+            hit = [f] + [(bins[live], vals[live]) for bins, vals in (g, h)]
             self._oracle[j] = hit
         return hit
 
-    def _dense_nonzeros(self, family) -> tuple:
-        """The nonzero entries of family's (P, N) rows on the whole grid, as
-        (row starts, bins, values), sampled ORACLE_COLUMNS bins at a time."""
-        rows, bins, vals = [], [], []
-        for c0 in range(0, self.n, ORACLE_COLUMNS):
-            mm = family(self.xi[c0:c0 + ORACLE_COLUMNS])
-            r, c = np.nonzero(mm)
-            rows.append(r)
-            bins.append(c + c0)
-            vals.append(mm[r, c])
-        return _row_major(np.concatenate(rows), np.concatenate(bins), np.concatenate(vals),
-                          len(self.bank.p0_values))
+    def _hull(self, family) -> tuple:
+        """Per row of family's (P, N) rows, its least and greatest signed bin
+        (N//2 - N .. N//2 - 1) holding a nonzero sample; lo > hi for a row
+        with none.  The whole grid is sampled, ORACLE_COLUMNS bins at a time
+        in signed order."""
+        n, p = self.n, len(self.bank.p0_values)
+        lo, hi = np.full(p, n), np.full(p, -n)
+        for s0 in range(n // 2 - n, n // 2, ORACLE_COLUMNS):
+            s = np.arange(s0, min(s0 + ORACLE_COLUMNS, n // 2))
+            nz = family(self.xi[s % n]) != 0
+            hit = nz.any(axis=1)
+            lo = np.minimum(lo, np.where(hit, s[np.argmax(nz, axis=1)], n))
+            hi = np.where(hit, s[-1 - np.argmax(nz[:, ::-1], axis=1)], hi)
+        return lo, hi
+
+    def _stretch(self, family, first, width, step: int = 1) -> tuple:
+        """Per row, the bins first + step i (mod N, np.fft order) for
+        i < width and family's values there, sampled once on the row's own
+        frequencies: (P, W) arrays, W the widest row, with the values past a
+        row's width zero."""
+        o = np.arange(width.max(initial=0))
+        bins = (first[:, None] + step * o) % self.n
+        vals = family(self.xi[bins])
+        vals[o >= width[:, None]] = 0.0
+        return bins, vals
 
     def lam_spectral(self, fv, gv, hv, j: int) -> complex:
         """dx/N^2 sum_{k,l} F(k) G(l) H(-k-l mod N) over the filtered DFTs,
-        row by row over the rows of _oracle_rows (the independent oracle
-        for lam_spatial's short grid).  Each row's sum is taken as
-        sum_k F(k) C(-k mod N), with C(m) = sum_{l+n=m mod N} G(l) H(n) the
-        direct (np.convolve) convolution of G's and H's nonzero stretches."""
-        fams = self._oracle_rows(j)
-        spectra = [np.fft.fft(v) for v in (fv, gv, hv)]
+        row by row over the stretches of _oracle_rows (the independent
+        oracle for lam_spatial's short grid).  Each row's sum is taken as
+        sum_i F[i] C[i], with C the direct (np.convolve) convolution of the
+        row's G and H stretches folded mod N, so that C[i] is the sum of
+        G(l) H(n) over l + n = lo_g + lo_h + i (mod N)."""
         n = self.n
+        F, G, H = (vals * np.fft.fft(v)[bins]
+                   for (bins, vals), v in zip(self._oracle_rows(j), (fv, gv, hv)))
         total = 0.0 + 0.0j
-        for p in range(len(self.bank.p0_values)):
-            (kf, fr), (kg, gr), (kh, hr) = (
-                _filtered_row(fam, p, sp) for fam, sp in zip(fams, spectra))
-            if len(kf) == 0 or len(kg) == 0 or len(kh) == 0:
-                continue
-            (g0, G), (h0, H) = _stretch(kg, gr, n), _stretch(kh, hr, n)
-            C = np.convolve(G, H)
-            m = (g0 + h0 + np.arange(len(C))) % n
-            C = np.bincount(m, C.real, n) + 1j * np.bincount(m, C.imag, n)
-            total += np.sum(fr * C[(-kf) % n])
+        for f, g, h in zip(F, G, H):
+            C = np.convolve(g, h)
+            if len(C) > n:
+                C = np.pad(C, (0, -len(C) % n)).reshape(-1, n).sum(axis=0)
+            total += np.sum(f * C[:len(f)])
         return complex(self.dx / n ** 2 * total)
 
     # -- slot gradients (for matched extremizer search) -----------------------

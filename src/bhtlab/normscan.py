@@ -263,7 +263,6 @@ class ScanResult:
     triple: HolderTriple
     m: int
     sup_ratio: float
-    scales: tuple = ()
 
 
 LIVE_SCALE_CAP = 40     # largest j live_scale tries
@@ -432,8 +431,7 @@ def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 32,
         for i in range(ascents):
             f, g, h = matched_triple(mach, seed * 7919 + m * 131 + i, triple, rounds=rounds)
             best[k] = max(best[k], _ratios(mach, f, g, h, [triple])[0])
-    return [ScanResult(triple=t, m=m, sup_ratio=b, scales=tuple(mach.scan_scales))
-            for t, b in zip(triples, best)]
+    return [ScanResult(triple=t, m=m, sup_ratio=b) for t, b in zip(triples, best)]
 
 
 def scan_triples(c: Curve, triples, m_list, seed: int = 7, ensemble_size: int = 32,

@@ -315,11 +315,14 @@ def norm_growth_in_shift(fs: list, q: float, shifts) -> dict:
     of its growth against log log(|l|+10).
 
     Returns the fitted exponent beta (growth ~ (log(|l|+10))^beta) and the
-    reference exponent 2/q* - 1, q* = min(q, q').
+    reference exponent 2/q* - 1, q* = min(q, q').  A fit needs at least two
+    distinct |l|; fewer raise ValueError.
     """
     if not (1.0 < q < math.inf):
         raise ValueError("q must be in (1, inf)")
     shifts = list(shifts)
+    if len({abs(l) for l in shifts}) < 2:
+        raise ValueError("the growth fit needs at least two distinct |l|")
     sups = []
     for l in shifts:
         best = 0.0

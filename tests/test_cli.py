@@ -293,6 +293,10 @@ def test_block_energy_matches_dense_filtering(tmp_path):
     ["scan", "--curve", "poly: t^2", "--edge", "AC", "--m-list", "5..3"],
     ["bht", "--curve", "poly: t^2", "--tolerance", "inf"],
     ["sqfn", "--slack", "nan"],
+    # one distinct |l|: no exponent can be fitted
+    ["sqfn", "--l-list", "4"],
+    ["sqfn", "--l-list", "4,4,4"],
+    ["sqfn", "--l-list", "4,-4"],
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, args):
     assert cli.main(["--out", str(tmp_path / "u"), *args]) == 2

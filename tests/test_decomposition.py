@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bhtlab.curves import builtin_curve
-from bhtlab.decomposition import (FilterBank, TrilinearMachine, chirp_kernel, grid_for_bands,
-                                  overlap_report, scale_factor, structurally_zero)
+from bhtlab.decomposition import (ORACLE_COLUMNS, FilterBank, TrilinearMachine, chirp_kernel,
+                                  grid_for_bands, overlap_report, scale_factor,
+                                  structurally_zero)
 from bhtlab.normscan import resonant_triple, scan_machine
 
 
@@ -237,6 +238,8 @@ SHORT_GRID_CASES = {
     # default banks on a grid so coarse that each row's g and h windows
     # together span more than N bins (about 2600 of 2048)
     "hull > N": _coarse_case,
+    # fewer bins than ORACLE_COLUMNS: the oracle's hull scan is one block
+    "n=256": lambda: _scan_case("poly: t^2", 4, 2 ** 8),
 }
 
 
@@ -253,11 +256,48 @@ def _widest_hull(mach, rows) -> int:
     return width
 
 
+def _oracle_hulls(mach, j) -> list:
+    """The oracle's (lo, hi) signed hull of every g and h row."""
+    bank = mach.bank
+    return [mach._hull(lambda xi: bank.block_filters(j, xi)),
+            mach._hull(lambda xi: bank.h_block_filters(j, xi))]
+
+
+def _hulls_match_dense(mach, j, rows) -> bool:
+    """Every g and h row's hull ends are the first and last nonzero signed
+    bins of its dense row (lo > hi for a row with none), and each oracle
+    stretch starts at its row's lo and holds the dense values up to hi."""
+    n = mach.n
+    signed = np.where(np.arange(n) < n // 2, np.arange(n), np.arange(n) - n)
+    hulls = _oracle_hulls(mach, j)
+    live = np.all([lo <= hi for lo, hi in hulls], axis=0)
+    for (lo, hi), dense, (bins, vals) in zip(hulls, rows[1:], mach._oracle_rows(j)[1:]):
+        ends = [(s.min(), s.max()) if len(s) else None
+                for s in (signed[row != 0] for row in dense)]
+        if [(a, b) if a <= b else None for a, b in zip(lo, hi)] != ends:
+            return False
+        held = np.arange(bins.shape[1]) <= (hi - lo)[live][:, None]
+        want = np.where(held, np.take_along_axis(dense[live], bins, 1), 0.0)
+        if not (np.array_equal(bins[:, 0], lo[live] % n) and np.array_equal(vals, want)):
+            return False
+    return True
+
+
+def _crosses_block_edge(mach, j) -> bool:
+    """Some g or h row's hull spans two of the ORACLE_COLUMNS-bin blocks in
+    which the oracle scans the grid."""
+    n = mach.n
+    for lo, hi in _oracle_hulls(mach, j):
+        blocks = [(e - (n // 2 - n)) // ORACLE_COLUMNS for e in (lo, hi)]
+        if np.any((lo <= hi) & (blocks[0] != blocks[1])):
+            return True
+    return False
+
+
 def _oracle_bins_once(mach, j) -> bool:
     """No row of any family of the spectral oracle holds a bin twice."""
-    return all(len(np.unique(bins[a:b])) == b - a
-               for starts, bins, _ in mach._oracle_rows(j)
-               for a, b in zip(starts[:-1], starts[1:]))
+    return all(len(np.unique(row)) == len(row)
+               for bins, _ in mach._oracle_rows(j) for row in bins)
 
 
 def _f_bins_can_resonate(mach, j) -> bool:
@@ -295,6 +335,9 @@ def test_short_grid_matches_dense(case):
         # the spectral oracle samples f only where the row's g and h can reach
         assert abs(mach.lam_spectral(fv, gv, hv, j) - ref) <= 1e-12 * abs(ref)
         assert _oracle_bins_once(mach, j)
+        assert _hulls_match_dense(mach, j, rows[j])
+    if case in ("t3 cut", "hull > N"):
+        assert any(_crosses_block_edge(mach, j) for j in j_list)
     for slot in "fgh":
         ref = sum(_dense_grad(mach, rows[j], slot, fv, gv, hv) for j in j_list)
         got = mach.grad_slot(slot, fv, gv, hv, j_list)

@@ -215,6 +215,14 @@ def test_norm_growth_q4_dual_below_reference():
     assert rep["fitted_exponent"] <= 0.5 + 0.15
 
 
+@pytest.mark.parametrize("shifts", [[4], [4, 4, 4], [4, -4]])
+def test_norm_growth_refuses_one_distinct_shift(shifts):
+    # a line through one point has any slope: no exponent is fitted
+    fs = make_ensemble(2, 1, EnsembleShape(kind="step"), n=2 ** 10, dx=64.0 / 2 ** 10)
+    with pytest.raises(ValueError, match="two distinct"):
+        norm_growth_in_shift(fs, 2.0, shifts)
+
+
 def test_weak_type_level_sets():
     # measured level-set mass stays below the constant recorded at l = 1
     f = indicator(n=2 ** 12, half=32.0)
