@@ -9,7 +9,10 @@ is nan or infinite, a --p-list entry or --q outside (1, inf), and a --l-list
 or --m-list that is not a list of integers (--l-list: one with at least two
 distinct |l|; --m-list: a nonempty one of m >= 0, also as a..b).  It then
 creates the output directory and calls the subcommand, which writes its
-tables and returns them with the messages of its failed checks.  Last it
+tables and returns them with the messages of its failed checks.  A
+ValueError the subcommand raises (the library refusing the inputs while
+computing, e.g. a scan m with no live scale) becomes one `error:` line and
+exit 2; the directory may exist then, but no manifest is written.  Last it
 writes manifest.json -- the version, `config` (each option's parsed value,
 the curve as its descriptor) and a sha256 per output file, so identical
 configurations are checkable for byte-identical results -- prints one
@@ -441,7 +444,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out = Path(args.out or os.environ.get("BHTLAB_OUT") or ".")
     out.mkdir(parents=True, exist_ok=True)
-    files, failures = args.func(args, out)
+    try:
+        files, failures = args.func(args, out)
+    except ValueError as exc:    # the library refused the inputs while computing
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = {k: (v.label if isinstance(v, Curve) else v)
               for k, v in vars(args).items() if k != "func"}
     _write_json(out / "manifest.json",

@@ -68,7 +68,6 @@ class Curve:
     monotone_radius: float = math.inf
     two_sided: bool = True
     power_exponent: Optional[float] = None
-    power_sign_variant: bool = False
 
     @property
     def has_closed_profiles(self) -> bool:
@@ -136,45 +135,33 @@ def _poly_curve(coeffs: dict[int, float], label: str) -> Curve:
         return sum(p * (p - 1) * coeffs[p] * t ** (p - 2) for p in powers)
 
     lead = min(powers)
-    kwargs = {}
-    if len(powers) == 1:
-        kwargs = dict(power_exponent=float(lead), power_sign_variant=(lead % 2 == 1))
     return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
-                               two_sided=(lead % 2 == 0), **kwargs))
+                               two_sided=(lead % 2 == 0),
+                               power_exponent=float(lead) if len(powers) == 1 else None))
 
 
 def _power_curve(alpha: float, sign_variant: bool, label: str) -> Curve:
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("power curves need exponent a > 0, a != 1")
 
-    if sign_variant:
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            return np.sign(t) * np.abs(t) ** alpha
+    def signed(v, t, odd):
+        # the sign(t) factor of the odd ones among gamma, gamma', gamma''
+        return v * np.sign(t) if odd else v
 
-        def d1(t):
-            t = np.asarray(t, dtype=float)
-            return alpha * np.abs(t) ** (alpha - 1.0)
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        return signed(np.abs(t) ** alpha, t, sign_variant)
 
-        def d2(t):
-            t = np.asarray(t, dtype=float)
-            return alpha * (alpha - 1.0) * np.abs(t) ** (alpha - 2.0) * np.sign(t)
-    else:
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            return np.abs(t) ** alpha
+    def d1(t):
+        t = np.asarray(t, dtype=float)
+        return signed(alpha * np.abs(t) ** (alpha - 1.0), t, not sign_variant)
 
-        def d1(t):
-            t = np.asarray(t, dtype=float)
-            return alpha * np.abs(t) ** (alpha - 1.0) * np.sign(t)
-
-        def d2(t):
-            t = np.asarray(t, dtype=float)
-            return alpha * (alpha - 1.0) * np.abs(t) ** (alpha - 2.0)
+    def d2(t):
+        t = np.asarray(t, dtype=float)
+        return signed(alpha * (alpha - 1.0) * np.abs(t) ** (alpha - 2.0), t, sign_variant)
 
     return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
-                               two_sided=not sign_variant,
-                               power_exponent=alpha, power_sign_variant=sign_variant))
+                               two_sided=not sign_variant, power_exponent=alpha))
 
 
 def _powlog_curve(a: float, b: float, label: str) -> Curve:
@@ -403,7 +390,8 @@ def _profile_limit(c: Curve, t: np.ndarray) -> np.ndarray:
     if c.has_closed_profiles:
         a = c.power_exponent
         base = np.abs(t) ** a / a
-        return np.sign(t) * base if c.power_sign_variant else base
+        # a one-sided power curve is odd: sign(t)|t|^a
+        return base if c.two_sided else np.sign(t) * base
     return _profile_values(c, PROFILE_LIMIT_J, t)
 
 

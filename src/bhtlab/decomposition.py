@@ -309,8 +309,8 @@ class TrilinearMachine:
         self.scan_scales: list[int] = list(scan_scales)
 
     # -- transforms ---------------------------------------------------------
-    def grid_function(self, values, profile=None) -> SampledFunction:
-        return SampledFunction(self.x0, self.dx, values, profile=profile)
+    def grid_function(self, values) -> SampledFunction:
+        return SampledFunction(self.x0, self.dx, values)
 
     def back_batch(self, mults: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """Row-wise ifft(mults * spectrum) of short (P, L) rows (see mults),

@@ -48,7 +48,6 @@ __all__ = [
     "bht_direct",
     "bht_direct_report",
     "hilbert_multiplier",
-    "HolderTriple",
     "triangle_membership",
     "ScanResult",
     "live_scale",
@@ -415,9 +414,15 @@ def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 32,
     The machine and the resonant draws depend on (c, m, seed) alone, so every
     triple shares them; only the matched members' ascent runs per triple.
     An ensemble holds min(MATCHED_MEMBERS, ensemble_size) matched members and
-    resonant draws for the rest.
+    resonant draws for the rest.  A triple at a vertex of the triangle (an
+    exponent of 1, whose dual is infinite) is refused (ValueError).
     """
     triples = [HolderTriple(*t) for t in triples]
+    for t in triples:
+        region = triangle_membership(t)["region"]
+        if region.startswith("vertex"):
+            raise ValueError(f"exponent triple {tuple(t)} is {region} of the Banach "
+                             "triangle: the Holder-extremal ascent needs every exponent above 1")
     mach = scan_machine(c, m, n=n)
     rng = np.random.default_rng(seed * 1000003 + m)
     ascents = min(MATCHED_MEMBERS, ensemble_size)

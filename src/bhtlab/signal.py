@@ -37,6 +37,7 @@ __all__ = [
     "frequency_grid",
     "multiply_spectrum",
     "lp_norm",
+    "HolderTriple",
     "EnsembleShape",
     "make_ensemble",
 ]
@@ -63,8 +64,8 @@ class SampledFunction:
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
         _check_pow2(len(vals))
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not 0.0 < self.dx < math.inf:    # a nan fails too
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
         if not np.all(np.isfinite(vals.view(float))):
             raise ValueError("sample values must be finite")
 
@@ -96,16 +97,11 @@ def frequency_grid(n: int, dx: float) -> np.ndarray:
 def multiply_spectrum(f: SampledFunction, multiplier) -> SampledFunction:
     """Apply a frequency multiplier: inverse transform of multiplier(xi)*fhat(xi).
 
-    `multiplier` is a callable evaluated on frequency_grid, or an array
-    already sampled on it (np.fft order).  Equivalent to convolving f with
-    the multiplier's inverse transform (periodically on the grid).
+    `multiplier` is a callable evaluated on frequency_grid.  Equivalent to
+    convolving f with the multiplier's inverse transform (periodically on
+    the grid).
     """
-    if callable(multiplier):
-        m = np.asarray(multiplier(frequency_grid(f.n, f.dx)), dtype=complex)
-    else:
-        m = np.asarray(multiplier, dtype=complex)
-        if m.shape != f.values.shape:
-            raise ValueError("multiplier array does not match the spectrum grid")
+    m = np.asarray(multiplier(frequency_grid(f.n, f.dx)), dtype=complex)
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("multiplier is not finite on the frequency grid")
     return f.with_values(np.fft.ifft(m * np.fft.fft(f.values)))
@@ -113,9 +109,9 @@ def multiply_spectrum(f: SampledFunction, multiplier) -> SampledFunction:
 
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Riemann-sum L^p norm; max norm for p = inf."""
-    if np.isinf(p):
+    if p == math.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
+    if not p >= 1:    # a nan fails too
         raise ValueError(f"L^p norm needs p >= 1, got {p}")
     return float((np.sum(np.abs(f.values) ** p) * f.dx) ** (1.0 / p))
 
@@ -182,8 +178,10 @@ class EnsembleShape:
     width_hi_frac: float = 0.08
 
 
-def _gaussian_member(rng, x0, dx, n, shape):
-    half = 0.5 * n * dx
+# Each maker draws one member's parameters from rng (half: the grid's half
+# span) and returns the member's closed-form profile t -> f(t).
+
+def _gaussian_member(rng, half, shape):
     terms = []
     for _ in range(shape.n_terms):
         a = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
@@ -207,12 +205,10 @@ def _gaussian_member(rng, x0, dx, n, shape):
                                   where=live)
         return out
 
-    x = x0 + dx * np.arange(n)
-    return SampledFunction(x0, dx, profile(x), profile=profile)
+    return profile
 
 
-def _lacunary_member(rng, x0, dx, n, shape):
-    half = 0.5 * n * dx
+def _lacunary_member(rng, half, shape):
     s = rng.uniform(shape.width_lo_frac, shape.width_hi_frac) * 2 * half
     c = rng.uniform(-ENSEMBLE_CENTER_FRAC, ENSEMBLE_CENTER_FRAC) * 2 * half
     base = rng.uniform(shape.freq_lo, shape.freq_hi)
@@ -227,12 +223,10 @@ def _lacunary_member(rng, x0, dx, n, shape):
             out = out + a * np.exp(1j * (2.0 ** k) * base * t)
         return env * out
 
-    x = x0 + dx * np.arange(n)
-    return SampledFunction(x0, dx, profile(x), profile=profile)
+    return profile
 
 
-def _step_member(rng, x0, dx, n, shape):
-    half = 0.5 * n * dx
+def _step_member(rng, half, shape):
     terms = []
     for _ in range(shape.n_terms):
         a = rng.uniform(0.5, 1.5)
@@ -248,8 +242,7 @@ def _step_member(rng, x0, dx, n, shape):
             out = out + a * smooth_step((t - c + w) / ramp) * smooth_step((c + w - t) / ramp)
         return out
 
-    x = x0 + dx * np.arange(n)
-    return SampledFunction(x0, dx, profile(x), profile=profile)
+    return profile
 
 
 _MAKERS = {"gaussian": _gaussian_member, "lacunary": _lacunary_member, "step": _step_member}
@@ -269,4 +262,6 @@ def make_ensemble(seed: int, count: int, shape: EnsembleShape,
         raise ValueError(f"unknown ensemble kind {shape.kind!r}")
     rng = np.random.default_rng(seed)
     maker = _MAKERS[shape.kind]
-    return [maker(rng, x0, dx, n, shape) for _ in range(count)]
+    profiles = [maker(rng, 0.5 * n * dx, shape) for _ in range(count)]
+    x = x0 + dx * np.arange(n)
+    return [SampledFunction(x0, dx, profile(x), profile=profile) for profile in profiles]

@@ -183,18 +183,23 @@ def hardy_littlewood_max(f: SampledFunction) -> SampledFunction:
     return SampledFunction(f.x0, f.dx, out)
 
 
+def _dyadic_averages(a: np.ndarray):
+    """The dyadic average pyramid of a (power-of-two length), level s = 0, 1,
+    ... in turn: entry k of level s is the average of a over cells
+    [k 2^s, (k+1) 2^s)."""
+    yield a
+    while len(a) > 1:
+        a = 0.5 * (a[0::2] + a[1::2])
+        yield a
+
+
 def dyadic_max(f: SampledFunction) -> SampledFunction:
     """Dyadic maximal function: max of |f|-averages over the dyadic blocks
     [k 2^s, (k+1) 2^s) of grid cells containing the point."""
     a = np.abs(f.values)
-    n = len(a)
-    out = a.copy()
-    level = a.copy()
-    width = 1
-    while width < n:
-        level = 0.5 * (level[0::2] + level[1::2])
-        width *= 2
-        out = np.maximum(out, np.repeat(level, width))
+    out = a
+    for s, level in enumerate(_dyadic_averages(a)):
+        out = np.maximum(out, np.repeat(level, 1 << s))
     return SampledFunction(f.x0, f.dx, out)
 
 
@@ -229,13 +234,8 @@ def cz_decompose(f: SampledFunction, lam: float) -> CZDecomposition:
         raise ValueError("level must be positive")
     vals = f.values
     n = len(vals)
-    absv = np.abs(vals)
 
-    # pyramid[s][k] = average of |f| over block k of width 2^s cells
-    pyramid = [absv]
-    while len(pyramid[-1]) > 1:
-        prev = pyramid[-1]
-        pyramid.append(0.5 * (prev[0::2] + prev[1::2]))
+    pyramid = list(_dyadic_averages(np.abs(vals)))
 
     intervals: list[tuple[int, int]] = []
 
@@ -394,50 +394,46 @@ def rademacher_fourth_moment(bands: np.ndarray) -> np.ndarray:
 # oscillatory interaction kernel
 # ---------------------------------------------------------------------------
 
-def _interaction_windows(c: Curve, m: int):
-    """Per-curve amplitude windows for the interaction integral.
-
-    The band window (supp (0.4, 2.5), sharp mollifier) plays the kernel
-    envelope; the space cutoff is a log-plateau window equal to 1 on the
-    y-range the envelope can reach, supported on its doubling.
-    """
+def _reach(c: Curve, s_lo: float, s_hi: float, floor: float = 0.0) -> float:
+    """C with |r| on [s_lo, s_hi] inside [1/C, C], 5% to spare; the smaller
+    |r| counts as at least `floor`."""
     prof = profiles_for(c)
-    lo, hi = 0.4, 2.5
-    y1 = float(prof.r(lo / 4.0))
-    y2 = float(prof.r(hi * 1.0))
-    y_lo, y_hi = min(y1, y2), max(y1, y2)
-    cg = max(1.0 / max(y_lo, 1e-6), y_hi) * 1.05
+    y1, y2 = abs(float(prof.r(s_lo))), abs(float(prof.r(s_hi)))
+    return max(1.0 / max(min(y1, y2), floor), max(y1, y2)) * 1.05
 
-    def window(u):
-        return log_bump(u, lo, hi)
 
-    def cutoff(y):
-        return log_plateau_window(y, 1.0 / cg, cg, 1.0 / (2.0 * cg), 2.0 * cg)
-
-    return window, cutoff
+def _reach_cutoff(y, reach: float):
+    """The space-side cutoff of a reach C: 1 on 1/C <= y <= C, supported in
+    1/(2C) < y < 2C, with log-plateau ramps."""
+    return log_plateau_window(y, 1.0 / reach, reach, 1.0 / (2.0 * reach), 2.0 * reach)
 
 
 def interaction_kernel(c: Curve, m: int, p0: float, q0: float) -> complex:
     """E(p0, q0) = int e^{i (p0-q0) theta(y)} w(p0 u/2^m) conj(w)(q0 u/2^m) mu(y)^2 dy,
 
-    u = r^{-1}(y), theta the kernel phase.  Dense trapezoid on 2^18 uniform
-    y-nodes: the integrand is smooth and compactly supported, so the rule is
-    superalgebraically accurate once the oscillation is resolved.
+    u = r^{-1}(y), theta the kernel phase.  The band window w (supp (0.4, 2.5),
+    sharp mollifier) plays the kernel envelope; the space cutoff mu is 1 on
+    the y-range the envelope can reach, supported on its doubling.  Dense
+    trapezoid on 2^18 uniform y-nodes: the integrand is smooth and compactly
+    supported, so the rule is superalgebraically accurate once the
+    oscillation is resolved.
     """
     if not (2.0 ** (m - 10) < p0 < 2.0 ** (m + 10)) or not (2.0 ** (m - 10) < q0 < 2.0 ** (m + 10)):
         raise ValueError("p0, q0 must lie within 2^(m-10)..2^(m+10)")
     prof = profiles_for(c)
     if prof.kernel_phase is None:
         raise ValueError(f"interaction kernel needs the vanishing-derivative regime ({c.label})")
-    window, cutoff = _interaction_windows(c, m)
+    lo, hi = 0.4, 2.5       # the support of w
+    reach = _reach(c, lo / 4.0, hi, floor=1e-6)
     scale = min(p0, q0) / 2.0 ** m
-    y_hi = float(prof.r(2.5 / scale))
-    y_lo = float(prof.r(0.4 / (max(p0, q0) / 2.0 ** m)))
+    y_hi = float(prof.r(hi / scale))
+    y_lo = float(prof.r(lo / (max(p0, q0) / 2.0 ** m)))
     y_lo, y_hi = min(y_lo, y_hi), max(y_lo, y_hi)
     yg = np.linspace(0.25 * y_lo, 1.1 * y_hi, 2 ** 18)
     hy = yg[1] - yg[0]
     u = np.asarray(prof.r_inverse(yg), dtype=float)
-    amp = window(p0 / 2.0 ** m * u) * window(q0 / 2.0 ** m * u) * cutoff(yg) ** 2
+    amp = (log_bump(p0 / 2.0 ** m * u, lo, hi) * log_bump(q0 / 2.0 ** m * u, lo, hi)
+           * _reach_cutoff(yg, reach) ** 2)
     phase = (p0 - q0) * np.asarray(prof.kernel_phase(yg), dtype=float)
     return complex(np.sum(amp * np.exp(1j * phase)) * hy)
 
@@ -489,17 +485,13 @@ def _periodic_convolve(values: np.ndarray, kernel: np.ndarray, dx: float) -> np.
 
 def _nu_reach(c: Curve) -> float:
     """C_nu: the chirp kernels of c live on 1/C_nu <= |y| <= C_nu."""
-    prof = profiles_for(c)
-    y1, y2 = abs(float(prof.r(PHI_INNER / 2.0))), abs(float(prof.r(PHI_OUTER)))
-    return max(1.0 / min(y1, y2), max(y1, y2)) * 1.05
+    return _reach(c, PHI_INNER / 2.0, PHI_OUTER)
 
 
 def _nu_kernel(c: Curve, j: int, x: np.ndarray) -> np.ndarray:
     """2^j nu(2^j x) with nu the even plateau window covering the reach of the
     chirp kernels: 1 on 1/C<=|y|<=C, supported in 1/(2C) < |y| < 2C."""
-    cg = _nu_reach(c)
-    y = 2.0 ** j * np.abs(x)
-    return 2.0 ** j * log_plateau_window(y, 1.0 / cg, cg, 1.0 / (2.0 * cg), 2.0 * cg)
+    return 2.0 ** j * _reach_cutoff(2.0 ** j * np.abs(x), _nu_reach(c))
 
 
 def _report(lhs: np.ndarray, rhs: np.ndarray, extras: Optional[dict] = None) -> CheckReport:

@@ -305,6 +305,23 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
+    # no live scale at m = 3
+    ["scan", "--curve", "pow: 0.5", "--edge", "AC", "--m-list", "2..3",
+     "--ensemble-size", "2", "--rounds", "1", "--grid-n", "1024"],
+    # every requested scale is structurally zero
+    ["decompose", "--curve", "powlog: a=2 b=1", "--j-lo", "0", "--j-hi", "0"],
+    # a scale past the attainable range of gamma'
+    ["phase", "--curve", "poly: t^2", "--j", "-60"],
+], ids=lambda args: args[0])
+def test_library_refusal_exit_2(tmp_path, capsys, args):
+    # refused while computing: the directory may exist, but no manifest is written
+    assert cli.main(["--out", str(tmp_path / "r"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("args", [
     ["bht", "--curve", "poly: t^2", "--g", "const1", "--tolerance", "1e-12",
      "--count", "1", "--grid-n", "1024"],
     ["sqfn", "--slack", "-10"],

@@ -352,6 +352,21 @@ def test_triangle_membership_spec_points():
     assert r["region"] == "vertex A" and not r["inside_Omega"]
 
 
+@pytest.mark.parametrize("triple, vertex", [
+    ((1.0, math.inf, math.inf), "vertex A"),
+    ((math.inf, 1.0, math.inf), "vertex B"),
+    ((math.inf, math.inf, 1.0), "vertex C"),
+])
+def test_scan_refuses_triangle_vertices(curve_t2, monkeypatch, triple, vertex):
+    # an exponent of 1 has an infinite Holder dual; refused before any machine is built
+    def no_machine(*args, **kwargs):
+        raise AssertionError("scan_machine reached")
+
+    monkeypatch.setattr(normscan, "scan_machine", no_machine)
+    with pytest.raises(ValueError, match=vertex):
+        scan_triples(curve_t2, [triple], [3], ensemble_size=3, n=2 ** 11, rounds=1)
+
+
 def test_live_scale(curve_t2, curve_t3):
     for m in range(2, 9):
         j = live_scale(curve_t2, m)

@@ -164,8 +164,6 @@ def test_multiplier_nonfinite_rejected():
     f = make_gaussian()
     with pytest.raises(ValueError), np.errstate(divide="ignore"):
         multiply_spectrum(f, lambda xi: 1.0 / xi)   # infinite at the zero node
-    with pytest.raises(ValueError):
-        multiply_spectrum(f, np.ones(4))            # wrong grid
 
 
 def test_multiplier_linearity():
@@ -207,8 +205,9 @@ def test_lp_norms():
         assert abs(lp_norm(SampledFunction(x0, dx, -2.5 * f.values), p)
                    - 2.5 * lp_norm(f, p)) < 1e-12 * lp_norm(f, p)
 
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+    for p in (0.5, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="p >= 1"):
+            lp_norm(f, p)
 
 
 def test_bump_phi_pins():
@@ -274,8 +273,9 @@ def test_sampled_function_validation():
         SampledFunction(0.0, 0.1, np.ones(24))          # not a power of two
     with pytest.raises(ValueError):
         SampledFunction(0.0, 0.1, np.ones(8))           # too short
-    with pytest.raises(ValueError):
-        SampledFunction(0.0, -1.0, np.ones(16))
+    for dx in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dx must be positive and finite"):
+            SampledFunction(0.0, dx, np.ones(16))
     bad = np.ones(16)
     bad[3] = np.nan
     with pytest.raises(ValueError):
