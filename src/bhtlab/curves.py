@@ -73,6 +73,12 @@ class Curve:
     def has_closed_profiles(self) -> bool:
         return self.power_exponent is not None
 
+    @property
+    def search_radius(self) -> float:
+        """The largest t where inverse_deriv looks: the monotone radius,
+        capped at 1e6."""
+        return min(self.monotone_radius, 1e6)
+
 
 @dataclass(frozen=True)
 class ProfileSlice:
@@ -256,7 +262,7 @@ def _probe_k_gamma(c: Curve) -> int:
     gamma' (the window then degenerates and k stays small).
     """
     lo, hi = _RATIO_WINDOW
-    t_hi = min(c.monotone_radius, 1e6)
+    t_hi = c.search_radius
     bounds = []
     for j in (20, PROFILE_LIMIT_J):
         scale = 2.0 ** (-j)
@@ -294,7 +300,7 @@ def inverse_deriv(c: Curve, w):
     if np.any(w_arr == 0.0):
         raise ValueError("gamma' does not attain 0 on the punctured neighborhood")
 
-    t_hi = min(c.monotone_radius, 1e6)
+    t_hi = c.search_radius
     t_lo = 1e-300
     pos_sign = np.sign(float(c.deriv(min(1e-3, 0.5 * t_hi))))
 

@@ -214,7 +214,7 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
 
 def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     """Classical Hilbert transform through the multiplier -i pi sign(xi)."""
-    return multiply_spectrum(f, lambda xi: -1j * math.pi * np.sign(xi))
+    return f.with_values(multiply_spectrum(f, lambda xi: -1j * math.pi * np.sign(xi)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +443,11 @@ def scan_triples(c: Curve, triples, m_list, seed: int = 7, ensemble_size: int = 
                  n: int = 2 ** 13, rounds: int = 6) -> list[list[ScanResult]]:
     """Per-m ensemble sups at each exponent triple: one list per triple, in
     m_list's order.  This is the one loop over m behind every scan, the CLI's
-    included; each m's machine and resonant draws serve all the triples."""
-    triples = list(triples)
+    included; each m's machine and resonant draws serve all the triples.  An
+    m with no live scale is refused (ValueError) before any m is computed."""
+    triples, m_list = list(triples), list(m_list)
+    for m in m_list:
+        live_scale(c, m)
     per_m = [scan_point(c, m, triples, seed, ensemble_size, rounds, n) for m in m_list]
     return [[row[k] for row in per_m] for k in range(len(triples))]
 

@@ -354,16 +354,16 @@ def sample_scaling_queries(c: Curve, j: int, count: int, seed: int):
     The rescaled phase sees the ratio s = xi/eta through the profile r, and
     its critical point sits at r(s) 2^-j relative to scale: s is drawn
     log-uniformly in [1/2, 8], inside the profile domain, eta log-uniformly
-    in [1/10, 10].  Scales where the rescaled window leaves the monotone
-    radius are refused.
+    in [1/10, 10].  Scales where the rescaled window leaves the curve's
+    search radius are refused.
     """
     rng = np.random.default_rng(seed)
     prof = profiles_for(c)
     r_hi = abs(float(prof.r(_S_QUERY_HI)))
-    if r_hi * 2.0 ** (-j) > 0.9 * c.monotone_radius:
+    if r_hi * 2.0 ** (-j) > 0.9 * c.search_radius:
         raise ValueError(
             f"scale j={j} too shallow for {c.label}: rescaled window leaves the "
-            f"monotone radius (need 2^-j <= {0.9 * c.monotone_radius / r_hi:.3g})")
+            f"search radius (need 2^-j <= {0.9 * c.search_radius / r_hi:.3g})")
     s = np.exp(rng.uniform(math.log(_S_QUERY_LO), math.log(_S_QUERY_HI), size=count))
     eta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=count))
     return s * eta, eta
@@ -373,18 +373,19 @@ def sample_admissible_queries(c: Curve, j: int, count: int, seed: int):
     """Deterministic (xi, eta) queries with a critical point in the window.
 
     t_c is drawn log-uniformly in the admissible part of [2^-k, 2^k] (kept
-    inside the curve's monotone radius after rescaling), eta log-uniformly in
+    inside the curve's search radius after rescaling), eta log-uniformly in
     [1, 10], and xi = eta gamma'(t_c/2^j), so phi' is O(1)-scaled and the
     absolute residual is meaningful.
     """
     rng = np.random.default_rng(seed)
     k = c.k_gamma
-    hi = min(2.0 ** k, 0.9 * c.monotone_radius * 2.0 ** j)
+    hi = min(2.0 ** k, 0.9 * c.search_radius * 2.0 ** j)
     lo = 2.0 ** (-k)
     if hi <= lo:
         raise ValueError(
-            f"scale j={j} leaves no admissible window inside the monotone radius "
-            f"of {c.label}; need 2^j > {2.0 ** k / (0.9 * c.monotone_radius):.3g}")
+            f"scale j={j} leaves no admissible window inside the search radius "
+            f"{c.search_radius:.3g} of {c.label}; "
+            f"need 2^j > {2.0 ** k / (0.9 * c.search_radius):.3g}")
     t_c = np.exp(rng.uniform(math.log(lo), math.log(hi), size=count))
     eta = np.exp(rng.uniform(0.0, math.log(10.0), size=count))
     xi = eta * np.asarray(c.deriv(t_c / 2.0 ** j), dtype=float)

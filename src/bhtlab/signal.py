@@ -14,12 +14,12 @@ and Parseval hold to rounding.  That analytic pair is kept in the tests
 
 The library does not go through it.  In forward -> multiplier -> inverse on
 one grid the phases e^{-+i xi x0} and the scalings dx/2pi and N dxi cancel
-(N dxi dx = 2pi) for any x0, so every filter is ifft(M * fft(v)) with M
-sampled on frequency_grid, the same frequencies in np.fft order.  Filters
-need no symmetric grid.  Only the spectral oracle does: written in the
-analytic coefficients, the discrete trilinear sum carries the phases
-e^{-i xi_k x0} = (-1)^k of x0 = -(N/2) dx, which cancel over
-k + l + n = 0 (mod N).
+(N dxi dx = 2pi) for any x0, so every filter is multiply_spectrum,
+ifft(M * fft(v)) with M sampled on frequency_grid, the same frequencies in
+np.fft order.  Filters need no symmetric grid.  Only the spectral oracle
+does: written in the analytic coefficients, the discrete trilinear sum
+carries the phases e^{-i xi_k x0} = (-1)^k of x0 = -(N/2) dx, which cancel
+over k + l + n = 0 (mod N).
 """
 from __future__ import annotations
 
@@ -94,17 +94,18 @@ def frequency_grid(n: int, dx: float) -> np.ndarray:
     return np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi / (n * dx))
 
 
-def multiply_spectrum(f: SampledFunction, multiplier) -> SampledFunction:
-    """Apply a frequency multiplier: inverse transform of multiplier(xi)*fhat(xi).
+def multiply_spectrum(f: SampledFunction, multiplier) -> np.ndarray:
+    """Samples of f through a frequency multiplier: ifft(M * fft(f.values)).
 
-    `multiplier` is a callable evaluated on frequency_grid.  Equivalent to
-    convolving f with the multiplier's inverse transform (periodically on
-    the grid).
+    `multiplier` is a callable evaluated on frequency_grid; its value M is
+    one multiplier (N,) or a stack (..., N), and the result has M's shape,
+    one filtered row per multiplier.  Equivalent to convolving f with each
+    multiplier's inverse transform (periodically on the grid).
     """
     m = np.asarray(multiplier(frequency_grid(f.n, f.dx)), dtype=complex)
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("multiplier is not finite on the frequency grid")
-    return f.with_values(np.fft.ifft(m * np.fft.fft(f.values)))
+    return np.fft.ifft(m * np.fft.fft(f.values), axis=-1)
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:

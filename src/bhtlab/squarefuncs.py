@@ -20,7 +20,7 @@ from .bumps import PHI_INNER, PHI_OUTER, bump_phi, log_bump, log_plateau_window
 from .curves import Curve
 from .decomposition import FilterBank, scale_factor
 from .phase import profiles_for
-from .signal import SampledFunction, frequency_grid, lp_norm, multiply_spectrum
+from .signal import SampledFunction, lp_norm, multiply_spectrum
 
 __all__ = [
     "hardy_littlewood_max",
@@ -299,12 +299,9 @@ def shifted_square_function(f: SampledFunction, shift: int,
     """
     if j_list is None:
         j_list = available_bands(f)
-    xi = frequency_grid(f.n, f.dx)
-    fh = np.fft.fft(f.values)
-    bands = np.zeros((len(j_list), f.n), dtype=complex)
-    for i, j in enumerate(j_list):
-        mult = bump_phi(xi / 2.0 ** j) * np.exp(-1j * xi * shift / 2.0 ** j)
-        bands[i] = np.fft.ifft(mult * fh)
+    scales = 2.0 ** np.array(j_list, dtype=float)[:, None]
+    bands = multiply_spectrum(f, lambda xi: bump_phi(xi / scales)
+                              * np.exp(-1j * xi * shift / scales))
     agg = np.sqrt(np.sum(np.abs(bands) ** 2, axis=0))
     return ShiftedSquareData(shift=shift, j_list=tuple(j_list), bands=bands,
                              aggregate=SampledFunction(f.x0, f.dx, agg))
@@ -354,11 +351,9 @@ def block_square_ratio(h: SampledFunction, c: Curve, m: int, j_list,
     if p_prime < 2.0:
         raise ValueError("the block square-function bound needs p' >= 2")
     bank = FilterBank(curve=c, m=m)
-    xi = frequency_grid(h.n, h.dx)
-    hh = np.fft.fft(h.values)
     acc = np.zeros(h.n)
     for j in j_list:
-        H = np.fft.ifft(bank.block_filters(j, xi) * hh, axis=1)
+        H = multiply_spectrum(h, lambda xi: bank.block_filters(j, xi))
         acc += np.sum(np.abs(H) ** 2, axis=0)
     sq = SampledFunction(h.x0, h.dx, np.sqrt(acc))
     return lp_norm(sq, p_prime) / lp_norm(h, p_prime)
@@ -476,22 +471,22 @@ class CheckReport:
     extras: Optional[dict] = None
 
 
-def _periodic_convolve(values: np.ndarray, kernel: np.ndarray, dx: float) -> np.ndarray:
-    """(values * kernel)(x) dx on the periodic grid; kernel given on the same
-    symmetric grid and treated as centered at 0."""
-    kv = np.fft.fft(np.fft.ifftshift(kernel))
-    return np.fft.ifft(np.fft.fft(values) * kv) * dx
-
-
 def _nu_reach(c: Curve) -> float:
     """C_nu: the chirp kernels of c live on 1/C_nu <= |y| <= C_nu."""
     return _reach(c, PHI_INNER / 2.0, PHI_OUTER)
 
 
-def _nu_kernel(c: Curve, j: int, x: np.ndarray) -> np.ndarray:
-    """2^j nu(2^j x) with nu the even plateau window covering the reach of the
-    chirp kernels: 1 on 1/C<=|y|<=C, supported in 1/(2C) < |y| < 2C."""
-    return 2.0 ** j * _reach_cutoff(2.0 ** j * np.abs(x), _nu_reach(c))
+def _smeared_band_energy(f: SampledFunction, c: Curve, m: int, j: int) -> np.ndarray:
+    """(|f through band(m+j)|^2 * 2^j nu(2^j .))(x) on the periodic grid.
+
+    nu is the even plateau window covering the reach of the chirp kernels:
+    1 on 1/C <= |y| <= C, supported in 1/(2C) < |y| < 2C.  It is sampled at
+    the offsets k dx in np.fft order, so the grid's origin does not enter.
+    """
+    band = multiply_spectrum(f, lambda xi: bump_phi(xi / 2.0 ** (m + j)))
+    y = f.dx * np.fft.fftfreq(f.n, 1.0 / f.n)
+    kern = 2.0 ** j * _reach_cutoff(2.0 ** j * np.abs(y), _nu_reach(c))
+    return np.real(np.fft.ifft(np.fft.fft(np.abs(band) ** 2) * np.fft.fft(kern)) * f.dx)
 
 
 def _report(lhs: np.ndarray, rhs: np.ndarray, extras: Optional[dict] = None) -> CheckReport:
@@ -530,20 +525,13 @@ def cancellation_bound_check(c: Curve, m: int, j: int, f: SampledFunction) -> Ch
     covers the kernel reach (see energy_check_grid).
     """
     bank = FilterBank(curve=c, m=m)
-    xi = frequency_grid(f.n, f.dx)
-    fh = np.fft.fft(f.values)
-    env = bank.band_dyadic(m + j, xi)
     lhs = np.zeros(f.n)
     p0s = bank.p0_values
     for c0 in range(0, len(p0s), CHIRP_CHUNK):
-        fm = bank.chirp_filters(j, xi, p0_subset=p0s[c0:c0 + CHIRP_CHUNK]) * env[None, :]
-        F = np.fft.ifft(fm * fh, axis=1)
+        F = multiply_spectrum(f, lambda xi: bank.chirp_filters(
+            j, xi, p0_subset=p0s[c0:c0 + CHIRP_CHUNK]) * bank.band_dyadic(m + j, xi))
         lhs += np.sum(np.abs(F) ** 2, axis=0)
-
-    band = np.fft.ifft(env * fh)
-    kern = _nu_kernel(c, j, f.x)
-    rhs = np.real(_periodic_convolve(np.abs(band) ** 2, kern, f.dx))
-    return _report(lhs, rhs)
+    return _report(lhs, _smeared_band_energy(f, c, m, j))
 
 
 def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int) -> CheckReport:
@@ -552,10 +540,7 @@ def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int) -> Check
 
     Translations of the maximal function are rounded to grid cells.
     """
-    band = multiply_spectrum(u, lambda xi: bump_phi(xi / 2.0 ** (m + j)))
-    kern = _nu_kernel(c, j, u.x)
-    lhs = np.real(_periodic_convolve(np.abs(band.values) ** 2, kern, u.dx))
-
+    lhs = _smeared_band_energy(u, c, m, j)
     mx = hardy_littlewood_max(u).values.real
     acc = np.zeros(u.n)
     for l in range(2 ** (m - 1), 2 ** (m + 1) + 1):
@@ -572,15 +557,12 @@ def dual_pointwise_check(g: SampledFunction, h: SampledFunction, c: Curve,
     bounded-block-energy sup  sum_p0 |g through block p0|^2 / ||g||_inf^2.
     """
     bank = FilterBank(curve=c, m=m)
-    xi = frequency_grid(g.n, g.dx)
-    gm = bank.block_filters(j, xi)
-    hh = np.fft.fft(h.values)
-    G = np.fft.ifft(gm * np.fft.fft(g.values), axis=1)
-    H = np.fft.ifft(gm * hh, axis=1)
+    G = multiply_spectrum(g, lambda xi: bank.block_filters(j, xi))
+    H = multiply_spectrum(h, lambda xi: bank.block_filters(j, xi))
     lhs = np.sum(np.abs(G * H) ** 2, axis=0)
 
-    env = bump_phi(scale_factor(c, j) / 2.0 ** m * xi)
-    mh = hardy_littlewood_max(h.with_values(np.fft.ifft(env * hh))).values.real
+    env = multiply_spectrum(h, lambda xi: bump_phi(scale_factor(c, j) / 2.0 ** m * xi))
+    mh = hardy_littlewood_max(h.with_values(env)).values.real
     ginf = lp_norm(g, math.inf)
     rhs = ginf ** 2 * mh ** 2
     block_energy_sup = float(np.max(np.sum(np.abs(G) ** 2, axis=0))) / max(ginf ** 2, 1e-300)

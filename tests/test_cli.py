@@ -310,7 +310,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
      "--ensemble-size", "2", "--rounds", "1", "--grid-n", "1024"],
     # every requested scale is structurally zero
     ["decompose", "--curve", "powlog: a=2 b=1", "--j-lo", "0", "--j-hi", "0"],
-    # a scale past the attainable range of gamma'
+    # a scale too deep for the search radius of (gamma')^-1
     ["phase", "--curve", "poly: t^2", "--j", "-60"],
 ], ids=lambda args: args[0])
 def test_library_refusal_exit_2(tmp_path, capsys, args):
@@ -319,6 +319,16 @@ def test_library_refusal_exit_2(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("j, rc", [(-60, 2), (-14, 0)])
+def test_phase_deep_scale(tmp_path, capsys, j, rc):
+    # a negative scale runs while its window fits the search radius of
+    # (gamma')^-1, and is refused naming the scale once it does not
+    assert cli.main(["--out", str(tmp_path / "p"), "phase", "--curve", "poly: t^2",
+                     "--j", str(j)]) == rc
+    if rc == 2:
+        assert f"j={j} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

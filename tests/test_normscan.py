@@ -459,6 +459,16 @@ def test_scan_triples_share_machine_and_draws(curve_t2, monkeypatch):
     assert [[r.sup_ratio for r in rs] for rs in shared] == alone
 
 
+def test_scan_triples_refuses_dead_m_before_any_work(monkeypatch):
+    # pow 0.5 has a live scale at m = 2 but none at m = 3: the scan stops
+    # before it draws a single member of the m = 2 ensemble
+    draws = _counting(monkeypatch, "resonant_triple")
+    with pytest.raises(ValueError, match="m=3"):
+        scan_triples(builtin_curve("pow: 0.5"), [HolderTriple.on_edge("AC", 2.0)], [2, 3],
+                     ensemble_size=3, n=2 ** 10, rounds=1)
+    assert draws == []
+
+
 @pytest.mark.parametrize("size, ascents", [(1, 1), (2, 2), (4, 2)])
 def test_scan_point_ensemble_size_bounds_members(curve_t2, monkeypatch, size, ascents):
     # ensemble_size counts every member: a one-member ensemble is one matched member

@@ -361,6 +361,19 @@ def test_windowed_energy_check(curve_t2):
     assert rep_s.ratio_sup == pytest.approx(rep.ratio_sup, rel=0.05)
 
 
+def test_energy_checks_ignore_grid_origin(curve_t2):
+    # the same samples labelled from three origins give bit-identical reports
+    m, j = 4, 2
+    u = _banded_member(curve_t2, m, j, 5)
+    assert u.x0 == -(u.n // 2) * u.dx
+    relabelled = [SampledFunction(x0, u.dx, u.values) for x0 in (u.x0, 0.0, 3.7)]
+    for check in (lambda f: windowed_energy_check(f, curve_t2, m, j),
+                  lambda f: cancellation_bound_check(curve_t2, m, j, f)):
+        reports = [check(f) for f in relabelled]
+        assert reports[0].ratio_sup > 0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_windowed_energy_stability(curve_t2):
     # the kernel reach sets the grid: m = 8 takes N = 2^17 cells,
     # energy_check_grid's ENERGY_N_CAP
