@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curves import (DICHOTOMY_RESIDUAL_TOL, GRAMMAR_HELP, Curve, builtin_curve,
+from .curves import (DICHOTOMY_RESIDUAL_TOL, Curve, builtin_curve,
                      growth_dichotomy, inverse_deriv, nonflatness_report,
                      profile_error_sequence, variation_count)
 from .decomposition import overlap_report
@@ -287,14 +287,14 @@ def cmd_bht(args, out: Path):
 # option types: each refuses a bad value, with the library's own check where
 # there is one, before the output directory exists
 
-def _refusing(parse, hint: str = ""):
+def _refusing(parse):
     """argparse type from parse(text); its ValueError or KeyError becomes the
     message argparse prints after the option name before it exits 2."""
     def convert(text: str):
         try:
             return parse(text)
         except (ValueError, KeyError) as exc:
-            raise argparse.ArgumentTypeError(f"{text!r}: {exc}{hint}") from None
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return convert
 
 
@@ -306,7 +306,7 @@ def _at_least(lo: int):
     return _refusing(parse)
 
 
-_curve = _refusing(builtin_curve, "\n" + GRAMMAR_HELP)
+_curve = _refusing(builtin_curve)
 _count = _at_least(1)
 _natural = _at_least(0)
 

@@ -214,13 +214,30 @@ def builtin_curve(descriptor: str) -> Curve:
         return _poly_curve(_parse_poly(body), descriptor)
     if head == "pow":
         parts = body.split()
-        alpha = float(parts[0])
-        sign_variant = len(parts) > 1 and parts[1].lower() == "sign"
-        return _power_curve(alpha, sign_variant, descriptor)
+        if not parts or [p.lower() for p in parts[1:]] not in ([], ["sign"]):
+            raise ValueError(f"bad descriptor {descriptor!r}: pow takes an exponent and "
+                             f"optionally 'sign'; {GRAMMAR_HELP}")
+        return _power_curve(_number(parts[0], descriptor), len(parts) == 2, descriptor)
     if head == "powlog":
-        params = dict(p.split("=") for p in body.split())
-        return _powlog_curve(float(params["a"]), float(params.get("b", "1")), descriptor)
+        params = dict(p.partition("=")[::2] for p in body.split())
+        if (len(params) != len(body.split()) or not {"a"} <= params.keys() <= {"a", "b"}
+                or "" in params.values()):
+            raise ValueError(f"bad descriptor {descriptor!r}: powlog takes a=<number> and "
+                             f"optionally b=<number>, separated by spaces; {GRAMMAR_HELP}")
+        return _powlog_curve(_number(params["a"], descriptor),
+                             _number(params.get("b", "1"), descriptor), descriptor)
     raise ValueError(f"unknown curve family {head!r}; {GRAMMAR_HELP}")
+
+
+def _number(text: str, descriptor: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"bad descriptor {descriptor!r}: {text!r} is not a finite number; "
+                         f"{GRAMMAR_HELP}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from conftest import child_env
 
 from bhtlab import builtin_curve, cli
+from bhtlab.curves import GRAMMAR_HELP
 from bhtlab.decomposition import TrilinearMachine
 from bhtlab.normscan import (HolderTriple, decay_fit, hilbert_multiplier, resonant_triple,
                              scan_machine, scan_triples)
@@ -47,6 +48,21 @@ def test_powlog_negative_b_exit_2(tmp_path, capsys):
     assert cli.main(["--out", str(out), "curve-check", "--curve", "powlog: a=3 b=-1"]) == 2
     errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and "b >= 0" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("desc", ["pow:", "pow: 1.5 foo", "pow: 1.5 sign extra",
+                                  "powlog: a=2 b=1 c=3", "powlog:a=2,b=1", "powlog:",
+                                  "poly: t^", "pow: nan", "powlog: a=2 b=inf"])
+def test_malformed_curve_descriptor_exit_2(tmp_path, capsys, desc):
+    # refused by builtin_curve's ValueError: one error line naming the
+    # descriptor, with the grammar printed once
+    out = tmp_path / "u"
+    assert cli.main(["--out", str(out), "curve-check", "--curve", desc]) == 2
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and repr(desc) in errors[0]
+    assert err.count(GRAMMAR_HELP) == 1
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ from scipy.special import wofz
 import bhtlab
 from bhtlab import signal
 from bhtlab.curves import builtin_curve
-from bhtlab.decomposition import scale_factor
+from bhtlab.decomposition import TrilinearMachine, scale_factor
 from bhtlab import normscan
 from bhtlab.normscan import (HolderTriple, PVParams, bht_direct, bht_direct_report,
                              decay_fit, hilbert_multiplier, live_scale,
@@ -414,6 +414,28 @@ def test_matched_triple_beats_random(curve_t2):
             best_random = max(best_random, _ratios(mach, f, g, h, exps)[0])
     f, g, h = matched_triple(mach, 3, exps[0], rounds=4)
     assert _ratios(mach, f, g, h, exps)[0] > best_random
+
+
+def test_matched_ascent_filters_each_slot_once_per_value(curve_t2, monkeypatch):
+    # grad_slot reuses the rows of the slot the previous call left unchanged,
+    # and _ratios refilters only the slot the last update replaced: 14 and 2
+    # filter calls on 2 scales, where refiltering both other slots takes 24 and 6
+    calls = []
+    back_batch = TrilinearMachine.back_batch
+
+    def counted(self, mults, spectrum):
+        calls.append(mults.shape)
+        return back_batch(self, mults, spectrum)
+
+    monkeypatch.setattr(TrilinearMachine, "back_batch", counted)
+    mach = scan_machine(curve_t2, 5, n=2 ** 12)
+    assert len(mach.scan_scales) == 2
+    exps = (2.0, 2.0, math.inf)
+    f, g, h = matched_triple(mach, 3, exps, rounds=2)
+    assert len(calls) == 14
+    calls.clear()
+    normscan._ratios(mach, f, g, h, [exps])
+    assert len(calls) == 2
 
 
 def test_scan_point_determinism(curve_t2):
