@@ -35,7 +35,7 @@ from .curves import (DICHOTOMY_RESIDUAL_TOL, Curve, builtin_curve,
                      growth_dichotomy, inverse_deriv, nonflatness_report,
                      profile_error_sequence, variation_count)
 from .decomposition import overlap_report
-from .normscan import (bht_direct_report, decay_fit, hilbert_multiplier, resonant_triple,
+from .normscan import (bht_direct, decay_fit, hilbert_multiplier, resonant_triple,
                        scan_machine, scan_triples)
 from .phase import (phase_residual, phase_value, sample_admissible_queries,
                     sample_scaling_queries, scaling_residual)
@@ -264,14 +264,14 @@ def cmd_bht(args, out: Path):
     for i, f in enumerate(fs):
         if args.g == "const1":
             g = SampledFunction(f.x0, f.dx, np.ones(f.n), profile=lambda t: np.ones_like(np.asarray(t, dtype=float), dtype=complex))
-            direct, diag = bht_direct_report(c, f, g)
+            direct, diag = bht_direct(c, f, g)
             ref = hilbert_multiplier(f)
             rel = lp_norm(direct.with_values(direct.values - ref.values), 2.0) / lp_norm(ref, 2.0)
             worst = max(worst, rel)
             rows.append((i, rel, diag["last_delta"], diag["flagged_points"]))
         else:
             g = fs[(i + 1) % len(fs)]
-            direct, diag = bht_direct_report(c, f, g)
+            direct, diag = bht_direct(c, f, g)
             rows.append((i, lp_norm(direct, 2.0), diag["last_delta"], diag["flagged_points"]))
     path = _write_table(out, "bht_check", ["member", "metric", "last_delta", "flagged"],
                         rows, args.format)

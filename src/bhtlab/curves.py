@@ -185,6 +185,8 @@ def _powlog_curve(a: float, b: float, label: str) -> Curve:
 
     def d1(t):
         t = np.asarray(t, dtype=float)
+        if b == 0.0:    # |t|^a: L^(b-1) would be inf at |t| = 1, times 0
+            return np.sign(t) * (a * np.abs(t) ** (a - 1.0))
         sl = np.sign(np.log(np.abs(t)))
         return np.sign(t) * np.abs(t) ** (a - 1.0) * L(t) ** (b - 1.0) * (a * L(t) + b * sl)
 
@@ -388,11 +390,14 @@ def j_grid(c: Curve) -> np.ndarray:
 
 def variation_count(c: Curve, j_max: int) -> int:
     """Max number of scales 0<=j<=j_max with |2^-j gamma'(2^-j)| in one dyadic
-    window [alpha, 2 alpha]; exact sliding window over the sorted values."""
+    window [alpha, 2 alpha]; exact sliding window over the sorted values.
+    Scales where that value is not finite (gamma' singular there) count in
+    no window."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     j = np.arange(j_max + 1)
-    v = np.sort(np.abs(2.0 ** (-j) * np.asarray(c.deriv(2.0 ** (-j)), dtype=float)))
+    v = np.abs(2.0 ** (-j) * np.asarray(c.deriv(2.0 ** (-j)), dtype=float))
+    v = np.sort(v[np.isfinite(v)])
     best, i0 = 1, 0
     for i1 in range(len(v)):
         while v[i1] > 2.0 * v[i0]:

@@ -3,9 +3,9 @@
 For a curve with scale factors D_j = 2^-j gamma'(2^-j) and block index
 m >= 0, the three multiplier families are
 
-    band_dyadic:   phi(xi / 2^k)
-    band_block:    phi(D_j eta - p0),                p0 in [2^m, 2^{m+1})
     chirp_filter:  2^{-m/2} e^{-i p0 R(|xi|/(2^j p0))} phi(xi / 2^{m+j})
+    f_filter:      chirp_filter(xi) phi(xi / 2^{m+j})
+    band_block:    phi(D_j eta - p0),                p0 in [2^m, 2^{m+1})
 
 with phi the fixed plateau window and R the chirp primitive (chirp_phase).
 R is evaluated at |xi|: for curves whose derivative is sign-changing the
@@ -13,7 +13,7 @@ limiting profile r is odd so R is even and this is the literal formula; for
 one-sided curves it extends the chirp to the mirror frequency component,
 keeping |chirp_filter| = 2^{-m/2} phi(xi/2^{m+j}) pointwise.
 
-The trilinear form pairs (f filtered by band_dyadic*chirp) x (g filtered by
+The trilinear form pairs (f filtered by f_filter) x (g filtered by
 band_block) x (h filtered by the widened mirror block): the third slot
 window is phi((-D_j zeta - p0)/h_widen), h_widen = 2 by default.  Mirroring
 matters: the first two factors' product has spectrum near +A_{j,p0}, so the
@@ -41,7 +41,7 @@ plumbing, not the modeling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,8 +60,6 @@ __all__ = [
     "TrilinearMachine",
     "grid_for_bands",
     "structurally_zero",
-    "chirp_kernel",
-    "ChirpKernelResult",
 ]
 
 
@@ -173,9 +171,6 @@ class FilterBank:
     def p0_values(self) -> np.ndarray:
         return np.arange(2 ** self.m, 2 ** (self.m + 1))
 
-    def band_dyadic(self, k: int, xi: np.ndarray) -> np.ndarray:
-        return bump_phi(xi / 2.0 ** k)
-
     def chirp_filters(self, j: int, xi: np.ndarray,
                       p0_subset: Optional[np.ndarray] = None) -> np.ndarray:
         """(P, W) rows 2^{-m/2} e^{-i p0 R(|xi|/(2^j p0))} phi(xi/2^{m+j}),
@@ -192,6 +187,14 @@ class FilterBank:
         phase *= prof.chirp_phase(np.abs(np.broadcast_to(xi, shape)[nz]) / (2.0 ** j * phase))
         out = np.zeros(shape, dtype=complex)
         out[nz] = 2.0 ** (-self.m / 2.0) * (np.exp(-1j * phase) * np.broadcast_to(env, shape)[nz])
+        return out
+
+    def f_filters(self, j: int, xi: np.ndarray,
+                  p0_subset: Optional[np.ndarray] = None) -> np.ndarray:
+        """First-slot rows: chirp_filters(j, xi, p0_subset) times
+        phi(xi/2^{m+j}), xi as in chirp_filters."""
+        out = self.chirp_filters(j, xi, p0_subset)
+        out *= bump_phi(xi / 2.0 ** (self.m + j))
         return out
 
     def block_filters(self, j: int, xi: np.ndarray) -> np.ndarray:
@@ -233,9 +236,14 @@ class FilterBank:
         At D_j = 0 the blocks are constants (see supports): None when every
         p0 has an empty g or h block, so the scale is structurally zero and
         needs no grid; a ValueError naming the scale when some p0 has both
-        blocks nonzero on the whole line, which no grid represents.
+        blocks nonzero on the whole line, which no grid represents.  A D_j
+        that is not finite (gamma' singular at 2^-j) is refused the same way.
         """
-        d = abs(scale_factor(self.curve, j))
+        d = scale_factor(self.curve, j)
+        if not math.isfinite(d):
+            raise ValueError(f"scale j={j} has D_j = {d} (gamma' is singular at 2^-{j}); "
+                             "no grid represents it")
+        d = abs(d)
         if d == 0.0:
             _, g, h = self.supports(j)
             if np.any(g.everywhere & h.everywhere):
@@ -397,8 +405,7 @@ class TrilinearMachine:
             o_f, o_g, o_h = (np.arange((b - a + 1)[live].max(initial=1))
                              for a, b in ((af, bf), (ag, bg), (ah, bh)))
             kf, kg, kh = ((a[:, None] + o) % n for a, o in ((af[live], o_f), (ag, o_g), (ah, o_h)))
-            f_rows = bank.chirp_filters(j, self.xi[kf], p0_subset=bank.p0_values[live])
-            f_rows *= bank.band_dyadic(bank.m + j, self.xi[kf])
+            f_rows = bank.f_filters(j, self.xi[kf], p0_subset=bank.p0_values[live])
             f_rows[o_f > (bf - af)[live][:, None]] = 0.0
             rows = (f_rows,
                     bank.block_filters(j, self.xi[kg])[live],
@@ -473,8 +480,7 @@ class TrilinearMachine:
             g, h = (self._stretch(fam, lo, hi - lo + 1)
                     for fam, lo, hi in ((g_fam, lo_g, hi_g), (h_fam, lo_h, hi_h)))
             lo, hi = (lo_g + lo_h)[live], (hi_g + hi_h)[live]
-            f_fam = lambda xi: (bank.chirp_filters(j, xi, p0_subset=bank.p0_values[live])
-                                * bank.band_dyadic(bank.m + j, xi))
+            f_fam = lambda xi: bank.f_filters(j, xi, p0_subset=bank.p0_values[live])
             f = self._stretch(f_fam, -lo, np.minimum(hi - lo + 1, n), step=-1)
             hit = [f] + [(bins[live], vals[live]) for bins, vals in (g, h)]
             self._oracle[j] = hit
@@ -568,73 +574,3 @@ def structurally_zero(bank: FilterBank, j: int) -> bool:
     # constant blocks (D_j = 0) that are nonzero reach every frequency
     meets |= g.everywhere & h.everywhere
     return not np.any(meets)
-
-
-# ---------------------------------------------------------------------------
-# chirp kernel against its stationary-phase description
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChirpKernelResult:
-    kernel: SampledFunction
-    closed_form: np.ndarray = field(repr=False)
-    window: np.ndarray = field(repr=False)
-    max_deviation: float = 0.0
-    l2_rel_deviation: float = 0.0
-
-
-def chirp_kernel(c: Curve, m: int, p0: int, j: int, n: int = 2 ** 18,
-                 half_width: float = 64.0) -> ChirpKernelResult:
-    """Inverse transform of one chirp filter, compared on the plateau window
-    with the stationary-phase closed form
-
-        2^j sqrt(2 pi p0) 2^{-m/2} r'(u*)^{-1/2}
-            e^{i [p0 (u* y - R(u*)) - pi/4]} phi(u* p0 / 2^m),
-        u* = r^{-1}(y),  y = 2^j x.
-
-    The deviation shrinks as m grows (the dropped correction is the filter's
-    fast-decaying remainder).
-    """
-    if c.regime != "derivative_vanishes_at_zero":
-        raise ValueError("chirp kernel comparison needs the vanishing-derivative regime")
-    prof = profiles_for(c)
-    dx = 2.0 * half_width / n
-    x0 = -(n // 2) * dx
-    dxi = 2.0 * math.pi / (n * dx)
-    if PHI_OUTER * 2.0 ** (m + j) > math.pi / dx:
-        raise ValueError("band exceeds the grid; enlarge n or shrink half_width")
-
-    psi = FilterBank(curve=c, m=m).chirp_filters(j, frequency_grid(n, dx), p0_subset=[p0])[0]
-    # the inversion sum at x = k dx (k = 0..N-1), recentred to start at x0
-    kern_vals = n * dxi * np.fft.fftshift(np.fft.ifft(psi))
-    kernel = SampledFunction(x0, dx, kern_vals)
-
-    x = kernel.x
-    y = 2.0 ** j * x
-    sp = np.zeros(n, dtype=complex)
-    # u* exists where |y| is in the attainable range of r over the band window
-    u_win_lo, u_win_hi = 2.0 ** m / (PHI_OUTER * p0), PHI_OUTER * 2.0 ** m / p0
-    y_lo = float(prof.r(u_win_lo))
-    y_hi = float(prof.r(u_win_hi))
-    y_lo, y_hi = min(y_lo, y_hi), max(y_lo, y_hi)
-    valid = (np.abs(y) > y_lo) & (np.abs(y) < y_hi)
-    if not c.two_sided:
-        valid &= y > 0
-    yy = y[valid]
-    u = np.asarray(prof.r_inverse(yy), dtype=float)
-    rp = np.asarray(prof.r_prime(np.abs(u)), dtype=float)
-    amp = 2.0 ** j * np.sqrt(2.0 * math.pi * p0) * 2.0 ** (-m / 2.0) / np.sqrt(np.abs(rp))
-    phase = p0 * (u * yy - prof.chirp_phase(np.abs(u))) - math.pi / 4.0
-    sp[valid] = amp * np.exp(1j * phase) * bump_phi(u * p0 / 2.0 ** m)
-
-    # compare strictly inside the plateau of the envelope
-    win = np.zeros(n, dtype=bool)
-    arg = np.zeros(n)
-    arg[valid] = np.abs(u) * p0 / 2.0 ** m
-    win[valid] = (arg[valid] > 0.21) & (arg[valid] < 4.9)
-    diff = np.abs(kern_vals - sp)[win]
-    ref = np.abs(kern_vals)[win]
-    l2 = float(np.sqrt(np.sum(diff ** 2) / max(np.sum(ref ** 2), 1e-300)))
-    return ChirpKernelResult(kernel=kernel, closed_form=sp, window=win,
-                             max_deviation=float(diff.max() if len(diff) else 0.0),
-                             l2_rel_deviation=l2)

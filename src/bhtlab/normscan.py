@@ -46,7 +46,6 @@ from .signal import HolderTriple, SampledFunction, lp_norm, multiply_spectrum
 __all__ = [
     "PVParams",
     "bht_direct",
-    "bht_direct_report",
     "hilbert_multiplier",
     "triangle_membership",
     "ScanResult",
@@ -126,19 +125,14 @@ def _pv_panels(params: PVParams, t_max: float, dx: float) -> PVLayout:
 
 
 def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
-               params: PVParams = PVParams()) -> SampledFunction:
-    """Principal-value evaluation of the curved bilinear transform on f's grid.
+               params: PVParams = PVParams()) -> tuple[SampledFunction, dict]:
+    """Principal-value evaluation of the curved bilinear transform on f's grid:
+    (estimate, diagnostics), the diagnostics being the closure check's
+    last_delta, eps_final and flagged_points (see PVParams).
 
     The quadrature evaluates f and g off the grid, through their closed-form
     profiles; a member without one is refused (ValueError).
-    bht_direct_report returns the same estimate together with its
-    convergence diagnostics (closure deltas and flagged points).
     """
-    return _bht_core(c, f, g, params)[0]
-
-
-def bht_direct_report(c: Curve, f: SampledFunction, g: SampledFunction,
-                      params: PVParams = PVParams()):
     return _bht_core(c, f, g, params)
 
 

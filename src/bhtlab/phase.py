@@ -44,10 +44,7 @@ __all__ = [
     "phase_value",
     "scaling_residual",
     "modulation_constant",
-    "chirp_phase_quadrature",
-    "kernel_phase_quadrature",
     "sample_scaling_queries",
-    "adaptive_simpson",
     "sample_admissible_queries",
 ]
 
@@ -56,46 +53,24 @@ _N_KNOTS = 3073
 _S_QUERY_LO, _S_QUERY_HI = 0.5, 8.0    # the s window of sample_scaling_queries
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
-    """Classic adaptive Simpson with absolute tolerance 1e-10, at most 50
-    bisections deep."""
-    def simp(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def rec(x0, x2, f0, f1, f2, whole, tol_, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simp(x0, xm, f0, fl, f1)
-        right = simp(xm, x2, f1, fr, f2)
-        if depth >= 50 or abs(left + right - whole) <= 15.0 * tol_:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(x0, xm, f0, fl, f1, left, tol_ / 2.0, depth + 1)
-                + rec(xm, x2, f1, fr, f2, right, tol_ / 2.0, depth + 1))
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    return rec(a, b, fa, fm, fb, simp(a, b, fa, fm, fb), 1e-10, 0)
-
-
 # ---------------------------------------------------------------------------
 # per-curve profile bundle
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CurveProfiles:
-    """Limit profiles of one curve: r, r', r^{-1}, the chirp primitive
+    """Limit profiles of one curve: r, r^{-1}, the chirp primitive
     chirp_phase (vanishing at 1), and the kernel phase on the r-range.
 
     Power-family curves use exact closed forms.  Otherwise r is the
     not-a-knot cubic spline (_not_a_knot) of the profile at scale
-    PROFILE_LIMIT_J on 3073 log-spaced knots over s in [1/64, 48]; r' and the
-    chirp primitive are its exact derivative and antiderivative, and past
-    the ends all three follow the end cubics.
+    PROFILE_LIMIT_J on 3073 log-spaced knots over s in [1/64, 48]; the chirp
+    primitive is its exact antiderivative, r^{-1} takes Newton steps on its
+    exact derivative, and past the ends r and the chirp primitive follow the
+    end cubics.
     """
 
     r: Callable = field(repr=False)
-    r_prime: Callable = field(repr=False)
     r_inverse: Callable = field(repr=False)
     chirp_phase: Callable = field(repr=False)
     kernel_phase: Optional[Callable] = field(repr=False, default=None)
@@ -108,10 +83,6 @@ def _power_profiles(c: Curve) -> CurveProfiles:
     def r(s):
         s = np.asarray(s, dtype=float)
         return np.sign(s) * np.abs(s) ** e
-
-    def r_prime(s):
-        s = np.asarray(s, dtype=float)
-        return e * np.abs(s) ** (e - 1.0)
 
     def r_inverse(y):
         y = np.asarray(y, dtype=float)
@@ -127,8 +98,7 @@ def _power_profiles(c: Curve) -> CurveProfiles:
             y = np.abs(np.asarray(y, dtype=float))
             return y ** a / a
 
-    return CurveProfiles(r=r, r_prime=r_prime, r_inverse=r_inverse,
-                         chirp_phase=chirp, kernel_phase=kernel)
+    return CurveProfiles(r=r, r_inverse=r_inverse, chirp_phase=chirp, kernel_phase=kernel)
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,8 +202,7 @@ def _generic_profiles(c: Curve) -> CurveProfiles:
             u = r_inverse(y)
             return u * y - (anti(u) + tail)
 
-    return CurveProfiles(r=r_sp, r_prime=rp_sp, r_inverse=r_inverse,
-                         chirp_phase=chirp, kernel_phase=kernel)
+    return CurveProfiles(r=r_sp, r_inverse=r_inverse, chirp_phase=chirp, kernel_phase=kernel)
 
 
 def profiles_for(c: Curve) -> CurveProfiles:
@@ -249,7 +218,7 @@ def profiles_for(c: Curve) -> CurveProfiles:
 # critical points and the extremal phase
 # ---------------------------------------------------------------------------
 
-def _window_ok(c: Curve, t_c, j: int) -> np.ndarray:
+def _window_ok(c: Curve, t_c) -> np.ndarray:
     w = 2.0 ** float(c.k_gamma)
     tol = 1e-9
     t_c = np.asarray(t_c, dtype=float)
@@ -270,7 +239,7 @@ def critical_point(c: Curve, xi, eta, j: int):
     ratio = xi / eta
     t_scaled = inverse_deriv(c, ratio)
     t_c = np.asarray(t_scaled, dtype=float) * 2.0 ** j
-    ok = _window_ok(c, t_c, j)
+    ok = _window_ok(c, t_c)
     if not np.all(ok):
         bad = np.atleast_1d(t_c)[~np.atleast_1d(ok)][0]
         raise ValueError(
@@ -316,32 +285,6 @@ def scaling_residual(c: Curve, xi, eta, j: int):
     model = np.asarray(eta, dtype=float) * (prof.chirp_phase(s) + modulation_constant(c, j))
     res = np.abs(2.0 ** j * np.asarray(psi) - model)
     return float(res) if res.ndim == 0 else res
-
-
-# ---------------------------------------------------------------------------
-# profile integrals, with the quadrature cross-check route
-# ---------------------------------------------------------------------------
-
-def chirp_phase_quadrature(c: Curve, s: float) -> float:
-    """Independent adaptive-Simpson evaluation of int_1^|s| r(u) du."""
-    prof = profiles_for(c)
-    return adaptive_simpson(lambda u: float(prof.r(u)), 1.0, abs(float(s)))
-
-
-def kernel_phase_quadrature(c: Curve, p0: float, y: float) -> float:
-    """Independent adaptive-Simpson evaluation of the kernel-phase integral."""
-    prof = profiles_for(c)
-    if prof.kernel_phase is None:
-        raise ValueError(f"kernel phase undefined for {c.label}")
-    u_star = float(prof.r_inverse(abs(float(y))))
-
-    def integrand(t: float) -> float:
-        # t r'(t) -> 0 as t -> 0 in the vanishing regime; avoid 0 * inf
-        if t <= 0.0:
-            return 0.0
-        return t * float(prof.r_prime(t))
-
-    return p0 * adaptive_simpson(integrand, 0.0, u_star)
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,8 @@ class ShiftedSquareData:
 
 
 def available_bands(f: SampledFunction) -> list[int]:
-    """Dyadic band indices k with the window of band_dyadic(k) inside 90% of
-    the grid's Nyquist frequency."""
+    """Dyadic band indices k with the window phi(xi/2^k) inside 90% of the
+    grid's Nyquist frequency."""
     xi_max = math.pi / f.dx
     out = []
     k = 0
@@ -528,8 +528,8 @@ def cancellation_bound_check(c: Curve, m: int, j: int, f: SampledFunction) -> Ch
     lhs = np.zeros(f.n)
     p0s = bank.p0_values
     for c0 in range(0, len(p0s), CHIRP_CHUNK):
-        F = multiply_spectrum(f, lambda xi: bank.chirp_filters(
-            j, xi, p0_subset=p0s[c0:c0 + CHIRP_CHUNK]) * bank.band_dyadic(m + j, xi))
+        F = multiply_spectrum(f, lambda xi: bank.f_filters(
+            j, xi, p0_subset=p0s[c0:c0 + CHIRP_CHUNK]))
         lhs += np.sum(np.abs(F) ** 2, axis=0)
     return _report(lhs, _smeared_band_energy(f, c, m, j))
 

@@ -245,7 +245,7 @@ def test_criterion_9_hilbert_reduction(t2):
         one = SampledFunction(f.x0, f.dx, np.ones(f.n),
                               profile=lambda t: np.ones_like(np.asarray(t, dtype=float),
                                                              dtype=complex))
-        direct = bht_direct(t2, f, one)
+        direct, _ = bht_direct(t2, f, one)
         ref = hilbert_multiplier(f)
         rel = math.sqrt(float(np.sum(np.abs(direct.values - ref.values) ** 2))
                         / float(np.sum(np.abs(ref.values) ** 2)))

@@ -162,7 +162,7 @@ def _bht_with_flags(out, monkeypatch, g_mode, flags) -> int:
         return hilbert_multiplier(f), {"last_delta": 2e-8 if flagged else 1e-13,
                                        "flagged_points": flagged, "eps_final": 1e-3}
 
-    monkeypatch.setattr(cli, "bht_direct_report", report)
+    monkeypatch.setattr(cli, "bht_direct", report)
     return cli.main(["--out", str(out), "bht", "--curve", "poly: t^2", "--g", g_mode,
                      "--count", "3", "--grid-n", "1024"])
 
@@ -328,6 +328,11 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     ["decompose", "--curve", "powlog: a=2 b=1", "--j-lo", "0", "--j-hi", "0"],
     # a scale too deep for the search radius of (gamma')^-1
     ["phase", "--curve", "poly: t^2", "--j", "-60"],
+    # gamma' is singular at 2^-0 = 1, so D_0 is not finite (the curve's
+    # construction warns about it; the refusal names the scale)
+    pytest.param(["decompose", "--curve", "powlog: a=3 b=0.5", "--m", "4", "--j-lo", "0",
+                  "--j-hi", "1", "--grid-n", "4096"], id="decompose_singular_scale",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ], ids=lambda args: args[0])
 def test_library_refusal_exit_2(tmp_path, capsys, args):
     # refused while computing: the directory may exist, but no manifest is written
@@ -335,6 +340,17 @@ def test_library_refusal_exit_2(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "r" / "manifest.json").exists()
+    if "powlog: a=3 b=0.5" in args:
+        assert "j=0 " in err
+
+
+def test_phase_powlog_without_log_factor(tmp_path):
+    # b = 0 is t^2: gamma'(1) is finite, so the scale-0 phase solve runs
+    # without numpy warnings
+    r = run_cli(["--out", str(tmp_path / "p"), "phase", "--curve", "powlog: a=2 b=0",
+                 "--j", "0"], cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "RuntimeWarning" not in r.stderr
 
 
 @pytest.mark.parametrize("j, rc", [(-60, 2), (-14, 0)])

@@ -117,6 +117,19 @@ def test_variation_counts(curve_t2, curve_t3, curve_mixed):
     assert variation_count(curve_t2, 40) == 1
     assert variation_count(curve_t3, 40) == 1
     assert variation_count(curve_mixed, 40) <= 2
+    # gamma' is singular at |t| = 1 here, so D_0 is not finite and counts in
+    # no window; the finite scales fall into one dyadic window at a time
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert variation_count(builtin_curve("powlog: a=3 b=0.5"), 40) == 1
+
+
+def test_powlog_without_log_factor_is_the_power():
+    # b = 0 drops the log factor: |t|^2, closures equal to pow: 2's bit for
+    # bit, also at |t| = 1 where the log vanishes
+    t = np.array([1.0, -1.0, 0.5, -0.5, 3.0, -3.0])
+    c, ref = builtin_curve("powlog: a=2 b=0"), builtin_curve("pow: 2")
+    for name in ("eval_fn", "deriv", "deriv2"):
+        assert getattr(c, name)(t).tobytes() == getattr(ref, name)(t).tobytes()
 
 
 def test_variation_scale_invariance(curve_t2):

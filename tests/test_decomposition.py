@@ -1,14 +1,18 @@
 import math
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from bhtlab.curves import builtin_curve
-from bhtlab.decomposition import (ORACLE_COLUMNS, FilterBank, TrilinearMachine, chirp_kernel,
+from bhtlab.bumps import PHI_OUTER, bump_phi
+from bhtlab.curves import Curve, _limit_r_prime, builtin_curve
+from bhtlab.decomposition import (ORACLE_COLUMNS, FilterBank, TrilinearMachine,
                                   grid_for_bands, overlap_report, scale_factor,
                                   structurally_zero)
 from bhtlab.normscan import resonant_triple, scan_machine
+from bhtlab.phase import profiles_for
+from bhtlab.signal import SampledFunction, frequency_grid
 
 
 def test_scale_factor(curve_t2, curve_t3):
@@ -44,7 +48,7 @@ def test_chirp_filter_unimodular(curve_t2, curve_t3):
         bank = FilterBank(curve=c, m=5)
         mach = scan_machine(c, 5, n=2 ** 11, j_list=[1])
         psi = bank.chirp_filters(1, mach.xi)
-        env = 2.0 ** (-5 / 2.0) * np.abs(bank.band_dyadic(6, mach.xi))
+        env = 2.0 ** (-5 / 2.0) * np.abs(bump_phi(mach.xi / 2.0 ** 6))
         assert np.max(np.abs(np.abs(psi) - env[None, :])) < 1e-14
 
 
@@ -183,7 +187,7 @@ def test_symmetry_with_equal_banks(curve_t2):
 
 def _dense_rows(mach, j):
     bank, xi = mach.bank, mach.xi
-    return (bank.chirp_filters(j, xi) * bank.band_dyadic(bank.m + j, xi)[None, :],
+    return (bank.chirp_filters(j, xi) * bump_phi(xi / 2.0 ** (bank.m + j))[None, :],
             bank.block_filters(j, xi), bank.h_block_filters(j, xi))
 
 
@@ -442,6 +446,76 @@ def test_zero_scale_factor_reach(curve_powlog):
     for call in (lambda: bank.reach(0), lambda: grid_for_bands(bank, [0, 1])):
         with pytest.raises(ValueError, match="j=0"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# chirp kernel against its stationary-phase description
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChirpKernelResult:
+    kernel: SampledFunction
+    closed_form: np.ndarray = field(repr=False)
+    window: np.ndarray = field(repr=False)
+    max_deviation: float = 0.0
+    l2_rel_deviation: float = 0.0
+
+
+def chirp_kernel(c: Curve, m: int, p0: int, j: int, n: int = 2 ** 18,
+                 half_width: float = 64.0) -> ChirpKernelResult:
+    """Inverse transform of one chirp filter, compared on the plateau window
+    with the stationary-phase closed form
+
+        2^j sqrt(2 pi p0) 2^{-m/2} r'(u*)^{-1/2}
+            e^{i [p0 (u* y - R(u*)) - pi/4]} phi(u* p0 / 2^m),
+        u* = r^{-1}(y),  y = 2^j x.
+
+    The deviation shrinks as m grows (the dropped correction is the filter's
+    fast-decaying remainder).
+    """
+    if c.regime != "derivative_vanishes_at_zero":
+        raise ValueError("chirp kernel comparison needs the vanishing-derivative regime")
+    prof = profiles_for(c)
+    dx = 2.0 * half_width / n
+    x0 = -(n // 2) * dx
+    dxi = 2.0 * math.pi / (n * dx)
+    if PHI_OUTER * 2.0 ** (m + j) > math.pi / dx:
+        raise ValueError("band exceeds the grid; enlarge n or shrink half_width")
+
+    psi = FilterBank(curve=c, m=m).chirp_filters(j, frequency_grid(n, dx), p0_subset=[p0])[0]
+    # the inversion sum at x = k dx (k = 0..N-1), recentred to start at x0
+    kern_vals = n * dxi * np.fft.fftshift(np.fft.ifft(psi))
+    kernel = SampledFunction(x0, dx, kern_vals)
+
+    x = kernel.x
+    y = 2.0 ** j * x
+    sp = np.zeros(n, dtype=complex)
+    # u* exists where |y| is in the attainable range of r over the band window
+    u_win_lo, u_win_hi = 2.0 ** m / (PHI_OUTER * p0), PHI_OUTER * 2.0 ** m / p0
+    y_lo = float(prof.r(u_win_lo))
+    y_hi = float(prof.r(u_win_hi))
+    y_lo, y_hi = min(y_lo, y_hi), max(y_lo, y_hi)
+    valid = (np.abs(y) > y_lo) & (np.abs(y) < y_hi)
+    if not c.two_sided:
+        valid &= y > 0
+    yy = y[valid]
+    u = np.asarray(prof.r_inverse(yy), dtype=float)
+    rp = np.asarray(_limit_r_prime(c, np.abs(u)), dtype=float)
+    amp = 2.0 ** j * np.sqrt(2.0 * math.pi * p0) * 2.0 ** (-m / 2.0) / np.sqrt(np.abs(rp))
+    phase = p0 * (u * yy - prof.chirp_phase(np.abs(u))) - math.pi / 4.0
+    sp[valid] = amp * np.exp(1j * phase) * bump_phi(u * p0 / 2.0 ** m)
+
+    # compare strictly inside the plateau of the envelope
+    win = np.zeros(n, dtype=bool)
+    arg = np.zeros(n)
+    arg[valid] = np.abs(u) * p0 / 2.0 ** m
+    win[valid] = (arg[valid] > 0.21) & (arg[valid] < 4.9)
+    diff = np.abs(kern_vals - sp)[win]
+    ref = np.abs(kern_vals)[win]
+    l2 = float(np.sqrt(np.sum(diff ** 2) / max(np.sum(ref ** 2), 1e-300)))
+    return ChirpKernelResult(kernel=kernel, closed_form=sp, window=win,
+                             max_deviation=float(diff.max() if len(diff) else 0.0),
+                             l2_rel_deviation=l2)
 
 
 def test_chirp_kernel_deviation_decreases(curve_t2):

@@ -11,7 +11,7 @@ import numpy as np
 
 from bhtlab import (EnsembleShape, builtin_curve, hardy_littlewood_max, make_ensemble,
                     symmetric_grid)
-from bhtlab.normscan import bht_direct_report, resonant_triple, scan_machine
+from bhtlab.normscan import bht_direct, resonant_triple, scan_machine
 from bhtlab.signal import SampledFunction
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -33,7 +33,7 @@ def test_tracer_probes_read_the_program():
             c.eval_fn(np.linspace(0.5, 1.0, 8))
         members = [make_ensemble(3, 1, EnsembleShape(kind=kind), x0=x0, dx=dx, n=2 ** 9)[0]
                    for kind in ("gaussian", "lacunary", "step")]
-        bht_direct_report(curves[0], members[0], members[1])
+        bht_direct(curves[0], members[0], members[1])
 
         mach = scan_machine(curves[0], 3, n=2 ** 10)
         rng = np.random.default_rng(1)

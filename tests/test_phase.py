@@ -2,16 +2,62 @@ import dataclasses
 import gc
 import math
 import weakref
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from bhtlab.curves import builtin_curve, inverse_deriv
-from bhtlab.phase import (adaptive_simpson, chirp_phase_quadrature,
-                          critical_point, kernel_phase_quadrature,
-                          modulation_constant, phase_residual, phase_value, profiles_for,
-                          sample_admissible_queries, sample_scaling_queries,
+from bhtlab.curves import Curve, _limit_r_prime, builtin_curve, inverse_deriv
+from bhtlab.phase import (critical_point, modulation_constant, phase_residual, phase_value,
+                          profiles_for, sample_admissible_queries, sample_scaling_queries,
                           scaling_residual)
+
+
+# independent quadrature routes to the profile integrals, sharing only r and
+# r^{-1} with the closed forms and splines they check
+
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Classic adaptive Simpson with absolute tolerance 1e-10, at most 50
+    bisections deep."""
+    def simp(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def rec(x0, x2, f0, f1, f2, whole, tol_, depth):
+        xm = 0.5 * (x0 + x2)
+        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        fl, fr = f(xl), f(xr)
+        left = simp(x0, xm, f0, fl, f1)
+        right = simp(xm, x2, f1, fr, f2)
+        if depth >= 50 or abs(left + right - whole) <= 15.0 * tol_:
+            return left + right + (left + right - whole) / 15.0
+        return (rec(x0, xm, f0, fl, f1, left, tol_ / 2.0, depth + 1)
+                + rec(xm, x2, f1, fr, f2, right, tol_ / 2.0, depth + 1))
+
+    fa, fb = f(a), f(b)
+    fm = f(0.5 * (a + b))
+    return rec(a, b, fa, fm, fb, simp(a, b, fa, fm, fb), 1e-10, 0)
+
+
+def chirp_phase_quadrature(c: Curve, s: float) -> float:
+    """Independent adaptive-Simpson evaluation of int_1^|s| r(u) du."""
+    prof = profiles_for(c)
+    return adaptive_simpson(lambda u: float(prof.r(u)), 1.0, abs(float(s)))
+
+
+def kernel_phase_quadrature(c: Curve, p0: float, y: float) -> float:
+    """Independent adaptive-Simpson evaluation of the kernel-phase integral."""
+    prof = profiles_for(c)
+    if prof.kernel_phase is None:
+        raise ValueError(f"kernel phase undefined for {c.label}")
+    u_star = float(prof.r_inverse(abs(float(y))))
+
+    def integrand(t: float) -> float:
+        # t r'(t) -> 0 as t -> 0 in the vanishing regime; avoid 0 * inf
+        if t <= 0.0:
+            return 0.0
+        return t * float(_limit_r_prime(c, t))
+
+    return p0 * adaptive_simpson(integrand, 0.0, u_star)
 
 
 def test_critical_point_hand_values(curve_t2, curve_t3):
@@ -181,26 +227,33 @@ def test_generic_spline_matches_cubic_spline(desc):
     dsp, anti = sp.derivative(), sp.antiderivative()
     order = np.argsort(r_vals)
 
-    def kernel(y):
+    def inverse(y):
         u = np.interp(y, r_vals[order], knots[order])
         for _ in range(3):
             u = u - (sp(u) - y) / dsp(u)
+        return u
+
+    def kernel(y):
+        u = inverse(y)
         e_fit = math.log(r_vals[1] / r_vals[0]) / math.log(knots[1] / knots[0])
         return u * y - ((anti(u) - anti(knots[0])) + r_vals[0] * knots[0] / (e_fit + 1.0))
 
     s = np.exp(np.linspace(math.log(_S_MIN), math.log(_S_MAX), 20001))
-    pairs = [(prof.r, sp, s), (prof.r_prime, dsp, s),
-             (prof.chirp_phase, lambda u: anti(u) - anti(1.0), s)]
+    # (profile, reference, on r's domain s rather than its range r(s))
+    pairs = [(prof.r, sp, True), (prof.r_inverse, inverse, False),
+             (prof.chirp_phase, lambda u: anti(u) - anti(1.0), True)]
     assert prof.kernel_phase is not None
-    pairs.append((prof.kernel_phase, kernel, sp(s)))
-    for i, (got, ref, x) in enumerate(pairs):
+    pairs.append((prof.kernel_phase, kernel, False))
+    for i, (got, ref, on_s) in enumerate(pairs):
+        x = s if on_s else sp(s)
         a, b = got(x), ref(x)
-        if i < 2:    # r and r' pointwise (measured 2.3e-16)
+        if i < 2:    # r and r^{-1} pointwise (measured 2.3e-16 and 3.8e-16)
             assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-14
         # the primitives vanish inside the range, so relative to their sup
         # there (measured at most 2.0e-15)
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
         # past the knots both follow the end cubics: measured at most 9.1e-16
         # relative at s = 1/100 and s = 80 on these curves
-        ends = np.array([0.01, 80.0]) if i < 3 else sp(np.array([0.01, 80.0]))
+        ends = np.array([0.01, 80.0])
+        ends = ends if on_s else sp(ends)
         assert np.max(np.abs(got(ends) - ref(ends)) / np.abs(ref(ends))) <= 1e-14
