@@ -183,6 +183,9 @@ def _powlog_curve(a: float, b: float, label: str) -> Curve:
         t = np.asarray(t, dtype=float)
         return np.abs(t) ** a * L(t) ** b
 
+    # at |t| = 1, L = 0: gamma' and gamma'' are inf or nan there for 0 < b < 2,
+    # which FilterBank.reach and variation_count handle, so numpy stays quiet
+    @np.errstate(divide="ignore", invalid="ignore")
     def d1(t):
         t = np.asarray(t, dtype=float)
         if b == 0.0:    # |t|^a: L^(b-1) would be inf at |t| = 1, times 0
@@ -190,6 +193,7 @@ def _powlog_curve(a: float, b: float, label: str) -> Curve:
         sl = np.sign(np.log(np.abs(t)))
         return np.sign(t) * np.abs(t) ** (a - 1.0) * L(t) ** (b - 1.0) * (a * L(t) + b * sl)
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def d2(t):
         t = np.asarray(t, dtype=float)
         sl = np.sign(np.log(np.abs(t)))

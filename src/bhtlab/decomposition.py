@@ -531,8 +531,9 @@ class TrilinearMachine:
         return complex(self.dx / n ** 2 * total)
 
     # -- slot gradients (for matched extremizer search) -----------------------
-    def grad_slot(self, slot: str, fv, gv, hv, j_list) -> np.ndarray:
-        """V with Lambda = int s V dx for the linear slot s in {f,g,h}.
+    def grad_slot(self, slot: str, fv, gv, hv) -> np.ndarray:
+        """V with Lambda = int s V dx for the linear slot s in {f,g,h}, summed
+        over the scan scales.
 
         Uses the transpose rule for a multiplier M: int (Ms) u dx =
         int s (M~ u) dx where M~ carries the reflected symbol xi -> m(-xi).
@@ -549,7 +550,7 @@ class TrilinearMachine:
         others = {i: self._slot(i, v, keep=True)
                   for i, v in enumerate((fv, gv, hv)) if i != k}
         vh_total = np.zeros(self.n, dtype=complex)
-        for j in j_list:
+        for j in self.scan_scales:
             mults = self.mults(j)
             bins = self._bins[j]
             A, B = (self._filtered(i, j, *s, keep=True) for i, s in others.items())

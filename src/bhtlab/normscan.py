@@ -11,7 +11,7 @@ cross-checked against the multiplier -i pi sign(xi).
 
 Scan side: ensemble sup of |Lambda_m^+| / (||f||_p ||g||_q ||h||_{r'}) over
 seeded triples.  The sums live on the scales where the block geometry is
-alive (10 * 2^m * gamma'(2^-j) <= 20); two kinds of members are drawn:
+alive (10 * 2^m * |gamma'(2^-j)| <= 20); two kinds of members are drawn:
 
   * resonant random packets: modulated Gaussians whose three modulations sum
     to zero inside the band windows, so the form is far from degenerate;
@@ -223,15 +223,17 @@ def triangle_membership(triple: HolderTriple) -> dict:
     triangle together with the two open edges where the second or third
     exponent degenerates to infinity -- exactly the constraint set
     1 < p < infinity, 1 < q <= infinity, 1 <= r < infinity.  The closed edge
-    through B and C (p = infinity) and the vertex A are excluded.
+    through B and C (p = infinity) and the vertex A are excluded.  A
+    coordinate of 1 marks its vertex: the coordinates sum to 1, so the other
+    two vanish.
     """
     x, y, z = triple.coordinates
     near0 = lambda v: abs(v) <= 1e-12
-    if near0(x - 1.0) and near0(y) and near0(z):
+    if near0(x - 1.0):
         region = "vertex A"
-    elif near0(y - 1.0) and near0(x):
+    elif near0(y - 1.0):
         region = "vertex B"
-    elif near0(z - 1.0) and near0(x):
+    elif near0(z - 1.0):
         region = "vertex C"
     elif near0(x):
         region = "edge BC"
@@ -241,10 +243,8 @@ def triangle_membership(triple: HolderTriple) -> dict:
         region = "edge AB"
     else:
         region = "interior"
-    inside = region in ("interior", "edge AC", "edge AB")
-    if region in ("edge AC", "edge AB") and (near0(x) or near0(x - 1.0)):
-        inside = False
-    return {"inside_Omega": inside, "region": region, "coordinates": (x, y, z)}
+    return {"inside_Omega": region in ("interior", "edge AC", "edge AB"), "region": region,
+            "coordinates": (x, y, z)}
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ MATCHED_MEMBERS = 2     # Holder-ascent members in one ensemble, the rest resona
 
 
 def live_scale(c: Curve, m: int) -> int:
-    """Smallest j with 10 * 2^m * gamma'(2^-j) <= 20: the first scale where
+    """Smallest j with 10 * 2^m * |gamma'(2^-j)| <= 20: the first scale where
     one block window covers the full spread of the first-slot band, i.e.
     where the block geometry of index m is fully developed.  Structurally
     zero scales (D_j = 0, e.g. j = 0 on powlog a=2 b=1) carry no bands and
@@ -273,7 +273,7 @@ def live_scale(c: Curve, m: int) -> int:
     for j in range(LIVE_SCALE_CAP + 1):
         if scale_factor(c, j) == 0.0:
             continue
-        if 10.0 * 2.0 ** m * float(c.deriv(2.0 ** (-j))) <= 20.0:
+        if 10.0 * 2.0 ** m * abs(float(c.deriv(2.0 ** (-j)))) <= 20.0:
             return j
     raise ValueError(f"no live scale for {c.label} at m={m} below j={LIVE_SCALE_CAP} "
                      "(requires the vanishing-derivative regime)")
@@ -317,7 +317,7 @@ def resonant_triple(mach: TrilinearMachine, rng):
         wg = (p0 + dg) / d
         wh = -(wf + wg)
         for arr, wv, units in ((f, wf, 6.0), (g, wg, 4.0), (h, wh, 4.0)):
-            sig = min(max(units * d / 2.0, 6.0 * mach.dx), span / 12.0)
+            sig = min(max(units * abs(d) / 2.0, 6.0 * mach.dx), span / 12.0)
             amp = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
             xc = rng.uniform(-0.15, 0.15) * span
             arr += amp * np.exp(-((x - xc) / sig) ** 2) * np.exp(1j * wv * x)
@@ -371,8 +371,7 @@ def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
     a few rounds land near a local extremizer of the grid object.
     """
     rng = np.random.default_rng(seed)
-    j_list = mach.scan_scales
-    j = j_list[0]
+    j = mach.scan_scales[0]
     x = mach.x0 + mach.dx * np.arange(mach.n)
     span = mach.n * mach.dx
     taper = smooth_step((x - x[0]) / (0.08 * span)) * smooth_step((x[-1] - x) / (0.08 * span))
@@ -383,9 +382,9 @@ def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
     g = g / max(lp_norm(mach.grid_function(g), pg), 1e-300)
     h = np.ones(mach.n, dtype=complex) * taper
     for _ in range(rounds):
-        h = _holder_extremal(mach, mach.grad_slot("h", f, g, h, j_list), ph, taper)
-        f = _holder_extremal(mach, mach.grad_slot("f", f, g, h, j_list), pf, taper)
-        g = _holder_extremal(mach, mach.grad_slot("g", f, g, h, j_list), pg, taper)
+        h = _holder_extremal(mach, mach.grad_slot("h", f, g, h), ph, taper)
+        f = _holder_extremal(mach, mach.grad_slot("f", f, g, h), pf, taper)
+        g = _holder_extremal(mach, mach.grad_slot("g", f, g, h), pg, taper)
     return f, g, h
 
 

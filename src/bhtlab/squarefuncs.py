@@ -24,15 +24,12 @@ from .signal import SampledFunction, lp_norm, multiply_spectrum
 
 __all__ = [
     "hardy_littlewood_max",
-    "dyadic_max",
     "CZDecomposition",
     "cz_decompose",
     "ShiftedSquareData",
     "shifted_square_function",
     "norm_growth_in_shift",
     "block_square_ratio",
-    "randomized_operator",
-    "rademacher_fourth_moment",
     "interaction_kernel",
     "interaction_decay_fit",
     "CheckReport",
@@ -193,16 +190,6 @@ def _dyadic_averages(a: np.ndarray):
         yield a
 
 
-def dyadic_max(f: SampledFunction) -> SampledFunction:
-    """Dyadic maximal function: max of |f|-averages over the dyadic blocks
-    [k 2^s, (k+1) 2^s) of grid cells containing the point."""
-    a = np.abs(f.values)
-    out = a
-    for s, level in enumerate(_dyadic_averages(a)):
-        out = np.maximum(out, np.repeat(level, 1 << s))
-    return SampledFunction(f.x0, f.dx, out)
-
-
 # ---------------------------------------------------------------------------
 # Calderon-Zygmund decomposition
 # ---------------------------------------------------------------------------
@@ -357,32 +344,6 @@ def block_square_ratio(h: SampledFunction, c: Curve, m: int, j_list,
         acc += np.sum(np.abs(H) ** 2, axis=0)
     sq = SampledFunction(h.x0, h.dx, np.sqrt(acc))
     return lp_norm(sq, p_prime) / lp_norm(h, p_prime)
-
-
-def randomized_operator(f: SampledFunction, shift: int, signs,
-                        j_list: Optional[list] = None) -> SampledFunction:
-    """Sign-randomized band sum: sum_j signs[j] (f through band j)(x - shift/2^j)."""
-    if j_list is None:
-        j_list = available_bands(f)
-    signs = np.asarray(signs, dtype=float)
-    if len(signs) != len(j_list):
-        raise ValueError("need one sign per band")
-    data = shifted_square_function(f, shift, j_list)
-    return SampledFunction(f.x0, f.dx, np.sum(signs[:, None] * data.bands, axis=0))
-
-
-def rademacher_fourth_moment(bands: np.ndarray) -> np.ndarray:
-    """Exact E|sum_j w_j a_j(x)|^4 over independent sign choices w_j.
-
-    Pairing the four sign factors gives
-        E|X|^4 = 2 (sum|a|^2)^2 + |sum a^2|^2 - 2 sum|a|^4.
-    Used to validate the Monte Carlo route at exponent 4.
-    """
-    a2 = np.abs(bands) ** 2
-    s2 = np.sum(a2, axis=0)
-    s4 = np.sum(a2 ** 2, axis=0)
-    c2 = np.sum(bands ** 2, axis=0)
-    return 2.0 * s2 ** 2 + np.abs(c2) ** 2 - 2.0 * s4
 
 
 # ---------------------------------------------------------------------------

@@ -328,11 +328,10 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     ["decompose", "--curve", "powlog: a=2 b=1", "--j-lo", "0", "--j-hi", "0"],
     # a scale too deep for the search radius of (gamma')^-1
     ["phase", "--curve", "poly: t^2", "--j", "-60"],
-    # gamma' is singular at 2^-0 = 1, so D_0 is not finite (the curve's
-    # construction warns about it; the refusal names the scale)
+    # gamma' is singular at 2^-0 = 1, so D_0 is not finite (the refusal
+    # names the scale)
     pytest.param(["decompose", "--curve", "powlog: a=3 b=0.5", "--m", "4", "--j-lo", "0",
-                  "--j-hi", "1", "--grid-n", "4096"], id="decompose_singular_scale",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                  "--j-hi", "1", "--grid-n", "4096"], id="decompose_singular_scale"),
 ], ids=lambda args: args[0])
 def test_library_refusal_exit_2(tmp_path, capsys, args):
     # refused while computing: the directory may exist, but no manifest is written
@@ -351,6 +350,15 @@ def test_phase_powlog_without_log_factor(tmp_path):
                  "--j", "0"], cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     assert "RuntimeWarning" not in r.stderr
+
+
+def test_curve_check_powlog_singular_at_one(tmp_path):
+    # 0 < b < 2, b != 1: gamma' and gamma'' are inf or nan at |t| = 1, and
+    # curve-check reports the curve without numpy warnings
+    r = run_cli(["--out", str(tmp_path / "c"), "curve-check", "--curve", "powlog: b=0.5 a=3"],
+                cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
 
 
 @pytest.mark.parametrize("j, rc", [(-60, 2), (-14, 0)])

@@ -119,8 +119,7 @@ def test_variation_counts(curve_t2, curve_t3, curve_mixed):
     assert variation_count(curve_mixed, 40) <= 2
     # gamma' is singular at |t| = 1 here, so D_0 is not finite and counts in
     # no window; the finite scales fall into one dyadic window at a time
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert variation_count(builtin_curve("powlog: a=3 b=0.5"), 40) == 1
+    assert variation_count(builtin_curve("powlog: a=3 b=0.5"), 40) == 1
 
 
 def test_powlog_without_log_factor_is_the_power():

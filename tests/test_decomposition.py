@@ -204,9 +204,8 @@ def _dense_grad(mach, rows, slot, fv, gv, hv):
     return np.fft.ifft(np.sum(rows[k][:, refl] * np.fft.fft(A * B, axis=1), axis=0))
 
 
-def _scan_case(desc, m, n, j_list=None, at=None):
-    mach = scan_machine(builtin_curve(desc), m, n=n, j_list=j_list)
-    return mach, at or mach.scan_scales
+def _scan_case(desc, m, n, j_list=None):
+    return scan_machine(builtin_curve(desc), m, n=n, j_list=j_list)
 
 
 def _equal_bank_case(j, edge=None):
@@ -214,14 +213,20 @@ def _equal_bank_case(j, edge=None):
     sits at `edge` times the block reach."""
     bank = FilterBank(curve=builtin_curve("poly: t^2"), m=4, h_widen=1.0, h_mirror=False)
     dx = grid_for_bands(bank, [j]) if edge is None else math.pi / (edge * bank.reach(j)[1])
-    return TrilinearMachine(bank, 2 ** 11, dx, [j]), [j]
+    return TrilinearMachine(bank, 2 ** 11, dx, [j])
 
 
 def _coarse_case():
     """Default t^2 banks at m = 2, j = 2 on 2048 bins, the grid's edge at 0.8
     of the block reach."""
     bank = FilterBank(curve=builtin_curve("poly: t^2"), m=2)
-    return TrilinearMachine(bank, 2 ** 11, math.pi / (0.8 * bank.reach(2)[1]), [2]), [2]
+    return TrilinearMachine(bank, 2 ** 11, math.pi / (0.8 * bank.reach(2)[1]), [2])
+
+
+def _short_case():
+    """Default t^2 banks at m = 4 on a grid sized for j = 2, scanned at j = 3."""
+    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=4)
+    return TrilinearMachine(bank, 2 ** 12, grid_for_bands(bank, [2]), [3])
 
 
 SHORT_GRID_CASES = {
@@ -235,7 +240,7 @@ SHORT_GRID_CASES = {
     # live scales 0 (D_0 = 0: no resonant row) and 1
     "powlog": lambda: _scan_case("powlog: a=2 b=1", 5, 2 ** 12),
     # a grid sized for j = 2 holds the j = 3 windows only at L = N
-    "L=N": lambda: _scan_case("poly: t^2", 4, 2 ** 12, [2], at=[3]),
+    "L=N": _short_case,
     # f's band spans about 2300 of the 4096 bins; each row keeps only those that meet g and h
     "t2 cut": lambda: _scan_case("poly: t^2", 8, 2 ** 12, [2]),
     "t3 cut": lambda: _scan_case("poly: t^3", 8, 2 ** 12, [3]),
@@ -323,7 +328,8 @@ def _f_bins_can_resonate(mach, j) -> bool:
 
 @pytest.mark.parametrize("case", SHORT_GRID_CASES)
 def test_short_grid_matches_dense(case):
-    mach, j_list = SHORT_GRID_CASES[case]()
+    mach = SHORT_GRID_CASES[case]()
+    j_list = mach.scan_scales
     lengths = {mach.mults(j)[0].shape[1] for j in j_list}
     assert (lengths == {mach.n}) == (case in ("L=N", "hull > N"))
     if case == "t2 cut":
@@ -344,7 +350,7 @@ def test_short_grid_matches_dense(case):
         assert any(_crosses_block_edge(mach, j) for j in j_list)
     for slot in "fgh":
         ref = sum(_dense_grad(mach, rows[j], slot, fv, gv, hv) for j in j_list)
-        got = mach.grad_slot(slot, fv, gv, hv, j_list)
+        got = mach.grad_slot(slot, fv, gv, hv)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -363,12 +369,12 @@ def test_kept_rows_reuse_is_exact(curve_t2):
         return got
 
     for slot in "hfgh":
-        v[slot] = same(lambda m: m.grad_slot(slot, v["f"], v["g"], v["h"], j_list))
+        v[slot] = same(lambda m: m.grad_slot(slot, v["f"], v["g"], v["h"]))
     for j in j_list:
         same(lambda m: m.lam_spatial(v["f"], v["g"], v["h"], j))
     v["f"][7] += 1
     same(lambda m: m.lam_spatial(v["f"], v["g"], v["h"], j_list[0]))
-    same(lambda m: m.grad_slot("h", v["f"], v["g"], v["h"], j_list))
+    same(lambda m: m.grad_slot("h", v["f"], v["g"], v["h"]))
 
 
 def test_conjugate_symmetry_real_inputs(curve_t2):

@@ -351,11 +351,34 @@ def test_triangle_membership_spec_points():
     r = triangle_membership(HolderTriple(1.0, math.inf, math.inf))
     assert r["region"] == "vertex A" and not r["inside_Omega"]
 
+    # the (1/p, 1/q) lattice in quarters, vertices and edges included
+    lattice = {
+        (0, 0): ("vertex C", False), (0, 1): ("edge BC", False), (0, 2): ("edge BC", False),
+        (0, 3): ("edge BC", False), (0, 4): ("vertex B", False), (1, 0): ("edge AC", True),
+        (1, 1): ("interior", True), (1, 2): ("interior", True), (1, 3): ("edge AB", True),
+        (2, 0): ("edge AC", True), (2, 1): ("interior", True), (2, 2): ("edge AB", True),
+        (3, 0): ("edge AC", True), (3, 1): ("edge AB", True), (4, 0): ("vertex A", False),
+    }
+    inv = lambda v: math.inf if v == 0 else 1.0 / v
+    for (a, b), (region, inside) in lattice.items():
+        t = HolderTriple(inv(a / 4), inv(b / 4), inv(1.0 - a / 4 - b / 4))
+        assert triangle_membership(t) == {"inside_Omega": inside, "region": region,
+                                          "coordinates": t.coordinates}
+
+    # a coordinate of 1 is its vertex, also where the triple's 1e-9 slack in
+    # 1/p + 1/q + 1/r' = 1 leaves another coordinate off 0
+    for triple, vertex in (((1.0, math.inf, 1e10), "vertex A"),
+                           ((1e10, 1.0, math.inf), "vertex B"),
+                           ((1e10, math.inf, 1.0), "vertex C")):
+        r = triangle_membership(HolderTriple(*triple))
+        assert r["region"] == vertex and not r["inside_Omega"]
+
 
 @pytest.mark.parametrize("triple, vertex", [
     ((1.0, math.inf, math.inf), "vertex A"),
     ((math.inf, 1.0, math.inf), "vertex B"),
     ((math.inf, math.inf, 1.0), "vertex C"),
+    ((1e10, 1.0, math.inf), "vertex B"),
 ])
 def test_scan_refuses_triangle_vertices(curve_t2, monkeypatch, triple, vertex):
     # an exponent of 1 has an infinite Holder dual; refused before any machine is built
@@ -375,9 +398,28 @@ def test_live_scale(curve_t2, curve_t3):
             assert 10.0 * 2.0 ** m * float(curve_t2.deriv(2.0 ** (-(j - 1)))) > 20.0
     assert live_scale(curve_t3, 8) < live_scale(curve_t2, 8)
 
-    from bhtlab.curves import builtin_curve
+    # the test reads |gamma'|: mirrored curves share their live scales, and a
+    # curve with gamma' < 0 at t = 1 is not live there
+    for c, desc in ((curve_t2, "poly: -1*t^2"), (curve_t3, "poly: -1*t^3")):
+        mirrored = builtin_curve(desc)
+        assert [live_scale(mirrored, m) for m in range(2, 9)] == \
+            [live_scale(c, m) for m in range(2, 9)]
+    mixed = builtin_curve("poly: t^2 - t^3")
+    assert float(mixed.deriv(1.0)) == -1.0
+    assert all(live_scale(mixed, m) >= 1 for m in range(2, 9))
+
     with pytest.raises(ValueError):
         live_scale(builtin_curve("pow: 0.5"), 4)
+
+
+def test_mirrored_curve_scans_like_its_mirror(curve_t2):
+    # gamma -> -gamma mirrors every block window, and the resonant packets are
+    # as wide on both: the sups agree up to the mirrored draws
+    triple = [HolderTriple.on_edge("AB", 2.0)]
+    ref, got = (scan_triples(c, triple, [3, 4], ensemble_size=3, n=2 ** 11, rounds=1)[0]
+                for c in (curve_t2, builtin_curve("poly: -1*t^2")))
+    for a, b in zip(ref, got):
+        assert b.sup_ratio == pytest.approx(a.sup_ratio, rel=1e-3)
 
 
 def test_live_scale_skips_zero_scale(curve_powlog):

@@ -1,14 +1,14 @@
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from bhtlab.signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble, symmetric_grid
-from bhtlab.squarefuncs import (available_bands, cancellation_bound_check, cz_decompose,
-                                dual_pointwise_check, dyadic_max, hardy_littlewood_max,
+from bhtlab.squarefuncs import (_dyadic_averages, available_bands, cancellation_bound_check,
+                                cz_decompose, dual_pointwise_check, hardy_littlewood_max,
                                 interaction_decay_fit, interaction_kernel,
-                                norm_growth_in_shift, rademacher_fourth_moment,
-                                randomized_operator, shifted_square_function,
+                                norm_growth_in_shift, shifted_square_function,
                                 windowed_energy_check)
 
 
@@ -87,6 +87,16 @@ def test_maximal_dominates_and_constant():
     assert np.all(M >= np.abs(f.values) - 1e-14)
     c = SampledFunction(f.x0, f.dx, np.full(f.n, 2.5 + 0j))
     assert np.max(np.abs(hardy_littlewood_max(c).values - 2.5)) < 1e-14
+
+
+def dyadic_max(f: SampledFunction) -> SampledFunction:
+    """Dyadic maximal function: max of |f|-averages over the dyadic blocks
+    [k 2^s, (k+1) 2^s) of grid cells containing the point."""
+    a = np.abs(f.values)
+    out = a
+    for s, level in enumerate(_dyadic_averages(a)):
+        out = np.maximum(out, np.repeat(level, 1 << s))
+    return SampledFunction(f.x0, f.dx, out)
 
 
 def test_dyadic_max_vs_uncentered():
@@ -238,6 +248,32 @@ def test_weak_type_level_sets():
     c1 = weak_constant(1)
     for l in (4, 16, 64, 256, 1024):
         assert weak_constant(l) <= 2.0 * c1
+
+
+def randomized_operator(f: SampledFunction, shift: int, signs,
+                        j_list: Optional[list] = None) -> SampledFunction:
+    """Sign-randomized band sum: sum_j signs[j] (f through band j)(x - shift/2^j)."""
+    if j_list is None:
+        j_list = available_bands(f)
+    signs = np.asarray(signs, dtype=float)
+    if len(signs) != len(j_list):
+        raise ValueError("need one sign per band")
+    data = shifted_square_function(f, shift, j_list)
+    return SampledFunction(f.x0, f.dx, np.sum(signs[:, None] * data.bands, axis=0))
+
+
+def rademacher_fourth_moment(bands: np.ndarray) -> np.ndarray:
+    """Exact E|sum_j w_j a_j(x)|^4 over independent sign choices w_j.
+
+    Pairing the four sign factors gives
+        E|X|^4 = 2 (sum|a|^2)^2 + |sum a^2|^2 - 2 sum|a|^4.
+    Used to validate the Monte Carlo route at exponent 4.
+    """
+    a2 = np.abs(bands) ** 2
+    s2 = np.sum(a2, axis=0)
+    s4 = np.sum(a2 ** 2, axis=0)
+    c2 = np.sum(bands ** 2, axis=0)
+    return 2.0 * s2 ** 2 + np.abs(c2) ** 2 - 2.0 * s4
 
 
 def test_randomized_operator_reconstruction_and_moments():
