@@ -128,7 +128,9 @@ def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
                params: PVParams = PVParams()) -> tuple[SampledFunction, dict]:
     """Principal-value evaluation of the curved bilinear transform on f's grid:
     (estimate, diagnostics), the diagnostics being the closure check's
-    last_delta, eps_final and flagged_points (see PVParams).
+    last_delta, eps_final and flagged_points (see PVParams) and live_outer,
+    the number of (outer panel, sign branch) pairs out of 2 * count whose
+    band of rows is nonempty (see _bht_core).
 
     The quadrature evaluates f and g off the grid, through their closed-form
     profiles; a member without one is refused (ValueError).
@@ -137,10 +139,24 @@ def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
 
 
 def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams):
+    """The PV sum over the _pv_panels layout, each panel and sign branch on
+    its own band of rows.
+
+    The branch sign s of a panel with nodes T pairs f(x - s t) with
+    g(x + gamma(s t)); at every node one of the two is at most TAIL_BOUND
+    unless x - s t can fall in f's support and x + gamma(s t) in g's, so a
+    row outside [f_lo + min sT, f_hi + max sT] or outside
+    [g_lo - max gamma(sT), g_hi - min gamma(sT)] (extremes over the nodes
+    evaluated) is dropped: f and g are evaluated only on the intersection,
+    a panel with both bands empty evaluates nothing, and the branches are
+    still subtracted before the division by t.  Members with the whole line
+    as support run the same code over every row.
+    """
     if f.profile is None or g.profile is None:
         raise ValueError("the PV quadrature evaluates f and g off the grid: "
                          "both members need a closed-form profile")
     fe, ge = f.profile, g.profile
+    (f_lo, f_hi), (g_lo, g_hi) = f.support, g.support
     xs = f.x
     n = f.n
     t_max = params.t_max if params.t_max is not None else n * f.dx
@@ -148,23 +164,46 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
     glx, glw = np.polynomial.legendre.leggauss(params.gl_order)
     total = np.zeros(n, dtype=complex)
 
-    def paired(ts):
-        gp = np.asarray(c.eval_fn(ts), dtype=float)
-        gm = np.asarray(c.eval_fn(-ts), dtype=float)
-        return (fe(xs[:, None] - ts[None, :]) * ge(xs[:, None] + gp[None, :])
-                - fe(xs[:, None] + ts[None, :]) * ge(xs[:, None] + gm[None, :])) / ts[None, :]
+    def rows(x, lo, hi):
+        """(i0, i1): the rows of the sorted x within [lo, hi], i1 = i0 if none."""
+        i0 = int(np.searchsorted(x, lo))
+        return i0, max(i0, int(np.searchsorted(x, hi, side="right")))
+
+    def add_pair(acc, ts, ws, gp, gm, f_rows):
+        """acc += sum_k ws_k [f(x - t_k) g(x + gp_k) - f(x + t_k) g(x + gm_k)] / t_k,
+        each branch on its band; f_rows(s, i0, i1) is f(x - s t) on rows
+        i0..i1.  Returns the number of branches with a nonempty band."""
+        (p0, p1), (m0, m1) = (rows(xs, max(f_lo + st.min(), g_lo - gam.max()),
+                                   min(f_hi + st.max(), g_hi - gam.min()))
+                              for st, gam in ((ts, gp), (-ts, gm)))
+        live = [(i0, i1) for i0, i1 in ((p0, p1), (m0, m1)) if i1 > i0]
+        if not live:
+            return 0
+        u0, u1 = min(i0 for i0, _ in live), max(i1 for _, i1 in live)
+        block = np.zeros((u1 - u0, len(ts)), dtype=complex)
+        if p1 > p0:
+            block[p0 - u0: p1 - u0] = f_rows(1, p0, p1) * ge(xs[p0:p1, None] + gp)
+        if m1 > m0:
+            block[m0 - u0: m1 - u0] -= f_rows(-1, m0, m1) * ge(xs[m0:m1, None] + gm)
+        acc[u0:u1] += (block / ts) @ ws
+        return len(live)
+
+    def paired(ts, ws):
+        out = np.zeros(n, dtype=complex)
+        add_pair(out, ts, ws, np.asarray(c.eval_fn(ts), dtype=float),
+                 np.asarray(c.eval_fn(-ts), dtype=float),
+                 lambda sgn, i0, i1: fe(xs[i0:i1, None] - sgn * ts))
+        return out
 
     def panel(a, b):
-        ts = 0.5 * (b - a) * glx + 0.5 * (a + b)
-        ws = 0.5 * (b - a) * glw
-        return paired(ts) @ ws
+        return paired(0.5 * (b - a) * glx + 0.5 * (a + b), 0.5 * (b - a) * glw)
 
     u = 0.5 * (glx + 1.0)
 
     def closing(e):
         # t = e u^2 on (0, e), weight 2 e u: the pairing's powers of t become
         # (near-)whole powers of u, which Gauss nodes integrate
-        return paired(e * u ** 2) @ (glw * e * u)
+        return paired(e * u ** 2, glw * e * u)
 
     # check the closing panel against its own halving and keep the finer sum
     eps = layout.eps
@@ -180,29 +219,41 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
             break
     total += closure
 
+    live_outer = 0
     if layout.count:
         # panel q's nodes are panel 0's nodes t0 moved by q * cells grid cells,
         # so f(x_i -+ t) = f(x_{i -+ q cells} -+ t0): f is evaluated once per
-        # node on the grid extended by (count - 1) * cells cells, then sliced
+        # node on the grid extended by (count - 1) * cells cells, within its
+        # support's reach (0 elsewhere), then sliced
         t0 = 1.0 + layout.width * u
         ws = 0.5 * layout.width * glw
         ext = (layout.count - 1) * layout.cells
-        f_minus = fe((f.x0 + f.dx * np.arange(-ext, n))[:, None] - t0[None, :])
-        f_plus = fe((f.x0 + f.dx * np.arange(n + ext))[:, None] + t0[None, :])
+
+        def f_block(xe, st):
+            out = np.zeros((len(xe), len(st)), dtype=complex)
+            i0, i1 = rows(xe, f_lo + st.min(), f_hi + st.max())
+            out[i0:i1] = fe(xe[i0:i1, None] - st)
+            return out
+
+        f_minus = f_block(f.x0 + f.dx * np.arange(-ext, n), t0)
+        f_plus = f_block(f.x0 + f.dx * np.arange(n + ext), -t0)
         ts = layout.width * np.arange(layout.count)[:, None] + t0[None, :]
         gp = np.asarray(c.eval_fn(ts), dtype=float)
         gm = np.asarray(c.eval_fn(-ts), dtype=float)
         for q in range(layout.count):
             s = q * layout.cells
-            total += ((f_minus[ext - s: ext - s + n] * ge(xs[:, None] + gp[q])
-                       - f_plus[s: s + n] * ge(xs[:, None] + gm[q])) / ts[q]) @ ws
+            live_outer += add_pair(
+                total, ts[q], ws, gp[q], gm[q],
+                lambda sgn, i0, i1, s=s: (f_minus[ext - s + i0: ext - s + i1] if sgn > 0
+                                          else f_plus[s + i0: s + i1]))
 
     if layout.tail is not None:
         total += panel(*layout.tail)
 
     out = SampledFunction(f.x0, f.dx, total)
     diag = {"last_delta": float(deltas.max()),
-            "flagged_points": int(np.sum(deltas >= params.tolerance)), "eps_final": eps}
+            "flagged_points": int(np.sum(deltas >= params.tolerance)), "eps_final": eps,
+            "live_outer": live_outer}
     return out, diag
 
 

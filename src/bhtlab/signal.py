@@ -44,6 +44,8 @@ __all__ = [
 
 _MIN_N = 16
 ENSEMBLE_CENTER_FRAC = 0.25    # member centres lie within +-this fraction of the grid span
+TAIL_BOUND = 1e-18             # |profile| outside a member's support is at most this
+WHOLE_LINE = (-math.inf, math.inf)
 
 
 def _check_pow2(n: int) -> None:
@@ -53,12 +55,19 @@ def _check_pow2(n: int) -> None:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A complex function sampled on the uniform grid x0 + dx*arange(N)."""
+    """A complex function sampled on the uniform grid x0 + dx*arange(N).
+
+    `profile`, when present, is the closed form t -> f(t) behind the samples.
+    `support` is an interval (lo, hi) outside which |profile| <= TAIL_BOUND;
+    the whole line unless the maker proved a bound.  Neither takes part in
+    equality.
+    """
 
     x0: float
     dx: float
     values: np.ndarray
     profile: Optional[Callable] = field(default=None, compare=False, repr=False)
+    support: tuple = field(default=WHOLE_LINE, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -68,6 +77,9 @@ class SampledFunction:
             raise ValueError(f"dx must be positive and finite, got {self.dx}")
         if not np.all(np.isfinite(vals.view(float))):
             raise ValueError("sample values must be finite")
+        lo, hi = self.support
+        if not lo <= hi:    # a nan fails too
+            raise ValueError(f"support must be an interval lo <= hi, got {self.support}")
 
     @property
     def n(self) -> int:
@@ -78,7 +90,8 @@ class SampledFunction:
         return self.x0 + self.dx * np.arange(self.n)
 
     def with_values(self, values) -> "SampledFunction":
-        return replace(self, values=np.asarray(values, dtype=complex), profile=None)
+        return replace(self, values=np.asarray(values, dtype=complex), profile=None,
+                       support=WHOLE_LINE)
 
 
 def symmetric_grid(half_width: float, n: int) -> tuple[float, float]:
@@ -180,7 +193,14 @@ class EnsembleShape:
 
 
 # Each maker draws one member's parameters from rng (half: the grid's half
-# span) and returns the member's closed-form profile t -> f(t).
+# span) and returns the member's closed-form profile t -> f(t) with its
+# support, an interval outside which |f| <= TAIL_BOUND.
+
+def _gaussian_reach(amp, s):
+    """r with amp * exp(-(r/s)^2) = TAIL_BOUND: beyond r from its centre a
+    Gaussian of height amp and width s stays under the bound."""
+    return s * math.sqrt(math.log(amp / TAIL_BOUND))
+
 
 def _gaussian_member(rng, half, shape):
     terms = []
@@ -206,7 +226,9 @@ def _gaussian_member(rng, half, shape):
                                   where=live)
         return out
 
-    return profile
+    # each of the K terms stays under TAIL_BOUND / K beyond its reach
+    reach = [(c, _gaussian_reach(len(terms) * abs(a), s)) for a, c, s, _ in terms]
+    return profile, (min(c - r for c, r in reach), max(c + r for c, r in reach))
 
 
 def _lacunary_member(rng, half, shape):
@@ -224,7 +246,8 @@ def _lacunary_member(rng, half, shape):
             out = out + a * np.exp(1j * (2.0 ** k) * base * t)
         return env * out
 
-    return profile
+    r = _gaussian_reach(sum(abs(a) for a in coeffs), s)
+    return profile, (c - r, c + r)
 
 
 def _step_member(rng, half, shape):
@@ -243,7 +266,8 @@ def _step_member(rng, half, shape):
             out = out + a * smooth_step((t - c + w) / ramp) * smooth_step((c + w - t) / ramp)
         return out
 
-    return profile
+    # smooth_step vanishes off (0, 1): each term lives on (c - w, c + w) exactly
+    return profile, (min(c - w for _, c, w, _ in terms), max(c + w for _, c, w, _ in terms))
 
 
 _MAKERS = {"gaussian": _gaussian_member, "lacunary": _lacunary_member, "step": _step_member}
@@ -255,7 +279,12 @@ def make_ensemble(seed: int, count: int, shape: EnsembleShape,
     """Deterministic ensemble of test functions; same seed, same bytes.
 
     Members carry their closed-form `profile` so principal-value quadratures
-    can evaluate them off the grid exactly.
+    can evaluate them off the grid exactly, and its proven `support`: the
+    interval outside which |profile| <= TAIL_BOUND.  A Gaussian sum of K
+    terms a_k exp(-((t - c_k)/s_k)^2) reaches r_k = s_k sqrt(ln(K |a_k| /
+    TAIL_BOUND)) from each centre; a lacunary member is one such envelope
+    of amplitude sum |coeffs|; a step member vanishes exactly off
+    [min(c - w), max(c + w)].
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -263,6 +292,7 @@ def make_ensemble(seed: int, count: int, shape: EnsembleShape,
         raise ValueError(f"unknown ensemble kind {shape.kind!r}")
     rng = np.random.default_rng(seed)
     maker = _MAKERS[shape.kind]
-    profiles = [maker(rng, 0.5 * n * dx, shape) for _ in range(count)]
+    made = [maker(rng, 0.5 * n * dx, shape) for _ in range(count)]
     x = x0 + dx * np.arange(n)
-    return [SampledFunction(x0, dx, profile(x), profile=profile) for profile in profiles]
+    return [SampledFunction(x0, dx, profile(x), profile=profile, support=support)
+            for profile, support in made]

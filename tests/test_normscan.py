@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -299,6 +300,49 @@ def test_pv_inner_panel_count(curve_t2):
     inner = shapes.count((f.n, PVParams().gl_order))
     assert inner % 2 == 0 and 0 < inner // 2 <= 8
     assert diag["flagged_points"] == 0
+
+
+BHT_CURVES = ["poly: t^2", "poly: t^3", "poly: 1*t^2 + 0.5*t^3", "pow: 1.5", "powlog: a=2 b=1"]
+
+
+def bht_members(seed, count):
+    """`bhtlab bht`'s members: its shape on its default grid."""
+    x0, dx = symmetric_grid(32.0, 2 ** 12)
+    return make_ensemble(seed, count, PV_SHAPE, x0=x0, dx=dx, n=2 ** 12)
+
+
+@pytest.mark.parametrize("desc", BHT_CURVES)
+def test_pv_bands_match_whole_line(desc):
+    # a row dropped from a panel's band has a factor of at most TAIL_BOUND at
+    # every node, so the banded sum is the whole-line one to far below rounding
+    c = builtin_curve(desc)
+    for seed in (0, 7):
+        f, g = bht_members(seed, 2)
+        out, diag = _bht_core(c, f, g, PVParams())
+        whole = [dataclasses.replace(m, support=(-math.inf, math.inf)) for m in (f, g)]
+        ref, ref_diag = _bht_core(c, *whole, PVParams())
+        assert np.linalg.norm(out.values - ref.values) <= 1e-15 * np.linalg.norm(ref.values)
+        assert diag["eps_final"] == ref_diag["eps_final"]
+        assert 0 < diag["live_outer"] < ref_diag["live_outer"] == 2 * 63
+
+
+def test_pv_band_point_count():
+    # the pv benchmark's curved run, seed 7, one member paired with itself.
+    # Over the whole line it evaluates 9_564_160 points: f and g on n = 2^12
+    # rows at 16 nodes in 4 inner panels per branch, f on the outer grid
+    # extended by 62 * 64 rows, and g in 63 outer panels per branch
+    c = builtin_curve("poly: 1*t^2 + 0.5*t^3")
+    f = bht_members(7, 1)[0]
+    points = [0]
+
+    def counted(t):
+        points[0] += np.size(t)
+        return f.profile(t)
+
+    member = dataclasses.replace(f, profile=counted)
+    _, diag = bht_direct(c, member, member)
+    assert points[0] <= 9_564_160 / 4
+    assert diag["live_outer"] > 0 and diag["flagged_points"] == 0
 
 
 def test_gaussian_profile_matches_masked_formula():

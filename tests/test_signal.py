@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bhtlab.bumps import PHI_INNER, PHI_OUTER, bump_phi, plateau_window
-from bhtlab.signal import (EnsembleShape, SampledFunction, _check_pow2, lp_norm, make_ensemble,
-                           multiply_spectrum, symmetric_grid)
+from bhtlab.signal import (TAIL_BOUND, EnsembleShape, SampledFunction, _check_pow2, lp_norm,
+                           make_ensemble, multiply_spectrum, symmetric_grid)
 
 
 # The analytic transform pair of the Fourier convention in bhtlab.signal,
@@ -271,6 +271,22 @@ def test_lacunary_and_step_kinds():
             assert np.all(np.isfinite(f.values.view(float)))
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "lacunary", "step"])
+def test_member_support_bounds_profile(kind):
+    # outside its support a member's profile is at most TAIL_BOUND, just past
+    # either edge and far away; the support is a finite interval, and
+    # with_values, which drops the profile, drops the bound with it
+    for seed in range(6):
+        for f in make_ensemble(seed, 3, EnsembleShape(kind=kind), n=2 ** 12, dx=64.0 / 2 ** 12):
+            lo, hi = f.support
+            assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            gaps = (hi - lo) * np.array([1e-9, 1e-6, 1e-3, 0.1, 1.0, 1e3]) + [0, 0, 0, 0, 0, 1e12]
+            t = np.concatenate([lo - gaps, hi + gaps])
+            assert np.max(np.abs(f.profile(t))) <= TAIL_BOUND
+            assert np.max(np.abs(f.profile(np.linspace(lo, hi, 1001)))) > TAIL_BOUND
+            assert f.with_values(f.values).support == (-math.inf, math.inf)
+
+
 def test_sampled_function_validation():
     with pytest.raises(ValueError):
         SampledFunction(0.0, 0.1, np.ones(24))          # not a power of two
@@ -283,3 +299,6 @@ def test_sampled_function_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         SampledFunction(0.0, 0.1, bad)
+    for support in ((1.0, -1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="support"):
+            SampledFunction(0.0, 0.1, np.ones(16), support=support)
