@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-ORACLE_COLUMNS = 1024    # grid bins per block when the oracle scans g and h for their hulls
+ORACLE_SAMPLES = 2 ** 16    # samples (P rows x bins) per block of the oracle's hull scan
 
 
 def scale_factor(c: Curve, j: int) -> float:
@@ -489,12 +489,15 @@ class TrilinearMachine:
     def _hull(self, family) -> tuple:
         """Per row of family's (P, N) rows, its least and greatest signed bin
         (N//2 - N .. N//2 - 1) holding a nonzero sample; lo > hi for a row
-        with none.  The whole grid is sampled, ORACLE_COLUMNS bins at a time
-        in signed order."""
+        with none.  The whole grid is sampled in signed order, in blocks of
+        max(1, ORACLE_SAMPLES // P) bins for all P rows, so a block's
+        float64 temporaries stay at 512 KiB: ones of 2 MiB (1024 bins at
+        P = 256) are page-faulted in afresh on every block."""
         n, p = self.n, len(self.bank.p0_values)
+        width = max(1, ORACLE_SAMPLES // p)
         lo, hi = np.full(p, n), np.full(p, -n)
-        for s0 in range(n // 2 - n, n // 2, ORACLE_COLUMNS):
-            s = np.arange(s0, min(s0 + ORACLE_COLUMNS, n // 2))
+        for s0 in range(n // 2 - n, n // 2, width):
+            s = np.arange(s0, min(s0 + width, n // 2))
             nz = family(self.xi[s % n]) != 0
             hit = nz.any(axis=1)
             lo = np.minimum(lo, np.where(hit, s[np.argmax(nz, axis=1)], n))

@@ -499,12 +499,13 @@ def windowed_energy_check(u: SampledFunction, c: Curve, m: int, j: int) -> Check
     """(|u through band(m+j)|^2 * 2^j nu(2^j .))(x)  vs
     2^-m sum_{l=2^{m-1}}^{2^{m+1}} M(u)(x - l/2^{m+j})^2.
 
+    The sum runs over the integers l in that range (l = 1, 2 at m = 0).
     Translations of the maximal function are rounded to grid cells.
     """
     lhs = _smeared_band_energy(u, c, m, j)
     mx = hardy_littlewood_max(u).values.real
     acc = np.zeros(u.n)
-    for l in range(2 ** (m - 1), 2 ** (m + 1) + 1):
+    for l in range(math.ceil(2.0 ** (m - 1)), 2 ** (m + 1) + 1):
         cells = int(round(l / 2.0 ** (m + j) / u.dx))
         acc += np.roll(mx, cells) ** 2
     rhs = acc / 2.0 ** m
@@ -516,7 +517,12 @@ def dual_pointwise_check(g: SampledFunction, h: SampledFunction, c: Curve,
     """sum_p0 |(g through block p0)(x) (h through block p0)(x)|^2  vs
     ||g||_inf^2 M(h through the m-block envelope)^2 (x); also reports the
     bounded-block-energy sup  sum_p0 |g through block p0|^2 / ||g||_inf^2.
+    g and h must share one grid (x0, dx, n).
     """
+    grids = [(v.x0, v.dx, v.n) for v in (g, h)]
+    if grids[0] != grids[1]:
+        raise ValueError("g and h must share one grid (x0, dx, n), got "
+                         f"g on {grids[0]} and h on {grids[1]}")
     bank = FilterBank(curve=c, m=m)
     G = multiply_spectrum(g, lambda xi: bank.block_filters(j, xi))
     H = multiply_spectrum(h, lambda xi: bank.block_filters(j, xi))

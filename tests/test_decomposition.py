@@ -7,7 +7,7 @@ import pytest
 
 from bhtlab.bumps import PHI_OUTER, bump_phi
 from bhtlab.curves import Curve, _limit_r_prime, builtin_curve
-from bhtlab.decomposition import (ORACLE_COLUMNS, FilterBank, TrilinearMachine,
+from bhtlab.decomposition import (ORACLE_SAMPLES, FilterBank, TrilinearMachine,
                                   grid_for_bands, overlap_report, scale_factor,
                                   structurally_zero)
 from bhtlab.normscan import resonant_triple, scan_machine
@@ -247,7 +247,7 @@ SHORT_GRID_CASES = {
     # default banks on a grid so coarse that each row's g and h windows
     # together span more than N bins (about 2600 of 2048)
     "hull > N": _coarse_case,
-    # fewer bins than ORACLE_COLUMNS: the oracle's hull scan is one block
+    # P N <= ORACLE_SAMPLES: the oracle's hull scan is one block
     "n=256": lambda: _scan_case("poly: t^2", 4, 2 ** 8),
 }
 
@@ -292,12 +292,18 @@ def _hulls_match_dense(mach, j, rows) -> bool:
     return True
 
 
+def _hull_block_width(mach) -> int:
+    """Bins per block of the oracle's hull scan: ORACLE_SAMPLES samples over
+    the bank's P rows."""
+    return max(1, ORACLE_SAMPLES // len(mach.bank.p0_values))
+
+
 def _crosses_block_edge(mach, j) -> bool:
-    """Some g or h row's hull spans two of the ORACLE_COLUMNS-bin blocks in
-    which the oracle scans the grid."""
-    n = mach.n
+    """Some g or h row's hull spans two of the blocks in which the oracle
+    scans the grid."""
+    n, width = mach.n, _hull_block_width(mach)
     for lo, hi in _oracle_hulls(mach, j):
-        blocks = [(e - (n // 2 - n)) // ORACLE_COLUMNS for e in (lo, hi)]
+        blocks = [(e - (n // 2 - n)) // width for e in (lo, hi)]
         if np.any((lo <= hi) & (blocks[0] != blocks[1])):
             return True
     return False
@@ -326,6 +332,24 @@ def _f_bins_can_resonate(mach, j) -> bool:
     return True
 
 
+@pytest.mark.parametrize("m, n", [(4, 2 ** 12), (6, 2 ** 12), (8, 2 ** 12), (4, 2 ** 8)])
+def test_hull_scans_grid_in_sample_blocks(curve_t2, m, n):
+    # the oracle samples every signed bin N//2 - N .. N//2 - 1 once, in
+    # order, through the family, in blocks of at most ORACLE_SAMPLES samples
+    mach = scan_machine(curve_t2, m, n=n, j_list=[2])
+    p = len(mach.bank.p0_values)
+    blocks = []
+
+    def family(xi):
+        blocks.append(xi.copy())
+        return mach.bank.block_filters(2, xi)
+
+    mach._hull(family)
+    assert np.array_equal(np.concatenate(blocks), mach.xi[np.arange(n // 2 - n, n // 2) % n])
+    assert all(0 < p * len(xi) <= ORACLE_SAMPLES for xi in blocks)
+    assert len(blocks) == -(-p * n // ORACLE_SAMPLES)
+
+
 @pytest.mark.parametrize("case", SHORT_GRID_CASES)
 def test_short_grid_matches_dense(case):
     mach = SHORT_GRID_CASES[case]()
@@ -346,8 +370,11 @@ def test_short_grid_matches_dense(case):
         assert abs(mach.lam_spectral(fv, gv, hv, j) - ref) <= 1e-12 * abs(ref)
         assert _oracle_bins_once(mach, j)
         assert _hulls_match_dense(mach, j, rows[j])
-    if case in ("t3 cut", "hull > N"):
+    # at m = 8 the hull scan takes blocks of 256 bins, and some hull spans two
+    if case in ("t2 cut", "t3 cut"):
         assert any(_crosses_block_edge(mach, j) for j in j_list)
+    if case in ("hull > N", "n=256"):
+        assert _hull_block_width(mach) >= mach.n
     for slot in "fgh":
         ref = sum(_dense_grad(mach, rows[j], slot, fv, gv, hv) for j in j_list)
         got = mach.grad_slot(slot, fv, gv, hv)

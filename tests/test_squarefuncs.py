@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bhtlab.signal import EnsembleShape, SampledFunction, lp_norm, make_ensemble, symmetric_grid
-from bhtlab.squarefuncs import (_dyadic_averages, available_bands, cancellation_bound_check,
+from bhtlab.squarefuncs import (_dyadic_averages, _report, _smeared_band_energy,
+                                available_bands, cancellation_bound_check,
                                 cz_decompose, dual_pointwise_check, hardy_littlewood_max,
                                 interaction_decay_fit, interaction_kernel,
                                 norm_growth_in_shift, shifted_square_function,
@@ -397,6 +398,21 @@ def test_windowed_energy_check(curve_t2):
     assert rep_s.ratio_sup == pytest.approx(rep.ratio_sup, rel=0.05)
 
 
+@pytest.mark.parametrize("m, shifts", [(0, (1, 2)), (4, range(8, 33))])
+def test_windowed_energy_check_sums_integer_shifts(curve_t2, m, shifts):
+    # the right side sums M(u)(x - l/2^(m+j))^2 over the integers l in
+    # [2^(m-1), 2^(m+1)] in order, 2^-m times; m = 0 takes l = 1, 2
+    j = 2
+    u = _banded_member(curve_t2, m, j, 5)
+    rep = windowed_energy_check(u, curve_t2, m, j)
+    mx = hardy_littlewood_max(u).values.real
+    acc = np.zeros(u.n)
+    for l in shifts:
+        acc += np.roll(mx, int(round(l / 2.0 ** (m + j) / u.dx))) ** 2
+    assert rep == _report(_smeared_band_energy(u, curve_t2, m, j), acc / 2.0 ** m)
+    assert np.isfinite(rep.ratio_sup) and rep.ratio_sup > 0
+
+
 def test_energy_checks_ignore_grid_origin(curve_t2):
     # the same samples labelled from three origins give bit-identical reports
     m, j = 4, 2
@@ -441,6 +457,23 @@ def test_dual_pointwise_check(curve_t2):
     one = mach.grid_function(np.ones(mach.n))
     rep1 = dual_pointwise_check(one, hs, curve_t2, m, j)
     assert rep1.lhs_sup < 1e-20
+
+
+@pytest.mark.parametrize("other", ["x0 and dx doubled", "half the samples"])
+def test_dual_pointwise_check_refuses_other_grid(curve_t2, other):
+    from bhtlab.normscan import scan_machine, resonant_triple
+    m, j = 4, 2
+    mach = scan_machine(curve_t2, m, n=2 ** 12, j_list=[j])
+    _, g, h, _ = resonant_triple(mach, np.random.default_rng(13))
+    gs = mach.grid_function(g)
+    if other == "x0 and dx doubled":
+        hs = SampledFunction(2 * mach.x0, 2 * mach.dx, h)
+    else:
+        hs = SampledFunction(mach.x0, mach.dx, h[: mach.n // 2])
+    with pytest.raises(ValueError) as err:
+        dual_pointwise_check(gs, hs, curve_t2, m, j)
+    for grid in ((gs.x0, gs.dx, gs.n), (hs.x0, hs.dx, hs.n)):
+        assert str(grid) in str(err.value)
 
 
 def test_dual_pointwise_sweep(curve_t2):
