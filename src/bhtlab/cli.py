@@ -354,6 +354,8 @@ def _m_list(spec: str) -> list[int]:
         ms = [int(x) for x in spec.split(",")]
     if not ms or min(ms) < 0:
         raise ValueError("need a nonempty list of m >= 0")
+    if len(set(ms)) < len(ms):
+        raise ValueError("each m may appear once")
     return ms
 
 

@@ -510,6 +510,12 @@ def nonflatness_report(c: Curve) -> dict:
     }
 
 
+def _line_fit(x, y) -> tuple:
+    """(slope, rms residual) of the least-squares line y ~ x."""
+    slope, intercept = np.polyfit(x, y, 1)
+    return slope, float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+
+
 def growth_dichotomy(c: Curve) -> dict:
     """Log-log fit of |gamma'| near 0: regime, sandwich constants, residual.
 
@@ -522,9 +528,7 @@ def growth_dichotomy(c: Curve) -> dict:
     hi = min(1.0, 0.5 * c.monotone_radius) / 2.0
     t = np.logspace(math.log10(hi) - 6, math.log10(hi), 256)
     g = np.abs(np.asarray(c.deriv(t), dtype=float))
-    slope, intercept = np.polyfit(np.log(t), np.log(g), 1)
-    resid = np.log(g) - (slope * np.log(t) + intercept)
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    slope, rms = _line_fit(np.log(t), np.log(g))
     pref = g / t ** slope
     regime = "derivative_vanishes_at_zero" if slope > 0 else "derivative_blows_up_at_zero"
     return {

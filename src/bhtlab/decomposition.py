@@ -287,19 +287,9 @@ def _place(vals: np.ndarray, bins: np.ndarray, shift: np.ndarray, L: int) -> tup
     r = np.arange(p)[:, None]
     rows = np.zeros((p, L), dtype=vals.dtype)
     rows[r, pos] = vals
-    at = np.zeros((p, L), dtype=np.int32)     # half of intp's bytes, for the kept rows
+    at = np.zeros((p, L), dtype=np.int32)     # half of intp's bytes, for the memoized bins
     at[r, pos] = bins
     return rows, at
-
-
-def _same_bits(kept: np.ndarray, v) -> bool:
-    """v has kept's shape, dtype and raw bits (so NaNs match and signed
-    zeros differ), compared as integers without copying either array."""
-    v = np.asarray(v)
-    if v.shape != kept.shape or v.dtype != kept.dtype:
-        return False
-    raw = (np.ascontiguousarray(a).reshape(-1).view(np.uint8) for a in (kept, v))
-    return np.array_equal(*raw)
 
 
 class TrilinearMachine:
@@ -312,14 +302,11 @@ class TrilinearMachine:
     fft of the samples.  Each scale's rows live on a short grid (see mults); all
     reductions are sequential and deterministic.
 
-    Filtered slots are reused.  Per slot the machine keeps a copy of the
-    values grad_slot last filtered there, their spectrum and the filtered
-    short rows per scale (_slot).  A call whose slot values carry the same
-    bits reuses them; other values drop the entry before anything is
-    filtered.  grad_slot keeps what it filters and drops its own slot, whose
-    result replaces it; lam_spatial reuses kept rows but keeps none, so
-    one-off draws are filtered once and let go.  Every result is the one
-    computed afresh, bit for bit.
+    The machine memoizes only functions of the scale j (the short rows, their
+    bins, the oracle's stretches).  Filtered slot values belong to the
+    caller: slot_rows filters one slot at every scan scale, lam_rows and
+    grad_slot work from such rows, and a caller that replaces one slot
+    refilters only that one.
     """
 
     def __init__(self, bank: FilterBank, n: int, dx: float, scan_scales):
@@ -333,7 +320,6 @@ class TrilinearMachine:
         self._mults: dict[int, tuple] = {}       # j -> short (P, L) rows of f, g, h
         self._bins: dict[int, tuple] = {}        # j -> their (P, L) grid bins
         self._oracle: dict[int, list] = {}       # j -> lam_spectral's row stretches
-        self._kept: dict[int, tuple] = {}        # slot -> (values, spectrum, {j: filtered rows})
         self.scan_scales: list[int] = list(scan_scales)
 
     # -- transforms ---------------------------------------------------------
@@ -420,41 +406,30 @@ class TrilinearMachine:
             self._bins[j] = tuple(kk for _, kk in placed)
         return hit
 
-    def _slot(self, i: int, v, keep: bool) -> tuple:
-        """(spectrum, rows) for values v in slot i (0, 1, 2 for f, g, h),
-        rows a {j: filtered short rows} dict: the kept entry's when its values
-        have v's bits.  A kept entry for other values is dropped first.  With
-        keep, a new entry (a copy of v, its spectrum, no rows yet) is kept;
-        without, the rows dict is empty and belongs to no one."""
-        hit = self._kept.get(i)
-        if hit is not None:
-            if _same_bits(hit[0], v):
-                return hit[1:]
-            del self._kept[i]
-        spectrum, rows = np.fft.fft(v), {}
-        if keep:
-            self._kept[i] = (np.array(v), spectrum, rows)
-        return spectrum, rows
+    def _filter(self, i: int, j: int, spectrum: np.ndarray) -> np.ndarray:
+        """Slot i's (0, 1, 2 for f, g, h) short rows at scale j from the full
+        spectrum of its values: back_batch of the rows' multipliers and the
+        spectrum at their bins."""
+        return self.back_batch(self.mults(j)[i], spectrum[self._bins[j][i]])
 
-    def _filtered(self, i: int, j: int, spectrum: np.ndarray, rows: dict,
-                  keep: bool) -> np.ndarray:
-        """Slot i's short rows at scale j, back_batch(mults, spectrum at the
-        rows' bins), from rows when there, stored in it when keep."""
-        hit = rows.get(j)
-        if hit is None:
-            hit = self.back_batch(self.mults(j)[i], spectrum[self._bins[j][i]])
-            if keep:
-                rows[j] = hit
-        return hit
+    def slot_rows(self, i: int, v) -> dict:
+        """{j: slot i's filtered short rows} at every scan scale, from one
+        fft of the values v (slot i as in _filter)."""
+        spectrum = np.fft.fft(v)
+        return {j: self._filter(i, j, spectrum) for j in self.scan_scales}
 
     # -- trilinear forms ------------------------------------------------------
-    def lam_spatial(self, fv, gv, hv, j: int) -> complex:
-        """Lambda_j = sum_p dx L^2/N^2 sum ifft_L(F) ifft_L(G) ifft_L(H) on
-        the short grid (see mults); rows kept by grad_slot are reused."""
-        slots = [self._slot(i, v, keep=False) for i, v in enumerate((fv, gv, hv))]
-        F, G, H = (self._filtered(i, j, *s, keep=False) for i, s in enumerate(slots))
+    def lam_rows(self, F: np.ndarray, G: np.ndarray, H: np.ndarray) -> complex:
+        """Lambda_j = dx L^2/N^2 sum F G H from the three slots' filtered
+        short rows at one scale j (see mults)."""
         L = F.shape[1]
         return complex(np.sum(F * G * H) * (self.dx * L ** 2 / self.n ** 2))
+
+    def lam_spatial(self, fv, gv, hv, j: int) -> complex:
+        """Lambda_j = sum_p dx L^2/N^2 sum ifft_L(F) ifft_L(G) ifft_L(H) on
+        the short grid (see mults), from the three slots' values."""
+        return self.lam_rows(*(self._filter(i, j, np.fft.fft(v))
+                               for i, v in enumerate((fv, gv, hv))))
 
     def _oracle_rows(self, j: int) -> list:
         """lam_spectral's multipliers for f, g and h, each held as per-row
@@ -534,33 +509,29 @@ class TrilinearMachine:
         return complex(self.dx / n ** 2 * total)
 
     # -- slot gradients (for matched extremizer search) -----------------------
-    def grad_slot(self, slot: str, fv, gv, hv) -> np.ndarray:
+    def grad_slot(self, slot: str, a: dict, b: dict) -> np.ndarray:
         """V with Lambda = int s V dx for the linear slot s in {f,g,h}, summed
-        over the scan scales.
+        over the scan scales, from the other two slots' filtered rows a and b
+        (slot_rows, in f, g, h order).
 
         Uses the transpose rule for a multiplier M: int (Ms) u dx =
         int s (M~ u) dx where M~ carries the reflected symbol xi -> m(-xi).
         On the short grid (see mults): the other two slots' filtered rows
         are multiplied there and transformed back with fft_L; the value at
         position q's reflection -q (mod L), times L/N and the slot's row,
-        belongs to the reflection -k (mod N) of q's bin k.  The other two
-        slots' rows are kept for the next call (see the class docstring).
+        belongs to the reflection -k (mod N) of q's bin k.
         """
         if slot not in ("f", "g", "h"):
             raise ValueError(f"unknown slot {slot!r}")
         k = "fgh".index(slot)
-        self._kept.pop(k, None)
-        others = {i: self._slot(i, v, keep=True)
-                  for i, v in enumerate((fv, gv, hv)) if i != k}
         vh_total = np.zeros(self.n, dtype=complex)
         for j in self.scan_scales:
             mults = self.mults(j)
-            bins = self._bins[j]
-            A, B = (self._filtered(i, j, *s, keep=True) for i, s in others.items())
+            A, B = a[j], b[j]
             L = A.shape[1]
             uh = self.fwd_batch(A * B)[:, (L - np.arange(L)) % L]
             w = (L / self.n) * mults[k] * uh
-            target = self._refl_idx[bins[k]].ravel()
+            target = self._refl_idx[self._bins[j][k]].ravel()
             vh_total += (np.bincount(target, w.real.ravel(), self.n)
                          + 1j * np.bincount(target, w.imag.ravel(), self.n))
         return np.fft.ifft(vh_total)

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .bumps import PHI_OUTER, smooth_step
-from .curves import Curve
+from .curves import Curve, _line_fit
 from .decomposition import FilterBank, TrilinearMachine, grid_for_bands, scale_factor
 from .signal import HolderTriple, SampledFunction, lp_norm, multiply_spectrum
 
@@ -420,32 +420,46 @@ def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
     Each update replaces one slot by the exact maximizer of the (linear)
     form under that slot's norm, so the normalized ratio is nondecreasing;
     a few rounds land near a local extremizer of the grid object.
+
+    Returns the values (f, g, h) and their filtered rows (mach.slot_rows),
+    one per slot: each update refilters only the slot it replaced.
     """
     rng = np.random.default_rng(seed)
     j = mach.scan_scales[0]
     x = mach.x0 + mach.dx * np.arange(mach.n)
     span = mach.n * mach.dx
     taper = smooth_step((x - x[0]) / (0.08 * span)) * smooth_step((x[-1] - x) / (0.08 * span))
-    pf, pg, ph = exps
+    exps = tuple(exps)
     f = _chirped_init(mach, rng, j)
     g = _comb_init(mach, rng, j)
-    f = f / max(lp_norm(mach.grid_function(f), pf), 1e-300)
-    g = g / max(lp_norm(mach.grid_function(g), pg), 1e-300)
-    h = np.ones(mach.n, dtype=complex) * taper
+    f = f / max(lp_norm(mach.grid_function(f), exps[0]), 1e-300)
+    g = g / max(lp_norm(mach.grid_function(g), exps[1]), 1e-300)
+    vals = [f, g, np.ones(mach.n, dtype=complex) * taper]
+    rows = [mach.slot_rows(0, f), mach.slot_rows(1, g), None]
     for _ in range(rounds):
-        h = _holder_extremal(mach, mach.grad_slot("h", f, g, h), ph, taper)
-        f = _holder_extremal(mach, mach.grad_slot("f", f, g, h), pf, taper)
-        g = _holder_extremal(mach, mach.grad_slot("g", f, g, h), pg, taper)
-    return f, g, h
+        for i in (2, 0, 1):
+            rows[i] = None      # the update reads only the other two slots
+            others = [r for r in rows if r is not None]
+            vals[i] = _holder_extremal(mach, mach.grad_slot("fgh"[i], *others), exps[i], taper)
+            rows[i] = mach.slot_rows(i, vals[i])
+    if rows[2] is None:         # no round ran: the start's h is still unfiltered
+        rows[2] = mach.slot_rows(2, vals[2])
+    return tuple(vals), tuple(rows)
 
 
-def _ratios(mach: TrilinearMachine, f, g, h, triples) -> list[float]:
-    """|sum_j Lambda_j| / (||f||_p ||g||_q ||h||_r') per triple; Lambda is
-    evaluated once, only the norms per triple."""
-    lam = abs(sum(mach.lam_spatial(f, g, h, j) for j in mach.scan_scales))
+def _filtered(mach: TrilinearMachine, vals) -> list:
+    """The filtered rows of the values (f, g, h), one mach.slot_rows each."""
+    return [mach.slot_rows(i, v) for i, v in enumerate(vals)]
+
+
+def _ratios(mach: TrilinearMachine, vals, rows, triples) -> list[float]:
+    """|sum_j Lambda_j| / (||f||_p ||g||_q ||h||_r') per triple, for the
+    values (f, g, h) and their filtered rows (one mach.slot_rows per slot);
+    Lambda is evaluated once, only the norms per triple."""
+    lam = abs(sum(mach.lam_rows(*(r[j] for r in rows)) for j in mach.scan_scales))
     ratios = []
     for exps in triples:
-        den = math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip((f, g, h), exps))
+        den = math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip(vals, exps))
         ratios.append(lam / den if den > 0 else 0.0)
     return ratios
 
@@ -472,14 +486,16 @@ def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 32,
     ascents = min(MATCHED_MEMBERS, ensemble_size)
     best = [0.0] * len(triples)
     for _ in range(ensemble_size - ascents):
-        f, g, h, made = resonant_triple(mach, rng)
-        if made == 0:
-            continue
-        best = [max(b, r) for b, r in zip(best, _ratios(mach, f, g, h, triples))]
+        *vals, made = resonant_triple(mach, rng)
+        if made:
+            best = [max(b, r) for b, r in zip(best, _ratios(mach, vals, _filtered(mach, vals),
+                                                            triples))]
+        del vals                # no member's values or rows outlast it
     for k, triple in enumerate(triples):
         for i in range(ascents):
-            f, g, h = matched_triple(mach, seed * 7919 + m * 131 + i, triple, rounds=rounds)
-            best[k] = max(best[k], _ratios(mach, f, g, h, [triple])[0])
+            vals, rows = matched_triple(mach, seed * 7919 + m * 131 + i, triple, rounds=rounds)
+            best[k] = max(best[k], _ratios(mach, vals, rows, [triple])[0])
+            del vals, rows
     return [ScanResult(triple=t, m=m, sup_ratio=b) for t, b in zip(triples, best)]
 
 
@@ -498,11 +514,10 @@ def scan_triples(c: Curve, triples, m_list, seed: int = 7, ensemble_size: int = 
 
 def decay_fit(m_list, sups) -> tuple[float, float]:
     """(alpha_hat, rms residual) of the least-squares line log2(sup) ~ -alpha m;
-    (nan, nan) for fewer than three values of m or a sup that is not positive."""
+    (nan, nan) for fewer than three distinct m or a sup that is not positive."""
     ms = np.array(m_list, dtype=float)
     sups = np.asarray(sups, dtype=float)
-    if len(ms) < 3 or not np.all(sups > 0):
+    if len(np.unique(ms)) < 3 or not np.all(sups > 0):
         return math.nan, math.nan
-    slope, intercept = np.polyfit(ms, np.log2(sups), 1)
-    resid = np.log2(sups) - (slope * ms + intercept)
-    return float(-slope), float(np.sqrt(np.mean(resid ** 2)))
+    slope, resid = _line_fit(ms, np.log2(sups))
+    return float(-slope), resid

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .bumps import PHI_INNER, PHI_OUTER, bump_phi, log_bump, log_plateau_window
-from .curves import Curve
+from .curves import Curve, _line_fit
 from .decomposition import FilterBank, scale_factor
 from .phase import profiles_for
 from .signal import SampledFunction, lp_norm, multiply_spectrum
@@ -316,14 +316,14 @@ def norm_growth_in_shift(fs: list, q: float, shifts) -> dict:
         sups.append(best)
     sups = np.array(sups)
     x = np.log(np.log(np.abs(np.array(shifts, dtype=float)) + 10.0))
-    beta, intercept = np.polyfit(x, np.log(sups), 1)
+    beta, resid = _line_fit(x, np.log(sups))
     qstar = min(q, q / (q - 1.0))
     return {
         "shifts": shifts,
         "sup_ratios": sups,
         "fitted_exponent": float(beta),
         "reference_exponent": 2.0 / qstar - 1.0,
-        "residual": float(np.sqrt(np.mean((np.log(sups) - (beta * x + intercept)) ** 2))),
+        "residual": resid,
     }
 
 
@@ -399,21 +399,24 @@ def interaction_decay_fit(c: Curve, m: int, offsets=None) -> dict:
 
     The baseline p0 = 2^(m-1) keeps the kernel-phase derivative of order one
     on the amplitude support, so the integration-by-parts decay regime covers
-    the fitted range.
+    the fitted range.  A fit needs at least two distinct offsets; fewer
+    (the default range at m <= 3 included) raise ValueError.
     """
     if offsets is None:
         offsets = np.arange(4, 2 ** (m - 1) + 1)
     offsets = np.asarray(offsets, dtype=int)
+    if len(np.unique(offsets)) < 2:
+        raise ValueError(f"the decay fit needs two distinct offsets, got {offsets.tolist()}")
     p0 = float(2 ** (m - 1))
     vals = np.array([abs(interaction_kernel(c, m, p0, p0 + int(k))) for k in offsets])
     x = np.log10(1.0 + offsets.astype(float))
     y = np.log10(np.maximum(vals, 1e-300))
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, resid = _line_fit(x, y)
     return {
         "offsets": offsets,
         "values": vals,
         "slope": float(slope),
-        "residual": float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))),
+        "residual": resid,
         "base_p0": p0,
     }
 

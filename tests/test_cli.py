@@ -307,6 +307,9 @@ def test_block_energy_matches_dense_filtering(tmp_path):
     ["decompose", "--curve", "poly: t^2", "--j-lo", "3", "--j-hi", "2"],
     ["curve-check", "--curve", "poly: t^2", "--j-max", "0"],
     ["scan", "--curve", "poly: t^2", "--edge", "AC", "--m-list", "5..3"],
+    # a repeated m would be scanned twice and fitted as if distinct
+    ["scan", "--curve", "poly: t^2", "--edge", "AB", "--m-list", "4,4,4"],
+    ["scan", "--curve", "poly: t^2", "--edge", "AB", "--m-list", "4,4,5"],
     ["bht", "--curve", "poly: t^2", "--tolerance", "inf"],
     ["sqfn", "--slack", "nan"],
     # one distinct |l|: no exponent can be fitted

@@ -10,7 +10,7 @@ from bhtlab.curves import Curve, _limit_r_prime, builtin_curve
 from bhtlab.decomposition import (ORACLE_SAMPLES, FilterBank, TrilinearMachine,
                                   grid_for_bands, overlap_report, scale_factor,
                                   structurally_zero)
-from bhtlab.normscan import resonant_triple, scan_machine
+from bhtlab.normscan import matched_triple, resonant_triple, scan_machine
 from bhtlab.phase import profiles_for
 from bhtlab.signal import SampledFunction, frequency_grid
 
@@ -375,33 +375,42 @@ def test_short_grid_matches_dense(case):
         assert any(_crosses_block_edge(mach, j) for j in j_list)
     if case in ("hull > N", "n=256"):
         assert _hull_block_width(mach) >= mach.n
-    for slot in "fgh":
+    filtered = [mach.slot_rows(i, v) for i, v in enumerate((fv, gv, hv))]
+    for k, slot in enumerate("fgh"):
         ref = sum(_dense_grad(mach, rows[j], slot, fv, gv, hv) for j in j_list)
-        got = mach.grad_slot(slot, fv, gv, hv)
+        got = mach.grad_slot(slot, *(r for i, r in enumerate(filtered) if i != k))
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_kept_rows_reuse_is_exact(curve_t2):
-    # the matched ascent's call order on one machine, which reuses the
-    # filtered rows of unchanged slots; every result matches a fresh
-    # machine's bit for bit, also after an argument is edited in place
-    mach = scan_machine(curve_t2, 5, n=2 ** 12)
-    j_list = mach.scan_scales
-    rng = np.random.default_rng(8)
-    v = {s: rng.normal(size=mach.n) + 1j * rng.normal(size=mach.n) for s in "fgh"}
+def test_ascent_gradients_match_fresh_filtering(curve_t2):
+    # the matched ascent refilters only the slot it replaced; every grad_slot
+    # result equals, bit for bit, the one from rows that a new machine filters
+    # afresh out of the other two slots' current values, and so do the rows
+    # the ascent returns
+    mach, fresh = (scan_machine(curve_t2, 5, n=2 ** 12) for _ in range(2))
+    current, checked = {}, []
+    slot_rows, grad_slot = mach.slot_rows, mach.grad_slot
 
-    def same(call):
-        got, ref = call(mach), call(scan_machine(curve_t2, 5, n=2 ** 12))
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    def recording_rows(i, v):
+        current[i] = np.array(v)
+        return slot_rows(i, v)
+
+    def checking_grad(slot, a, b):
+        got = grad_slot(slot, a, b)
+        k = "fgh".index(slot)
+        ref = fresh.grad_slot(slot, *(fresh.slot_rows(i, current[i]) for i in range(3) if i != k))
+        assert got.tobytes() == ref.tobytes()
+        checked.append(slot)
         return got
 
-    for slot in "hfgh":
-        v[slot] = same(lambda m: m.grad_slot(slot, v["f"], v["g"], v["h"]))
-    for j in j_list:
-        same(lambda m: m.lam_spatial(v["f"], v["g"], v["h"], j))
-    v["f"][7] += 1
-    same(lambda m: m.lam_spatial(v["f"], v["g"], v["h"], j_list[0]))
-    same(lambda m: m.grad_slot("h", v["f"], v["g"], v["h"]))
+    mach.slot_rows, mach.grad_slot = recording_rows, checking_grad
+    vals, rows = matched_triple(mach, 3, (2.0, 1.5, math.inf), rounds=2)
+    assert "".join(checked) == "hfg" * 2
+    for i, v in enumerate(vals):
+        ref = fresh.slot_rows(i, v)
+        assert all(rows[i][j].tobytes() == ref[j].tobytes() for j in mach.scan_scales)
+    with pytest.raises(ValueError, match="unknown slot"):
+        fresh.grad_slot("x", rows[0], rows[1])
 
 
 def test_conjugate_symmetry_real_inputs(curve_t2):

@@ -492,20 +492,21 @@ def test_matched_triple_beats_random(curve_t2):
     mach = scan_machine(curve_t2, m, n=2 ** 12)
     exps = [(2.0, 2.0, math.inf)]
     rng = np.random.default_rng(1)
-    from bhtlab.normscan import _ratios
     best_random = 0.0
     for _ in range(6):
         f, g, h, made = resonant_triple(mach, rng)
         if made:
-            best_random = max(best_random, _ratios(mach, f, g, h, exps)[0])
-    f, g, h = matched_triple(mach, 3, exps[0], rounds=4)
-    assert _ratios(mach, f, g, h, exps)[0] > best_random
+            vals = (f, g, h)
+            best_random = max(best_random,
+                              normscan._ratios(mach, vals, normscan._filtered(mach, vals), exps)[0])
+    vals, rows = matched_triple(mach, 3, exps[0], rounds=4)
+    assert normscan._ratios(mach, vals, rows, exps)[0] > best_random
 
 
 def test_matched_ascent_filters_each_slot_once_per_value(curve_t2, monkeypatch):
-    # grad_slot reuses the rows of the slot the previous call left unchanged,
-    # and _ratios refilters only the slot the last update replaced: 14 and 2
-    # filter calls on 2 scales, where refiltering both other slots takes 24 and 6
+    # the ascent filters f and g at the start and each updated slot once, on
+    # 2 scales: 2 * (2 + 3 * rounds) = 16 filter calls at rounds = 2, and the
+    # ratio reads the rows it is handed without filtering anything
     calls = []
     back_batch = TrilinearMachine.back_batch
 
@@ -517,11 +518,59 @@ def test_matched_ascent_filters_each_slot_once_per_value(curve_t2, monkeypatch):
     mach = scan_machine(curve_t2, 5, n=2 ** 12)
     assert len(mach.scan_scales) == 2
     exps = (2.0, 2.0, math.inf)
-    f, g, h = matched_triple(mach, 3, exps, rounds=2)
-    assert len(calls) == 14
+    vals, rows = matched_triple(mach, 3, exps, rounds=2)
+    normscan._ratios(mach, vals, rows, [exps])
+    assert len(calls) == 16
+    # no round: the start's h is filtered too, 6 calls in all
     calls.clear()
-    normscan._ratios(mach, f, g, h, [exps])
-    assert len(calls) == 2
+    vals, rows = matched_triple(mach, 3, exps, rounds=0)
+    assert len(calls) == 6 and len(rows) == 3
+
+
+def test_resonant_draw_transforms_each_slot_once(curve_t2, monkeypatch):
+    # one full-grid fft per slot serves both scan scales: 3 per draw, where
+    # filtering each slot per scale would take 6
+    mach = scan_machine(curve_t2, 5, n=2 ** 12)
+    assert len(mach.scan_scales) == 2
+    exps = (2.0, 2.0, math.inf)
+    *vals, made = resonant_triple(mach, np.random.default_rng(2))
+    assert made
+    ffts = []
+    fft = np.fft.fft
+
+    def counted(*args, **kwargs):
+        ffts.append(np.shape(args[0]))
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    [ratio] = normscan._ratios(mach, vals, normscan._filtered(mach, vals), [exps])
+    assert ffts == [(mach.n,)] * 3
+    # the same number as the per-scale form of the values
+    monkeypatch.undo()
+    lam = abs(sum(mach.lam_spatial(*vals, j) for j in mach.scan_scales))
+    assert ratio == lam / math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip(vals, exps))
+
+
+def test_scan_point_without_rounds(curve_t2):
+    # rounds = 0 scores the matched members' structured starts as they are:
+    # the sup is the largest ratio over the draws and those starts, each
+    # recomputed here from values through lam_spatial
+    exps = (2.0, 2.0, math.inf)
+    seed, m, size, n = 4, 3, 5, 2 ** 11
+    [r] = scan_point(curve_t2, m, [exps], seed=seed, ensemble_size=size, rounds=0, n=n)
+    mach = scan_machine(curve_t2, m, n=n)
+    rng = np.random.default_rng(seed * 1000003 + m)
+    draws = [resonant_triple(mach, rng) for _ in range(size - 2)]
+    starts = [matched_triple(mach, seed * 7919 + m * 131 + i, exps, rounds=0)[0]
+              for i in range(2)]
+
+    def ratio(vals):
+        lam = abs(sum(mach.lam_spatial(*vals, j) for j in mach.scan_scales))
+        return lam / math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip(vals, exps))
+
+    ratios = [ratio(d[:3]) for d in draws if d[3]] + [ratio(v) for v in starts]
+    assert len(ratios) > 2
+    assert r.sup_ratio == max(ratios) > 0
 
 
 def test_scan_point_determinism(curve_t2):
@@ -589,8 +638,10 @@ def test_scan_point_ensemble_size_bounds_members(curve_t2, monkeypatch, size, as
 
 
 def test_fit_decay_refusals():
-    # fewer than three m, or a sup that is not positive, leaves no fit
+    # fewer than three distinct m, or a sup that is not positive, leaves no fit
     assert all(math.isnan(v) for v in decay_fit([2, 3], [1.0, 0.5]))
+    assert all(math.isnan(v) for v in decay_fit([4, 4, 4], [1.0, 0.5, 0.25]))
+    assert all(math.isnan(v) for v in decay_fit([4, 4, 5], [1.0, 0.5, 0.25]))
     assert all(math.isnan(v) for v in decay_fit([2, 3, 4], [1.0, 0.0, 0.5]))
     alpha, resid = decay_fit([2, 3, 4], [1.0, 0.5, 0.25])
     assert alpha == pytest.approx(1.0) and resid == pytest.approx(0.0, abs=1e-12)

@@ -339,6 +339,13 @@ def test_interaction_decay_sparse(curve_t2):
     assert fit["slope"] <= -1.8
 
 
+@pytest.mark.parametrize("m, offsets", [(2, None), (3, None), (6, [8, 8, 8])])
+def test_interaction_decay_fit_needs_two_offsets(curve_t2, m, offsets):
+    # the default range 4..2^(m-1) holds no offset at m = 2 and one at m = 3
+    with pytest.raises(ValueError, match="two distinct offsets"):
+        interaction_decay_fit(curve_t2, m, offsets=offsets)
+
+
 # ---------------------------------------------------------------------------
 # inequality checks: scaling symmetries and stability
 # ---------------------------------------------------------------------------
