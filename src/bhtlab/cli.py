@@ -1,20 +1,21 @@
 """Command-line entry point: reproducible laboratory runs with manifests.
 
-`main` runs every subcommand in one frame.  It refuses, with exit 2 and an
-`error:` line on stderr before anything is written, an unknown curve, a
---grid-n not a power of two >= 16, a --count, --levels, --ensemble-size or
---j-max below 1, a --seed, --rounds, --m, --j-lo or --j-hi below 0, a --j-lo
-above --j-hi, a --half-width outside (0, inf), a --slack or --tolerance that
-is nan or infinite, a --p-list entry or --q outside (1, inf), and a --l-list
-or --m-list that is not a list of integers (--l-list: one with at least two
-distinct |l|; --m-list: a nonempty one of m >= 0, also as a..b).  It then
-creates the output directory and calls the subcommand, which writes its
-tables and returns them with the messages of its failed checks.  A
-ValueError the subcommand raises (the library refusing the inputs while
-computing, e.g. a scan m with no live scale) becomes one `error:` line and
-exit 2; the directory may exist then, but no manifest is written.  Last it
-writes manifest.json -- the version, `config` (each option's parsed value,
-the curve as its descriptor) and a sha256 per output file, so identical
+`main` runs every subcommand in one frame, and is the only code that writes
+a file.  It refuses, with exit 2 and an `error:` line on stderr, an unknown
+curve, a --grid-n not a power of two >= 16, a --count, --levels,
+--ensemble-size or --j-max below 1, a --seed, --rounds, --m, --j-lo or --j-hi
+below 0, a --j-lo above --j-hi, a --half-width outside (0, inf), a --slack or
+--tolerance that is nan or infinite, a --p-list entry or --q outside
+(1, inf), and a --l-list or --m-list that is not a list of integers
+(--l-list: one with at least two distinct |l|; --m-list: a nonempty one of
+m >= 0, also as a..b); a repeated p or m is refused too.  The subcommand
+only computes, and returns its files as {name: text} with the messages of
+its failed checks.  A ValueError while computing (the library refusing the
+inputs, e.g. a scan m with no live scale, or a nan bound for a JSON file)
+becomes one `error:` line and exit 2.  A refused run writes nothing.  Else
+`main` creates the output directory and writes the files, then
+manifest.json -- the version, `config` (each option's parsed value, the
+curve as its descriptor) and a sha256 of each file's bytes, so identical
 configurations are checkable for byte-identical results -- prints one
 `error:` line per failed check and exits 1 if there was one, else 0.
 """
@@ -47,32 +48,24 @@ from .squarefuncs import cz_decompose, norm_growth_in_shift
 ROUTE_TOLERANCE = 1e-6
 
 
-def _write_json(path: Path, obj) -> None:
-    # a nan or inf raises ValueError before the file is opened: JSON has neither
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _json(obj) -> str:
+    # a nan or inf raises ValueError: JSON has neither
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cell(v):
     return v if isinstance(v, str) else int(v) if isinstance(v, (int, np.integer)) else float(v)
 
 
-def _write_table(out: Path, stem: str, header: list[str], rows, fmt: str) -> Path:
-    """One table in the configured format; the JSON form mirrors the CSV
-    columns 1:1 as a list of row objects, with null for a nan cell (JSON has
-    no nan; the CSV form writes `nan`)."""
+def _table(stem: str, header: list[str], rows, fmt: str) -> dict[str, str]:
+    """{file name: text} of one table in the configured format; the JSON form
+    mirrors the CSV columns 1:1 as a list of row objects, with null for a nan
+    cell (JSON has no nan; the CSV form writes `nan`)."""
     rows = [[_cell(v) for v in row] for row in rows]
-    path = out / f"{stem}.{fmt}"
     if fmt == "json":
-        _write_json(path, [{k: None if isinstance(v, float) and math.isnan(v) else v
-                            for k, v in zip(header, row)} for row in rows])
-        return path
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
-    return path
+        return {f"{stem}.json": _json([{k: None if isinstance(v, float) and math.isnan(v)
+                                        else v for k, v in zip(header, row)} for row in rows])}
+    return {f"{stem}.csv": "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])}
 
 
 def _ensemble(args, shape: EnsembleShape) -> list[SampledFunction]:
@@ -82,11 +75,11 @@ def _ensemble(args, shape: EnsembleShape) -> list[SampledFunction]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each computes, writes its tables and returns
-# (files written, messages of the checks that failed)
+# subcommands: each only computes, and returns
+# ({file name: text}, messages of the checks that failed)
 # ---------------------------------------------------------------------------
 
-def cmd_curve_check(args, out: Path):
+def cmd_curve_check(args):
     c = args.curve
     rows = []
     rep = nonflatness_report(c)
@@ -110,33 +103,30 @@ def cmd_curve_check(args, out: Path):
         "k_gamma": c.k_gamma,
         "axioms": rows,
     }
-    path = out / "curve_check.json"
-    _write_json(path, report)
-    return [path], [f"curve axiom {r['axiom']} fails: value {r['value']}, "
-                    f"threshold {r['threshold']}" for r in rows if not r["pass"]]
+    return {"curve_check.json": _json(report)}, [
+        f"curve axiom {r['axiom']} fails: value {r['value']}, threshold {r['threshold']}"
+        for r in rows if not r["pass"]]
 
 
-def cmd_phase(args, out: Path):
+def cmd_phase(args):
     c = args.curve
     xi, eta, _ = sample_admissible_queries(c, args.j, args.count, args.seed)
     tc = np.asarray(inverse_deriv(c, xi / eta), dtype=float) * 2.0 ** args.j
     psi = phase_value(c, xi, eta, args.j)
     res = phase_residual(c, xi, eta, args.j, tc)
     rows = zip(xi, eta, [args.j] * len(xi), tc, np.asarray(psi), res)
-    files = [_write_table(out, "phase", ["xi", "eta", "j", "t_c", "psi", "residual"],
-                          rows, args.format)]
+    files = _table("phase", ["xi", "eta", "j", "t_c", "psi", "residual"], rows, args.format)
     try:
         sxi, seta = sample_scaling_queries(c, args.j, args.count, args.seed)
     except ValueError:    # a scale too shallow for the scaling identity
         return files, []
     sres = scaling_residual(c, sxi, seta, args.j)
-    files.append(_write_table(out, "scaling", ["xi", "eta", "j", "scaling_residual"],
-                              zip(sxi, seta, [args.j] * len(sxi), np.asarray(sres)),
-                              args.format))
+    files |= _table("scaling", ["xi", "eta", "j", "scaling_residual"],
+                    zip(sxi, seta, [args.j] * len(sxi), np.asarray(sres)), args.format)
     return files, []
 
 
-def cmd_decompose(args, out: Path):
+def cmd_decompose(args):
     c, m = args.curve, args.m
     j_list = list(range(args.j_lo, args.j_hi + 1))
     mach = scan_machine(c, m, n=args.grid_n, j_list=j_list)
@@ -170,15 +160,11 @@ def cmd_decompose(args, out: Path):
                 en = np.sum(np.abs(gm * gh) ** 2, axis=1) * (mach.dx / mach.n)
                 for p0, e in zip(mach.bank.p0_values, en):
                     energy_rows.append((j, int(p0), e))
-    lam_path = _write_table(out, "lambda_records",
-                            ["j", "m", "re", "im", "ratio", "method"], lam_rows,
-                            args.format)
-    en_path = _write_table(out, "block_energy", ["j", "p0", "energy"], energy_rows,
-                           args.format)
+    files = _table("lambda_records", ["j", "m", "re", "im", "ratio", "method"], lam_rows,
+                   args.format)
+    files |= _table("block_energy", ["j", "p0", "energy"], energy_rows, args.format)
     # the overlap sweep is sized for m <= 8, j_max <= 40; the file records both
-    ov_path = out / "overlap.json"
-    _write_json(ov_path, vars(overlap_report(c, min(m, 8), min(args.j_hi, 40))))
-    files = [lam_path, en_path, ov_path]
+    files["overlap.json"] = _json(vars(overlap_report(c, min(m, 8), min(args.j_hi, 40))))
     if empty == args.count:
         return files, [f"all {empty} resonant draws came out empty: the two trilinear "
                        "routes were not compared"]
@@ -188,22 +174,20 @@ def cmd_decompose(args, out: Path):
     return files, []
 
 
-def cmd_sqfn(args, out: Path):
+def cmd_sqfn(args):
     shape = EnsembleShape(kind="step", n_terms=3, width_lo_frac=0.002, width_hi_frac=0.05)
     rep = norm_growth_in_shift(_ensemble(args, shape), args.q, args.l_list)
     rows = [(l, args.q, s) for l, s in zip(rep["shifts"], rep["sup_ratios"])]
-    path = _write_table(out, "shift_growth", ["l", "q", "sup_ratio"], rows, args.format)
-    fit_path = out / "shift_fit.json"
-    _write_json(fit_path, {k: rep[k] for k in ("fitted_exponent", "reference_exponent",
-                                               "residual")})
+    files = _table("shift_growth", ["l", "q", "sup_ratio"], rows, args.format)
+    files["shift_fit.json"] = _json({k: rep[k] for k in ("fitted_exponent",
+                                                         "reference_exponent", "residual")})
     if not rep["fitted_exponent"] <= rep["reference_exponent"] + args.slack:
-        return [path, fit_path], [f"shift growth exponent {rep['fitted_exponent']:.4g} exceeds "
-                                  f"reference {rep['reference_exponent']:.4g} + slack "
-                                  f"{args.slack:g}"]
-    return [path, fit_path], []
+        return files, [f"shift growth exponent {rep['fitted_exponent']:.4g} exceeds "
+                       f"reference {rep['reference_exponent']:.4g} + slack {args.slack:g}"]
+    return files, []
 
 
-def cmd_cz(args, out: Path):
+def cmd_cz(args):
     shape = EnsembleShape(kind="step", n_terms=4, width_lo_frac=0.01, width_hi_frac=0.1)
     trees = []
     rows = []
@@ -225,15 +209,13 @@ def cmd_cz(args, out: Path):
             rows.append((i, lam, err, linf, mass, bound))
             trees.append({"member": i, "level": lam,
                           "intervals": [[int(s), int(w)] for s, w in dec.intervals]})
-    csv_path = _write_table(out, "cz_summary",
-                            ["member", "level", "recon_error", "good_sup", "selected", "bound"],
-                            rows, args.format)
-    json_path = out / "cz_intervals.json"
-    _write_json(json_path, trees)
-    return [csv_path, json_path], failures
+    files = _table("cz_summary", ["member", "level", "recon_error", "good_sup", "selected",
+                                  "bound"], rows, args.format)
+    files["cz_intervals.json"] = _json(trees)
+    return files, failures
 
 
-def cmd_scan(args, out: Path):
+def cmd_scan(args):
     m_list = args.m_list
     triples = [HolderTriple.on_edge(args.edge, p) for p in args.p_list]
     inf_str = lambda e: "inf" if math.isinf(e) else e
@@ -242,19 +224,14 @@ def cmd_scan(args, out: Path):
                               n=args.grid_n, rounds=args.rounds):
         alpha, resid = decay_fit(m_list, [r.sup_ratio for r in per_p])
         rows += [(*map(inf_str, r.triple), r.m, r.sup_ratio, alpha, resid) for r in per_p]
-    files = [_write_table(out, "scan",
-                          ["p", "q", "r_prime", "m", "sup_ratio", "alpha_hat", "residual"],
-                          rows, args.format)]
+    files = _table("scan", ["p", "q", "r_prime", "m", "sup_ratio", "alpha_hat", "residual"],
+                   rows, args.format)
     if args.dat:
-        dat = out / "scan.dat"
-        with open(dat, "w") as fh:
-            for row in rows:
-                fh.write(" ".join(str(v) for v in row) + "\n")
-        files.append(dat)
+        files["scan.dat"] = "".join(" ".join(map(str, row)) + "\n" for row in rows)
     return files, []
 
 
-def cmd_bht(args, out: Path):
+def cmd_bht(args):
     c = args.curve
     shape = EnsembleShape(kind="gaussian", n_terms=3, freq_lo=4.0, freq_hi=8.0,
                           width_lo_frac=0.02, width_hi_frac=0.04)
@@ -273,19 +250,19 @@ def cmd_bht(args, out: Path):
             g = fs[(i + 1) % len(fs)]
             direct, diag = bht_direct(c, f, g)
             rows.append((i, lp_norm(direct, 2.0), diag["last_delta"], diag["flagged_points"]))
-    path = _write_table(out, "bht_check", ["member", "metric", "last_delta", "flagged"],
-                        rows, args.format)
+    files = _table("bht_check", ["member", "metric", "last_delta", "flagged"], rows,
+                   args.format)
     failures = [f"PV closure check of member {i} leaves {flagged} points at or above "
                 f"its tolerance (last delta {delta:.2e})"
                 for i, _, delta, flagged in rows if flagged > 0]
     if args.g == "const1" and not worst < args.tolerance:
         failures.append(f"Hilbert reduction error {worst:.2e} not below tolerance "
                         f"{args.tolerance:g}")
-    return [path], failures
+    return files, failures
 
 
 # option types: each refuses a bad value, with the library's own check where
-# there is one, before the output directory exists
+# there is one, before anything is computed
 
 def _refusing(parse):
     """argparse type from parse(text); its ValueError or KeyError becomes the
@@ -331,10 +308,24 @@ def _finite(text: str) -> float:
     return float(text)
 
 
-@_refusing
-def _exponent(text: str) -> float:
+def _open_edge(text: str) -> float:
     # 1 < p < inf on either edge; --q has the same range
     return HolderTriple.on_edge("AC", float(text)).p
+
+
+def _once(values: list, name: str) -> list:
+    # a repeated value would be computed twice and fitted as if distinct
+    if len(set(values)) < len(values):
+        raise ValueError(f"each {name} may appear once")
+    return values
+
+
+_exponent = _refusing(_open_edge)
+
+
+@_refusing
+def _p_list(text: str) -> list[float]:
+    return _once([_open_edge(p) for p in text.split(",")], "p")
 
 
 @_refusing
@@ -354,9 +345,7 @@ def _m_list(spec: str) -> list[int]:
         ms = [int(x) for x in spec.split(",")]
     if not ms or min(ms) < 0:
         raise ValueError("need a nonempty list of m >= 0")
-    if len(set(ms)) < len(ms):
-        raise ValueError("each m may appear once")
-    return ms
+    return _once(ms, "m")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="edge sup-ratio scans")
     p.add_argument("--curve", type=_curve, required=True)
     p.add_argument("--edge", choices=("AC", "AB"), required=True)
-    p.add_argument("--p-list", type=lambda s: [_exponent(p) for p in s.split(",")],
-                   default="2")
+    p.add_argument("--p-list", type=_p_list, default="2")
     p.add_argument("--m-list", type=_m_list, default="2..8")
     p.add_argument("--seed", type=_natural, default=7)
     p.add_argument("--ensemble-size", type=_count, default=32)
@@ -444,19 +432,23 @@ def main(argv=None) -> int:
             ap.error(f"--j-lo {args.j_lo} exceeds --j-hi {args.j_hi}")
     except SystemExit as exc:    # a refused option exits 2, --help 0
         return int(exc.code or 0)
-    out = Path(args.out or os.environ.get("BHTLAB_OUT") or ".")
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        files, failures = args.func(args, out)
-    except ValueError as exc:    # the library refused the inputs while computing
+        texts, failures = args.func(args)
+    except ValueError as exc:    # refused while computing: nothing is written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the manifest hashes exactly the bytes written
+    files = {name: text.encode() for name, text in texts.items()}
     config = {k: (v.label if isinstance(v, Curve) else v)
               for k, v in vars(args).items() if k != "func"}
-    _write_json(out / "manifest.json",
-                {"version": __version__, "config": config,
-                 "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                             for p in files}})
+    files["manifest.json"] = _json(
+        {"version": __version__, "config": config,
+         "outputs": {name: hashlib.sha256(b).hexdigest() for name, b in files.items()}}
+    ).encode()
+    out = Path(args.out or os.environ.get("BHTLAB_OUT") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, b in files.items():    # the manifest last
+        (out / name).write_bytes(b)
     for message in failures:
         print(f"error: {message}", file=sys.stderr)
     return 1 if failures else 0

@@ -282,10 +282,13 @@ def shifted_square_function(f: SampledFunction, shift: int,
 
     Translation by shift/2^j is the exact unimodular spectral modulation
     e^{-i xi shift/2^j}, so every band output is an L^2 isometry of its
-    unshifted version.
+    unshifted version.  No band (a grid too coarse for band 0) raises ValueError.
     """
     if j_list is None:
         j_list = available_bands(f)
+    if not j_list:
+        raise ValueError(f"no dyadic band fits the grid: dx = {f.dx:g} puts 0.9*pi/dx = "
+                         f"{0.9 * math.pi / f.dx:.4g} at or below PHI_OUTER = {PHI_OUTER:g}")
     scales = 2.0 ** np.array(j_list, dtype=float)[:, None]
     bands = multiply_spectrum(f, lambda xi: bump_phi(xi / scales)
                               * np.exp(-1j * xi * shift / scales))

@@ -316,6 +316,8 @@ def test_block_energy_matches_dense_filtering(tmp_path):
     ["sqfn", "--l-list", "4"],
     ["sqfn", "--l-list", "4,4,4"],
     ["sqfn", "--l-list", "4,-4"],
+    # a repeated p, like a repeated m
+    ["scan", "--curve", "poly: t^2", "--edge", "AC", "--p-list", "2,2"],
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, args):
     assert cli.main(["--out", str(tmp_path / "u"), *args]) == 2
@@ -335,15 +337,20 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     # names the scale)
     pytest.param(["decompose", "--curve", "powlog: a=3 b=0.5", "--m", "4", "--j-lo", "0",
                   "--j-hi", "1", "--grid-n", "4096"], id="decompose_singular_scale"),
+    # dx = 0.5 leaves no dyadic band below 90% of the Nyquist frequency (the
+    # refusal names dx)
+    ["sqfn", "--grid-n", "128"],
 ], ids=lambda args: args[0])
 def test_library_refusal_exit_2(tmp_path, capsys, args):
-    # refused while computing: the directory may exist, but no manifest is written
+    # refused while computing: nothing is written, not even the directory
     assert cli.main(["--out", str(tmp_path / "r"), *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert not (tmp_path / "r" / "manifest.json").exists()
+    assert not (tmp_path / "r").exists()
     if "powlog: a=3 b=0.5" in args:
         assert "j=0 " in err
+    if args[0] == "sqfn":
+        assert "no dyadic band" in err and "dx = 0.5 " in err
 
 
 def test_phase_powlog_without_log_factor(tmp_path):
@@ -387,7 +394,7 @@ def test_failed_check_exit_1(tmp_path, capsys, args):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
+_SMALL_RUNS = [
     ["curve-check", "--curve", "poly: t^2", "--j-max", "8"],
     ["phase", "--curve", "poly: t^2", "--j", "3", "--count", "5"],
     ["decompose", "--curve", "poly: t^2", "--m", "3", "--count", "1", "--grid-n", "1024"],
@@ -396,10 +403,16 @@ def test_failed_check_exit_1(tmp_path, capsys, args):
     ["scan", "--curve", "poly: t^2", "--edge", "AB", "--m-list", "3,4",
      "--ensemble-size", "2", "--rounds", "1", "--grid-n", "1024", "--dat"],
     ["bht", "--curve", "poly: t^2", "--g", "ensemble", "--count", "1", "--grid-n", "256"],
-], ids=lambda args: args[0])
-def test_manifest_lists_every_output(tmp_path, args):
+]
+
+
+@pytest.mark.parametrize("fmt, args", [
+    *(pytest.param("csv", args, id=args[0]) for args in _SMALL_RUNS),
+    *(pytest.param("json", args, id=f"{args[0]}-json") for args in _SMALL_RUNS),
+])
+def test_manifest_lists_every_output(tmp_path, fmt, args):
     out = tmp_path / "m"
-    assert cli.main(["--out", str(out), *args]) == 0
+    assert cli.main(["--out", str(out), "--format", fmt, *args]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["config"]["command"] == args[0]
     assert man["outputs"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -165,6 +165,19 @@ def test_l2_shift_invariance():
         assert abs(val - base) < 1e-10 * base
 
 
+@pytest.mark.parametrize("n", [16, 128])
+def test_shifted_square_function_refuses_no_band(n):
+    # dx = 64/n >= 0.5 puts 0.9 pi/dx at or below band 0's outer edge: no
+    # band, and an all-zero S_l f, would be fitted as log 0
+    x0, dx = symmetric_grid(32.0, n)
+    f = SampledFunction(x0, dx, np.ones(n, dtype=complex))
+    assert available_bands(f) == []
+    with pytest.raises(ValueError, match=f"no dyadic band fits the grid: dx = {dx:g} "):
+        shifted_square_function(f, 4)
+    with pytest.raises(ValueError, match="no dyadic band"):
+        shifted_square_function(f, 4, j_list=[])
+
+
 def test_single_band_shift_oracle():
     n = 2 ** 12
     x0, dx = symmetric_grid(32.0, n)
