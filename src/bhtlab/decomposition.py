@@ -25,7 +25,10 @@ The trilinear form Lambda_{j,m} has two evaluation routes, and both sample
 these exact multipliers from the bank.  The spatial route is FFT convolution
 and pointwise products on a short grid per scale that holds the same resonant
 triples (TrilinearMachine.mults): every row's nonzero g and h bins, and only
-the bins of f's band that can meet them.  Those short rows are the only
+the bins of f's band that can meet them.  Its length L exceeds the reach of
+a triple, max |k + l + n - tN| over the row's windows, so a triple's
+positions sum to 0 mod L only where k + l + n = tN: no alias can meet the
+resonance, while each family's row still fits.  Those short rows are the only
 filtered rows transformed back to space, for the form and for its slot
 gradients alike.  The spectral route is the direct double-frequency sum
 2 pi dxi^2 sum_{k,l} F(k) G(l) H(wrap(-k-l)) over the whole grid, which on
@@ -299,8 +302,12 @@ class TrilinearMachine:
     the scales its grid represents (grid_for_bands) and the ones the scans
     sum over.  The multipliers are sampled on the np.fft-order frequency
     grid, so every filter is ifft(M * fft(v)) and a spectrum is the plain
-    fft of the samples.  Each scale's rows live on a short grid (see mults); all
-    reductions are sequential and deterministic.
+    fft of the samples.  Each scale's rows live on a short grid (see mults),
+    its length L past the widest reach |k + l + n - tN| of a triple in a
+    row's windows (and no shorter than a family's widest row): a nonzero
+    multiple of L is then out of reach, so the short grid holds the full
+    grid's resonant triples and no others.  All reductions are sequential
+    and deterministic.
 
     The machine memoizes only functions of the scale j (the short rows, their
     bins, the oracle's stretches).  Filtered slot values belong to the
@@ -362,14 +369,17 @@ class TrilinearMachine:
         f's samples past b_f' (band values the padding to a common row
         length reaches) are set to zero.  Bin k of a family goes to position
         (k - a) mod L (a_f' for f), f's moved on by a_f' + a_g + a_h - t_lo N,
-        so the positions of a triple sum to k + l + n - t_lo N (mod L).  When
-        t_lo = t_hi and L >= W_f' + W_g + W_h (W = b - a + 1, W_f' from the
-        cut window) that is 0 mod L exactly when k + l + n = t_lo N: the
-        short grid holds the same resonant triples as the full one, and
-        Lambda_p = dx L^2/N^2 sum ifft_L(F) ifft_L(G) ifft_L(H).  L is the
-        smallest 2^a 3^b 5^c >= max(W_f' + W_g + W_h), capped at N, where
-        the placement only relabels the bins; a cut window that reaches two
-        multiples of N has W_f' + W_g + W_h > N, so it always lands there.
+        so the positions of a triple sum to s = k + l + n - t_lo N (mod L),
+        with s in [A_p, B_p] = [a_f' + a_g + a_h - t_lo N,
+        b_f' + b_g + b_h - t_lo N] and A_p <= 0 <= B_p.  A nonzero s that is
+        0 mod L has |s| >= L, so once L > max(-A_p, B_p) the short grid
+        holds exactly the full grid's resonant triples k + l + n = t_lo N,
+        and Lambda_p = dx L^2/N^2 sum ifft_L(F) ifft_L(G) ifft_L(H).  L is
+        the smallest 2^a 3^b 5^c >= max(max_p max(-A_p, B_p) + 1, W_f',
+        W_g, W_h) (W = b - a + 1 of each family's widest row, W_f' from the
+        cut window, so every padded row fits), capped at N, where the
+        placement only relabels the bins; a cut window that reaches two
+        multiples of N has B_p >= N, so it always lands there.
 
         Returns the (P, L) rows, sampled from the bank's filter methods at
         their bins' frequencies; the bins, in np.fft order, are kept in
@@ -384,12 +394,14 @@ class TrilinearMachine:
             # only f bins k = tN - l - n with l, n in the g and h windows can resonate
             af, bf = (np.maximum(af, t * n - bg - bh),
                       np.minimum(bf, (bf + bg + bh) // n * n - ag - ah))
-            width = (bf - af + 1) + (bg - ag + 1) + (bh - ah + 1)
-            L = min(n, _smooth_length(int(width[live].max(initial=1))))
+            widths = [int((b - a + 1)[live].max(initial=1))
+                      for a, b in ((af, bf), (ag, bg), (ah, bh))]
+            # a triple's positions sum to s in [A_p, B_p]: L past max(-A_p, B_p) holds no alias
+            reach = np.maximum(t * n - (af + ag + ah), bf + bg + bh - t * n)[live]
+            L = min(n, _smooth_length(max(int(reach.max(initial=0)) + 1, *widths)))
             # offsets past a row's g or h window reach bins outside it, where
             # every sample is zero; past its cut f window they are zeroed below
-            o_f, o_g, o_h = (np.arange((b - a + 1)[live].max(initial=1))
-                             for a, b in ((af, bf), (ag, bg), (ah, bh)))
+            o_f, o_g, o_h = (np.arange(w) for w in widths)
             kf, kg, kh = ((a[:, None] + o) % n for a, o in ((af[live], o_f), (ag, o_g), (ah, o_h)))
             f_rows = bank.f_filters(j, self.xi[kf], p0_subset=bank.p0_values[live])
             f_rows[o_f > (bf - af)[live][:, None]] = 0.0

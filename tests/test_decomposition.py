@@ -96,7 +96,7 @@ def test_overlap_precondition():
 
 
 def test_spatial_spectral_agreement(curve_t2, curve_t3):
-    # (m, j, n); the m = 10 cell's rows are 180 bins long on its short grid
+    # (m, j, n); the m = 10 cell's rows are 320 bins long on its short grid
     for c, cells in ((curve_t2, [(4, 0, 2 ** 11), (4, 2, 2 ** 11), (6, 2, 2 ** 11),
                                  (10, 10, 2 ** 15)]),
                      (curve_t3, [(4, 1, 2 ** 11)])):
@@ -224,8 +224,8 @@ def _coarse_case():
 
 
 def _short_case():
-    """Default t^2 banks at m = 4 on a grid sized for j = 2, scanned at j = 3."""
-    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=4)
+    """Default t^2 banks at m = 3 on a grid sized for j = 2, scanned at j = 3."""
+    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=3)
     return TrilinearMachine(bank, 2 ** 12, grid_for_bands(bank, [2]), [3])
 
 
@@ -239,7 +239,8 @@ SHORT_GRID_CASES = {
     "aliased": lambda: _equal_bank_case(6, edge=0.75),
     # live scales 0 (D_0 = 0: no resonant row) and 1
     "powlog": lambda: _scan_case("powlog: a=2 b=1", 5, 2 ** 12),
-    # a grid sized for j = 2 holds the j = 3 windows only at L = N
+    # a grid sized for j = 2 holds the j = 3 windows only at L = N: their
+    # sums reach two multiples of N, and each row's g and h span about 4800 bins
     "L=N": _short_case,
     # f's band spans about 2300 of the 4096 bins; each row keeps only those that meet g and h
     "t2 cut": lambda: _scan_case("poly: t^2", 8, 2 ** 12, [2]),
@@ -315,21 +316,64 @@ def _oracle_bins_once(mach, j) -> bool:
                for bins, _ in mach._oracle_rows(j) for row in bins)
 
 
+def _nonzero_bins(mach, j) -> list:
+    """Per short row at scale j, the (f, g, h) pairs (signed bins, positions)
+    of the row's nonzero samples."""
+    n = mach.n
+    fams = []
+    for mm, bins in zip(mach.mults(j), mach._bins[j]):
+        signed = np.where(bins < n // 2, bins, bins - n)
+        fams.append([(k[v != 0], np.flatnonzero(v)) for k, v in zip(signed, mm)])
+    return list(zip(*fams))
+
+
 def _f_bins_can_resonate(mach, j) -> bool:
     """Every nonzero f sample of a short row sits at a bin k with
     k + l + n = tN for some l, n within two bins of that row's nonzero g and
     h bins."""
     n = mach.n
-    nonzero = []
-    for mm, bins in zip(mach.mults(j), mach._bins[j]):
-        signed = np.where(bins < n // 2, bins, bins - n)
-        nonzero.append([k[v != 0] for k, v in zip(signed, mm)])
-    for kf, kg, kh in zip(*nonzero):
+    for (kf, _), (kg, _), (kh, _) in _nonzero_bins(mach, j):
         if len(kf) and len(kg) and len(kh):
             lo, hi = kf + kg.min() + kh.min() - 4, kf + kg.max() + kh.max() + 4
             if np.any(hi // n * n < lo):
                 return False
     return True
+
+
+def _alias_free(mach, j) -> bool:
+    """Every short row at scale j holds its nonzero samples alias-free.
+
+    Each family's nonzero bins span fewer than L bins and sit at one shift
+    (mod L) of their signed bins, so at distinct positions, and the
+    positions of a triple sum to S - c (mod L), S = k + l + n.  Over the sums
+    S in [lo, hi] that the row's nonzero bins reach, S - tN lies in [A, B]
+    (tN the first multiple of N reached) with max(-A, B) < L unless L = N,
+    and S - c is 0 mod L exactly where S is 0 mod N."""
+    n, L = mach.n, mach.mults(j)[0].shape[1]
+    for row in _nonzero_bins(mach, j):
+        if not all(len(k) for k, _ in row):
+            continue
+        c = 0
+        for k, q in row:
+            if k.max() - k.min() >= L or np.any((k - q - (k[0] - q[0])) % L):
+                return False
+            c += k[0] - q[0]
+        lo, hi = sum(k.min() for k, _ in row), sum(k.max() for k, _ in row)
+        t = -(-lo // n)
+        if L < n and t * n <= hi and max(t * n - lo, hi - t * n) >= L:
+            return False
+        s = np.arange(lo, hi + 1)
+        if not np.array_equal((s - c) % L == 0, s % n == 0):
+            return False
+    return True
+
+
+def _widest_window_sum(mach, j) -> int:
+    """Over the short rows at scale j, the widest sum of the three families'
+    nonzero bin spans, a lower bound on the sum W_f' + W_g + W_h of their
+    windows."""
+    return max((sum(int(k.max() - k.min() + 1) for k, _ in row)
+                for row in _nonzero_bins(mach, j) if all(len(k) for k, _ in row)), default=0)
 
 
 @pytest.mark.parametrize("m, n", [(4, 2 ** 12), (6, 2 ** 12), (8, 2 ** 12), (4, 2 ** 8)])
@@ -359,10 +403,15 @@ def test_short_grid_matches_dense(case):
     if case == "t2 cut":
         assert max(lengths) <= mach.n // 8
     assert all(_f_bins_can_resonate(mach, j) for j in j_list)
+    assert all(_alias_free(mach, j) for j in j_list)
+    # the reach of a triple, not the sum of its windows, sizes the short grid
+    if case in ("t2", "t3", "powlog"):
+        assert all(mach.mults(j)[0].shape[1] < _widest_window_sum(mach, j) for j in j_list)
     rng = np.random.default_rng(5)
     fv, gv, hv = (rng.normal(size=mach.n) + 1j * rng.normal(size=mach.n) for _ in range(3))
     rows = {j: _dense_rows(mach, j) for j in j_list}
-    assert (max(_widest_hull(mach, rows[j]) for j in j_list) > mach.n) == (case == "hull > N")
+    widest = max(_widest_hull(mach, rows[j]) for j in j_list)
+    assert (widest > mach.n) == (case in ("L=N", "hull > N"))
     for j in j_list:
         ref = _dense_lam(mach, rows[j], fv, gv, hv)
         assert abs(mach.lam_spatial(fv, gv, hv, j) - ref) <= 1e-12 * abs(ref)
@@ -411,6 +460,16 @@ def test_ascent_gradients_match_fresh_filtering(curve_t2):
         assert all(rows[i][j].tobytes() == ref[j].tobytes() for j in mach.scan_scales)
     with pytest.raises(ValueError, match="unknown slot"):
         fresh.grad_slot("x", rows[0], rows[1])
+
+
+def test_ascent_rows_match_dense_form(curve_t2):
+    # the short rows a matched member returns give the full-grid form of the
+    # values it returns: the ascent's bookkeeping held to the dense route
+    mach = scan_machine(curve_t2, 5, n=2 ** 12)
+    vals, rows = matched_triple(mach, 3, (2.0, 2.0, math.inf), rounds=2)
+    got = sum(mach.lam_rows(*(r[j] for r in rows)) for j in mach.scan_scales)
+    ref = sum(_dense_lam(mach, _dense_rows(mach, j), *vals) for j in mach.scan_scales)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_conjugate_symmetry_real_inputs(curve_t2):
