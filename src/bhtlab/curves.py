@@ -17,13 +17,16 @@ collapse.
 Builtin families (polynomials without constant/linear term, powers |t|^a and
 sign(t)|t|^a, and |t|^a |log|t||^b) carry analytic derivative closures; the
 pure power family additionally has exact closed-form limit profiles, used as
-fast paths elsewhere.
+fast paths elsewhere.  A Curve holds only what its builder knows; its class
+data (regime, monotone radius, c_gamma, k_gamma) are measured when first
+read, so a run pays only for the ones it uses.
 """
 from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,26 +51,36 @@ DICHOTOMY_RESIDUAL_TOL = 0.5  # growth_dichotomy's largest rms residual of a mem
 
 @dataclass(frozen=True)
 class Curve:
-    """A curve t -> gamma(t) (t != 0) with derivative closures and measured class data.
+    """A curve t -> gamma(t) (t != 0): what its builder knows, and class data.
 
-    eval_fn, deriv, deriv2: gamma, gamma' and gamma'', all three required.
-    regime: 'derivative_vanishes_at_zero' or 'derivative_blows_up_at_zero'.
-    c_gamma: half the measured non-degeneracy floor (self-consistent threshold).
-    k_gamma: the stationary-point window is [2^-k_gamma, 2^k_gamma].
-    monotone_radius: probed radius of strict monotonicity of gamma' on (0, .).
-    two_sided: gamma' changes sign across 0, so its inverse is two-branched.
+    Fields: eval_fn, deriv, deriv2 (gamma, gamma', gamma''); two_sided (gamma'
+    changes sign across 0, so its inverse is two-branched); power_exponent (a
+    of a pure power curve, whose limit profiles are closed-form).  A curve
+    whose gamma'(2^-PROFILE_LIMIT_J) is not finite and nonzero has no limit
+    profile and is refused.
+
+    Measured on first read and kept on the instance: regime
+    ('derivative_vanishes_at_zero' or 'derivative_blows_up_at_zero'),
+    monotone_radius (probed radius of strict monotonicity of gamma'),
+    c_gamma (half the measured non-degeneracy floor, a self-consistent
+    threshold) and k_gamma (the stationary-point window is [2^-k_gamma,
+    2^k_gamma]).  inverse_deriv reads monotone_radius, a non-power curve's
+    phase profiles read regime, `phase` reads k_gamma, and `curve-check`
+    reads all four.
     """
 
     label: str
     eval_fn: Callable = field(repr=False)
     deriv: Callable = field(repr=False)
     deriv2: Callable = field(repr=False)
-    c_gamma: float = 0.0
-    k_gamma: int = 0
-    regime: str = "derivative_vanishes_at_zero"
-    monotone_radius: float = math.inf
     two_sided: bool = True
     power_exponent: Optional[float] = None
+
+    def __post_init__(self):
+        gp = float(self.deriv(2.0 ** (-PROFILE_LIMIT_J)))
+        if not (math.isfinite(gp) and gp != 0.0):
+            raise ValueError(f"curve {self.label!r} has gamma'(2^-{PROFILE_LIMIT_J}) = {gp!r}, "
+                             f"not finite and nonzero: its profiles have no limit scale")
 
     @property
     def has_closed_profiles(self) -> bool:
@@ -75,9 +88,76 @@ class Curve:
 
     @property
     def search_radius(self) -> float:
-        """The largest t where inverse_deriv looks: the monotone radius,
-        capped at 1e6."""
+        """The largest t where inverse_deriv looks: monotone_radius capped at 1e6."""
         return min(self.monotone_radius, 1e6)
+
+    @cached_property
+    def regime(self) -> str:
+        lo, hi = abs(float(self.deriv(1e-8))), abs(float(self.deriv(1e-4)))
+        return "derivative_vanishes_at_zero" if lo < hi else "derivative_blows_up_at_zero"
+
+    @cached_property
+    def monotone_radius(self) -> float:
+        """First sign change of gamma'' on either side of 0 (log grid probe)."""
+        t = np.logspace(-9, 2, 1200)
+        radius = math.inf
+        for side in (1.0, -1.0):
+            d2 = np.asarray(self.deriv2(side * t), dtype=float)
+            s0 = np.sign(d2[0])
+            bad = np.nonzero(np.sign(d2) != s0)[0]
+            if len(bad):
+                radius = min(radius, 0.9 * float(t[bad[0]]))
+        return radius
+
+    @cached_property
+    def _infima(self) -> dict:
+        """The three non-degeneracy infima of nonflatness_report."""
+        tg = i_grid()
+        scale = 2.0 ** (-PROFILE_LIMIT_J)
+        q2 = scale * np.asarray(self.deriv2(scale * tg), dtype=float) / float(self.deriv(scale))
+        sg = j_grid(self)
+        rp = _limit_r_prime(self, sg)
+        srp = sg * rp
+        diff = np.abs(srp[:, None] - srp[None, :])
+        den = np.abs(sg[:, None] - sg[None, :])
+        mask = den > 1e-12
+        return {"infQ2": float(np.min(np.abs(q2))),
+                "infr1": float(np.min(np.abs(rp))),
+                "inf_dual": float(np.min(diff[mask] / den[mask]))}
+
+    @cached_property
+    def c_gamma(self) -> float:
+        return 0.5 * min(self._infima.values())
+
+    @cached_property
+    def k_gamma(self) -> int:
+        """Smallest k with the stationary-point window inside [2^-k, 2^k].
+
+        The band supports force the frequency ratio into [1/100, 100] times
+        gamma'(2^-j); the stationary point then sits at
+        2^j (gamma')^{-1}(w gamma'(2^-j)), probed at deep scales.  For nearly
+        flat curves the ratio window is clipped to the attainable range of
+        gamma' (the window then degenerates and k stays small).
+        """
+        lo, hi = _RATIO_WINDOW
+        t_hi = self.search_radius
+        bounds = []
+        for j in (20, PROFILE_LIMIT_J):
+            scale = 2.0 ** (-j)
+            gp = float(self.deriv(scale))
+            attain = sorted([abs(float(self.deriv(1e-30))) / abs(gp),
+                             abs(float(self.deriv(t_hi))) / abs(gp)])
+            w_lo = min(max(lo, 1.02 * attain[0]), 0.98 * attain[1])
+            w_hi = max(min(hi, 0.98 * attain[1]), 1.02 * attain[0])
+            for w in (w_lo, w_hi):
+                try:
+                    bounds.append(float(inverse_deriv(self, w * gp)) / scale)
+                except ValueError:
+                    continue
+        if not bounds:
+            return 1
+        span = max(max(bounds), 1.0 / min(bounds))
+        return max(1, int(math.ceil(math.log2(span))))
 
 
 @dataclass(frozen=True)
@@ -141,9 +221,8 @@ def _poly_curve(coeffs: dict[int, float], label: str) -> Curve:
         return sum(p * (p - 1) * coeffs[p] * t ** (p - 2) for p in powers)
 
     lead = min(powers)
-    return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
-                               two_sided=(lead % 2 == 0),
-                               power_exponent=float(lead) if len(powers) == 1 else None))
+    return Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2, two_sided=(lead % 2 == 0),
+                 power_exponent=float(lead) if len(powers) == 1 else None)
 
 
 def _power_curve(alpha: float, sign_variant: bool, label: str) -> Curve:
@@ -166,8 +245,8 @@ def _power_curve(alpha: float, sign_variant: bool, label: str) -> Curve:
         t = np.asarray(t, dtype=float)
         return signed(alpha * (alpha - 1.0) * np.abs(t) ** (alpha - 2.0), t, sign_variant)
 
-    return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
-                               two_sided=not sign_variant, power_exponent=alpha))
+    return Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
+                 two_sided=not sign_variant, power_exponent=alpha)
 
 
 def _powlog_curve(a: float, b: float, label: str) -> Curve:
@@ -205,8 +284,7 @@ def _powlog_curve(a: float, b: float, label: str) -> Curve:
             out = out + b * (b - 1.0) * lt ** (b - 2.0)
         return np.abs(t) ** (a - 2.0) * out
 
-    return _finish_curve(Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2,
-                               two_sided=True))
+    return Curve(label=label, eval_fn=ev, deriv=d1, deriv2=d2, two_sided=True)
 
 
 def builtin_curve(descriptor: str) -> Curve:
@@ -244,65 +322,6 @@ def _number(text: str, descriptor: str) -> float:
         raise ValueError(f"bad descriptor {descriptor!r}: {text!r} is not a finite number; "
                          f"{GRAMMAR_HELP}")
     return value
-
-
-# ---------------------------------------------------------------------------
-# construction-time measurements
-# ---------------------------------------------------------------------------
-
-def _probe_monotone_radius(c: Curve) -> float:
-    """First sign change of gamma'' on either side of 0 (log grid probe)."""
-    t = np.logspace(-9, 2, 1200)
-    radius = math.inf
-    for side in (1.0, -1.0):
-        d2 = np.asarray(c.deriv2(side * t), dtype=float)
-        s0 = np.sign(d2[0])
-        bad = np.nonzero(np.sign(d2) != s0)[0]
-        if len(bad):
-            radius = min(radius, 0.9 * float(t[bad[0]]))
-    return radius
-
-
-def _probe_regime(c: Curve) -> str:
-    lo, hi = abs(float(c.deriv(1e-8))), abs(float(c.deriv(1e-4)))
-    return "derivative_vanishes_at_zero" if lo < hi else "derivative_blows_up_at_zero"
-
-
-def _finish_curve(c: Curve) -> Curve:
-    base = replace(c, regime=_probe_regime(c), monotone_radius=_probe_monotone_radius(c))
-    rep = nonflatness_report(base)
-    floor = min(rep["infQ2"], rep["infr1"], rep["inf_dual"])
-    return replace(base, c_gamma=0.5 * floor, k_gamma=_probe_k_gamma(base))
-
-
-def _probe_k_gamma(c: Curve) -> int:
-    """Smallest k with the stationary-point window inside [2^-k, 2^k].
-
-    The band supports force the frequency ratio into [1/100, 100] times
-    gamma'(2^-j); the stationary point then sits at
-    2^j (gamma')^{-1}(w gamma'(2^-j)), probed at deep scales.  For nearly
-    flat curves the ratio window is clipped to the attainable range of
-    gamma' (the window then degenerates and k stays small).
-    """
-    lo, hi = _RATIO_WINDOW
-    t_hi = c.search_radius
-    bounds = []
-    for j in (20, PROFILE_LIMIT_J):
-        scale = 2.0 ** (-j)
-        gp = float(c.deriv(scale))
-        attain = sorted([abs(float(c.deriv(1e-30))) / abs(gp),
-                         abs(float(c.deriv(t_hi))) / abs(gp)])
-        w_lo = min(max(lo, 1.02 * attain[0]), 0.98 * attain[1])
-        w_hi = max(min(hi, 0.98 * attain[1]), 1.02 * attain[0])
-        for w in (w_lo, w_hi):
-            try:
-                bounds.append(float(inverse_deriv(c, w * gp)) / scale)
-            except ValueError:
-                continue
-    if not bounds:
-        return 1
-    span = max(max(bounds), 1.0 / min(bounds))
-    return max(1, int(math.ceil(math.log2(span))))
 
 
 # ---------------------------------------------------------------------------
@@ -484,30 +503,11 @@ def nonflatness_report(c: Curve) -> dict:
 
     infQ2 = inf |Q''| over I, infr1 = inf |r'| over J, inf_dual the infimum
     of |s1 r'(s1) - s2 r'(s2)| / |s1 - s2| over distinct sampled pairs.
-    Passes when all three exceed the recorded floor c_gamma.
+    Passes when all three exceed the floor c_gamma; both read the curve's
+    one measurement of the infima.
     """
-    tg = i_grid()
-    scale = 2.0 ** (-PROFILE_LIMIT_J)
-    q2 = scale * np.asarray(c.deriv2(scale * tg), dtype=float) / float(c.deriv(scale))
-    inf_q2 = float(np.min(np.abs(q2)))
-
-    sg = j_grid(c)
-    rp = _limit_r_prime(c, sg)
-    inf_r1 = float(np.min(np.abs(rp)))
-
-    srp = sg * rp
-    diff = np.abs(srp[:, None] - srp[None, :])
-    den = np.abs(sg[:, None] - sg[None, :])
-    mask = den > 1e-12
-    inf_dual = float(np.min(diff[mask] / den[mask]))
-
-    return {
-        "infQ2": inf_q2,
-        "infr1": inf_r1,
-        "inf_dual": inf_dual,
-        "c_gamma": c.c_gamma,
-        "pass": bool(min(inf_q2, inf_r1, inf_dual) > c.c_gamma),
-    }
+    inf = c._infima
+    return {**inf, "c_gamma": c.c_gamma, "pass": bool(min(inf.values()) > c.c_gamma)}
 
 
 def _line_fit(x, y) -> tuple:

@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 
-ORACLE_SAMPLES = 2 ** 16    # samples (P rows x bins) per block of the oracle's hull scan
+ORACLE_SAMPLES = 2 ** 15    # samples (P rows x bins) per block of the oracle's hull scan
 
 
 def scale_factor(c: Curve, j: int) -> float:
@@ -477,9 +477,9 @@ class TrilinearMachine:
         """Per row of family's (P, N) rows, its least and greatest signed bin
         (N//2 - N .. N//2 - 1) holding a nonzero sample; lo > hi for a row
         with none.  The whole grid is sampled in signed order, in blocks of
-        max(1, ORACLE_SAMPLES // P) bins for all P rows, so a block's
-        float64 temporaries stay at 512 KiB: ones of 2 MiB (1024 bins at
-        P = 256) are page-faulted in afresh on every block."""
+        max(1, ORACLE_SAMPLES // P) bins for all P rows, so a block's float64
+        temporaries stay at 256 KiB: at 512 KiB glibc's allocator can hand
+        them fresh pages, page-faulted in, on every block (see README)."""
         n, p = self.n, len(self.bank.p0_values)
         width = max(1, ORACLE_SAMPLES // p)
         lo, hi = np.full(p, n), np.full(p, -n)

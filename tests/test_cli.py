@@ -66,6 +66,20 @@ def test_malformed_curve_descriptor_exit_2(tmp_path, capsys, desc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("desc", ["pow: 37", "poly: t^38", "pow: 40", "pow: 50", "pow: 300",
+                                  "poly: t^40"])
+def test_underflowing_curve_exit_2(tmp_path, capsys, desc):
+    # gamma'(2^-30) underflows to 0: refused at parse time, naming the curve and
+    # the scale, with no traceback and nothing written
+    out = tmp_path / "u"
+    assert cli.main(["--out", str(out), "scan", "--curve", desc, "--edge", "AB"]) == 2
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and repr(desc) in errors[0] and "2^-30" in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_phase_csv_rows(tmp_path):
     r = run_cli(["--out", str(tmp_path / "c"), "phase", "--curve", "poly: t^2",
                  "--j", "3", "--count", "7", "--seed", "5"], cwd=tmp_path)

@@ -3,9 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from bhtlab.curves import (asymptotic_profile, builtin_curve, growth_dichotomy, i_grid,
+from bhtlab import cli, curves
+from bhtlab.curves import (Curve, asymptotic_profile, builtin_curve, growth_dichotomy, i_grid,
                            inverse_deriv, nonflatness_report, profile_error_sequence,
                            r_profile, variation_count)
+from bhtlab.normscan import bht_direct, scan_point
+from bhtlab.signal import EnsembleShape, SampledFunction, make_ensemble
+
+CLASS_DATA = ("regime", "monotone_radius", "c_gamma", "k_gamma")
+# repr of (regime, monotone_radius, c_gamma, k_gamma), pinned bit for bit
+PINNED_CLASS_DATA = {
+    "poly: t^2": ("'derivative_vanishes_at_zero'", "inf", "0.5", "7"),
+    "poly: t^3": ("'derivative_vanishes_at_zero'", "inf", "0.03128057732868683", "4"),
+    "pow: 1.5": ("'derivative_vanishes_at_zero'", "inf", "0.125", "14"),
+    "poly: 1*t^2 + 0.5*t^3": ("'derivative_vanishes_at_zero'", "0.602463281290459",
+                              "0.4999999947715974", "7"),
+    "powlog: a=2 b=1": ("'derivative_vanishes_at_zero'", "0.20084746870155085",
+                        "0.44120810301476643", "8"),
+    "pow: 0.5": ("'derivative_blows_up_at_zero'", "inf", "0.03125", "14"),
+    "pow: 1.5 sign": ("'derivative_vanishes_at_zero'", "inf", "0.125", "14"),
+    "poly: t^2 - t^3": ("'derivative_vanishes_at_zero'", "0.30003940064896106",
+                        "0.49999998814617197", "7"),
+}
+# descriptors whose gamma'(2^-30) underflows to 0.0
+UNDERFLOWING = ("pow: 37", "poly: t^38", "pow: 40", "pow: 50", "pow: 300", "poly: t^40")
 
 
 def test_parser_accepts_and_differentiates(curve_t2, curve_mixed):
@@ -137,9 +158,7 @@ def test_variation_scale_invariance(curve_t2):
         scaled = builtin_curve("poly: t^2")
         scaled = type(scaled)(label="scaled", eval_fn=lambda t, s=scale: s * np.asarray(t) ** 2,
                               deriv=lambda t, s=scale: 2.0 * s * np.asarray(t),
-                              deriv2=lambda t, s=scale: 2.0 * s * np.ones_like(np.asarray(t, dtype=float)),
-                              c_gamma=0.5, k_gamma=7,
-                              monotone_radius=math.inf)
+                              deriv2=lambda t, s=scale: 2.0 * s * np.ones_like(np.asarray(t, dtype=float)))
         assert variation_count(scaled, 30) == base
 
 
@@ -211,3 +230,64 @@ def test_powlog_membership(curve_powlog):
     assert variation_count(curve_powlog, 40) <= 3
     errs = profile_error_sequence(curve_powlog, [4, 8, 12, 16])
     assert errs[-1] < errs[0]
+
+
+@pytest.mark.parametrize("desc", UNDERFLOWING)
+def test_underflowing_derivative_refused(desc):
+    with pytest.raises(ValueError, match=r"gamma'\(2\^-30\) = 0\.0") as info:
+        builtin_curve(desc)
+    assert repr(desc) in str(info.value)
+
+
+@pytest.mark.parametrize("desc", PINNED_CLASS_DATA)
+def test_class_data_measured_on_first_read(desc):
+    c = builtin_curve(desc)
+    assert not set(CLASS_DATA) & set(vars(c))
+    assert tuple(repr(getattr(c, name)) for name in CLASS_DATA) == PINNED_CLASS_DATA[desc]
+    assert set(CLASS_DATA) <= set(vars(c))
+
+
+def _counting(desc):
+    """builtin_curve(desc) rebuilt on closures that count their calls."""
+    base = builtin_curve(desc)
+    calls = [0]
+
+    def counted(fn):
+        def wrapped(t):
+            calls[0] += 1
+            return fn(t)
+        return wrapped
+
+    return Curve(label=desc, eval_fn=base.eval_fn, deriv=counted(base.deriv),
+                 deriv2=counted(base.deriv2), two_sided=base.two_sided,
+                 power_exponent=base.power_exponent), calls
+
+
+@pytest.mark.parametrize("desc", ["poly: t^3", "powlog: a=2 b=1"])
+@pytest.mark.parametrize("name", CLASS_DATA)
+def test_class_data_measured_once(desc, name):
+    c, calls = _counting(desc)
+    first = getattr(c, name)
+    measured = calls[0]
+    assert measured > 0
+    assert getattr(c, name) is first and calls[0] == measured
+
+
+def test_curve_check_measures_infima_once(tmp_path, monkeypatch):
+    runs = []
+    real = curves._limit_r_prime
+    monkeypatch.setattr(curves, "_limit_r_prime", lambda c, s: runs.append(1) or real(c, s))
+    assert cli.main(["--out", str(tmp_path / "cc"), "curve-check", "--curve", "poly: t^3"]) == 0
+    assert len(runs) == 1
+
+
+def test_scan_and_pv_leave_floors_unmeasured():
+    c = builtin_curve("poly: t^2")
+    scan_point(c, 3, [(2.0, 2.0, math.inf)], seed=5, ensemble_size=2, rounds=1, n=2 ** 10)
+    shape = EnsembleShape(kind="gaussian", n_terms=3, freq_lo=4.0, freq_hi=8.0,
+                          width_lo_frac=0.02, width_hi_frac=0.04)
+    [f] = make_ensemble(5, 1, shape, x0=-32.0, dx=64.0 / 2 ** 10, n=2 ** 10)
+    one = SampledFunction(f.x0, f.dx, np.ones(f.n),
+                          profile=lambda t: np.ones_like(np.asarray(t, dtype=float), dtype=complex))
+    bht_direct(c, f, one)
+    assert "c_gamma" not in vars(c) and "k_gamma" not in vars(c)
