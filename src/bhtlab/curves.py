@@ -115,8 +115,12 @@ class Curve:
         tg = i_grid()
         scale = 2.0 ** (-PROFILE_LIMIT_J)
         q2 = scale * np.asarray(self.deriv2(scale * tg), dtype=float) / float(self.deriv(scale))
-        sg = j_grid(self)
-        rp = _limit_r_prime(self, sg)
+        try:
+            sg = j_grid(self)
+            rp = _limit_r_prime(self, sg)
+        except ValueError as exc:
+            raise ValueError(f"curve {self.label!r}: measuring the non-degeneracy infima "
+                             f"(c_gamma) failed: {exc}") from exc
         srp = sg * rp
         diff = np.abs(srp[:, None] - srp[None, :])
         den = np.abs(sg[:, None] - sg[None, :])
@@ -263,8 +267,10 @@ def _powlog_curve(a: float, b: float, label: str) -> Curve:
         return np.abs(t) ** a * L(t) ** b
 
     # at |t| = 1, L = 0: gamma' and gamma'' are inf or nan there for 0 < b < 2,
-    # which FilterBank.reach and variation_count handle, so numpy stays quiet
-    @np.errstate(divide="ignore", invalid="ignore")
+    # which FilterBank.reach and variation_count handle, so numpy stays quiet.
+    # Near 0 with a < 1 (a < 2 for gamma''), |t|^(a-1) overflows to inf, as at
+    # inverse_deriv's bracket end 1e-300, whose bracket test takes inf as it is
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def d1(t):
         t = np.asarray(t, dtype=float)
         if b == 0.0:    # |t|^a: L^(b-1) would be inf at |t| = 1, times 0
@@ -272,7 +278,7 @@ def _powlog_curve(a: float, b: float, label: str) -> Curve:
         sl = np.sign(np.log(np.abs(t)))
         return np.sign(t) * np.abs(t) ** (a - 1.0) * L(t) ** (b - 1.0) * (a * L(t) + b * sl)
 
-    @np.errstate(divide="ignore", invalid="ignore")
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def d2(t):
         t = np.asarray(t, dtype=float)
         sl = np.sign(np.log(np.abs(t)))
@@ -349,7 +355,7 @@ def inverse_deriv(c: Curve, w):
     mirror = np.sign(w_arr) != pos_sign
     if np.any(mirror) and not c.two_sided:
         bad = w_arr[mirror][0]
-        raise ValueError(f"value {bad!r} outside the range of gamma' on the positive branch")
+        raise ValueError(f"value {float(bad)} outside the range of gamma' on the positive branch")
 
     sgn = np.where(mirror, -1.0, 1.0)
 
@@ -361,7 +367,7 @@ def inverse_deriv(c: Curve, w):
     flo, fhi = f(lo), f(hi)
     if np.any(flo * fhi > 0):
         bad = w_arr[flo * fhi > 0][0]
-        raise ValueError(f"value {bad!r} outside the attainable range of gamma'")
+        raise ValueError(f"value {float(bad)} outside the attainable range of gamma'")
     for _ in range(90):
         mid = np.sqrt(lo * hi)
         fm = f(mid)

@@ -138,6 +138,13 @@ def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
     return _bht_core(c, f, g, params)
 
 
+def _on_block(profile, x, y):
+    """profile(x[:, None] + y) for the rows x and the nodes y, through the
+    profile's block form when it has one (make_ensemble's Gaussian members)."""
+    block = getattr(profile, "block", None)
+    return block(x, y) if block is not None else profile(x[:, None] + y)
+
+
 def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams):
     """The PV sum over the _pv_panels layout, each panel and sign branch on
     its own band of rows.
@@ -149,8 +156,9 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
     [g_lo - max gamma(sT), g_hi - min gamma(sT)] (extremes over the nodes
     evaluated) is dropped: f and g are evaluated only on the intersection,
     a panel with both bands empty evaluates nothing, and the branches are
-    still subtracted before the division by t.  Members with the whole line
-    as support run the same code over every row.
+    still subtracted before the division by t, which is folded into the
+    weights.  Members with the whole line as support run the same code over
+    every row.  Every f and g block is one row x node block (_on_block).
     """
     if f.profile is None or g.profile is None:
         raise ValueError("the PV quadrature evaluates f and g off the grid: "
@@ -182,17 +190,17 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
         u0, u1 = min(i0 for i0, _ in live), max(i1 for _, i1 in live)
         block = np.zeros((u1 - u0, len(ts)), dtype=complex)
         if p1 > p0:
-            block[p0 - u0: p1 - u0] = f_rows(1, p0, p1) * ge(xs[p0:p1, None] + gp)
+            block[p0 - u0: p1 - u0] = f_rows(1, p0, p1) * _on_block(ge, xs[p0:p1], gp)
         if m1 > m0:
-            block[m0 - u0: m1 - u0] -= f_rows(-1, m0, m1) * ge(xs[m0:m1, None] + gm)
-        acc[u0:u1] += (block / ts) @ ws
+            block[m0 - u0: m1 - u0] -= f_rows(-1, m0, m1) * _on_block(ge, xs[m0:m1], gm)
+        acc[u0:u1] += block @ (ws / ts)
         return len(live)
 
     def paired(ts, ws):
         out = np.zeros(n, dtype=complex)
         add_pair(out, ts, ws, np.asarray(c.eval_fn(ts), dtype=float),
                  np.asarray(c.eval_fn(-ts), dtype=float),
-                 lambda sgn, i0, i1: fe(xs[i0:i1, None] - sgn * ts))
+                 lambda sgn, i0, i1: _on_block(fe, xs[i0:i1], -sgn * ts))
         return out
 
     def panel(a, b):
@@ -232,7 +240,7 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
         def f_block(xe, st):
             out = np.zeros((len(xe), len(st)), dtype=complex)
             i0, i1 = rows(xe, f_lo + st.min(), f_hi + st.max())
-            out[i0:i1] = fe(xe[i0:i1, None] - st)
+            out[i0:i1] = _on_block(fe, xe[i0:i1], -st)
             return out
 
         f_minus = f_block(f.x0 + f.dx * np.arange(-ext, n), t0)
@@ -517,7 +525,7 @@ def decay_fit(m_list, sups) -> tuple[float, float]:
     (nan, nan) for fewer than three distinct m or a sup that is not positive."""
     ms = np.array(m_list, dtype=float)
     sups = np.asarray(sups, dtype=float)
-    if len(np.unique(ms)) < 3 or not np.all(sups > 0):
+    if len(set(ms.tolist())) < 3 or not np.all(sups > 0):
         return math.nan, math.nan
     slope, resid = _line_fit(ms, np.log2(sups))
     return float(-slope), resid

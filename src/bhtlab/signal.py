@@ -211,7 +211,7 @@ def _gaussian_member(rng, half, shape):
         w = rng.uniform(shape.freq_lo, shape.freq_hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
         terms.append((a, c, s, w))
 
-    def profile(t):
+    def profile(t, split=None):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for a, c, s, w in terms:
@@ -219,12 +219,26 @@ def _gaussian_member(rng, half, shape):
             # a term with no such point adds nothing (out never holds -0, so + 0 is exact)
             z2 = ((t - c) / s) ** 2
             live = z2 < 700.0
-            if live.all():
+            if split is not None and live.any():
+                # block form, t = x[:, None] + y: the phase splits into a row and a
+                # node factor, so a sample takes one real exp and one complex product
+                x, y = split
+                # -z^2 and its exp in place: a new block would fault its pages in afresh
+                np.negative(z2, out=z2)
+                env = (np.exp(z2, out=z2) if live.all()
+                       else np.exp(z2, out=np.zeros(t.shape), where=live))
+                term = np.multiply.outer(a * np.exp((1j * w) * x), np.exp((1j * w) * y))
+                term *= env
+                out += term
+            elif live.all():
                 out += a * np.exp((1j * w) * t - z2)
             elif live.any():
                 out += a * np.exp((1j * w) * t - z2, out=np.zeros(t.shape, dtype=complex),
                                   where=live)
         return out
+
+    # f(x[:, None] + y) from the rows x and the nodes y, through the split phase
+    profile.block = lambda x, y: profile(x[:, None] + y, (x, y))
 
     # each of the K terms stays under TAIL_BOUND / K beyond its reach
     reach = [(c, _gaussian_reach(len(terms) * abs(a), s)) for a, c, s, _ in terms]
@@ -279,7 +293,9 @@ def make_ensemble(seed: int, count: int, shape: EnsembleShape,
     """Deterministic ensemble of test functions; same seed, same bytes.
 
     Members carry their closed-form `profile` so principal-value quadratures
-    can evaluate them off the grid exactly, and its proven `support`: the
+    can evaluate them off the grid exactly (a Gaussian member's also has the
+    block form profile.block(x, y) = profile(x[:, None] + y), which takes each
+    term's phase as a row times a node factor), and its proven `support`: the
     interval outside which |profile| <= TAIL_BOUND.  A Gaussian sum of K
     terms a_k exp(-((t - c_k)/s_k)^2) reaches r_k = s_k sqrt(ln(K |a_k| /
     TAIL_BOUND)) from each centre; a lacunary member is one such envelope

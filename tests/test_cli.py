@@ -385,6 +385,29 @@ def test_curve_check_powlog_singular_at_one(tmp_path):
     assert r.stderr == ""
 
 
+@pytest.mark.parametrize("cmd", ["curve-check", "phase"])
+def test_powlog_negative_a_without_warnings(tmp_path, cmd):
+    # a < 0: |t|^(a-1) overflows to inf at inverse_deriv's bracket end 1e-300,
+    # which the bracket takes as it is, so numpy stays quiet
+    r = run_cli(["--out", str(tmp_path / "c"), cmd, "--curve", "powlog: a=-2 b=1"],
+                cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+
+
+def test_curve_check_unmeasurable_infima_exit_2(tmp_path, capsys):
+    # gamma' of powlog a=2 b=40 cannot attain the values r' asks for: the refusal
+    # names the curve and the measurement, and prints the value as a plain float
+    out = tmp_path / "u"
+    assert cli.main(["--out", str(out), "curve-check", "--curve", "powlog: a=2 b=40"]) == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1
+    assert "'powlog: a=2 b=40'" in errors[0]
+    assert "the non-degeneracy infima (c_gamma)" in errors[0]
+    assert "np.float64" not in errors[0] and "value -3.16" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("j, rc", [(-60, 2), (-14, 0)])
 def test_phase_deep_scale(tmp_path, capsys, j, rc):
     # a negative scale runs while its window fits the search radius of

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import child_env
 from scipy.special import wofz
 
 import bhtlab
@@ -345,6 +348,23 @@ def test_pv_band_point_count():
     assert diag["live_outer"] > 0 and diag["flagged_points"] == 0
 
 
+@pytest.mark.parametrize("desc", BHT_CURVES)
+def test_pv_block_form_matches_generic_path(desc):
+    # the members' block form (split phase) against the same profiles behind a
+    # plain lambda, which has none and takes profile(x[:, None] + y): the two
+    # differ by rounding only, and the closure check sees the same sums
+    c = builtin_curve(desc)
+    for seed in (0, 7):
+        members = bht_members(seed, 2)
+        assert all(callable(m.profile.block) for m in members)
+        plain = [dataclasses.replace(m, profile=lambda t, pr=m.profile: pr(t)) for m in members]
+        out, diag = _bht_core(c, *members, PVParams())
+        ref, ref_diag = _bht_core(c, *plain, PVParams())
+        assert np.linalg.norm(out.values - ref.values) <= 1e-13 * np.linalg.norm(ref.values)
+        keys = ("eps_final", "flagged_points", "live_outer")
+        assert [diag[k] for k in keys] == [ref_diag[k] for k in keys]
+
+
 def test_gaussian_profile_matches_masked_formula():
     # dead terms are skipped and all-live ones drop the mask; neither may move a bit
     n, dx = 2 ** 12, 64.0 / 2 ** 12
@@ -645,6 +665,19 @@ def test_fit_decay_refusals():
     assert all(math.isnan(v) for v in decay_fit([2, 3, 4], [1.0, 0.0, 0.5]))
     alpha, resid = decay_fit([2, 3, 4], [1.0, 0.5, 0.25])
     assert alpha == pytest.approx(1.0) and resid == pytest.approx(0.0, abs=1e-12)
+    # repeats count once: 2 distinct m leave no fit, 3 give one
+    assert all(math.isnan(v) for v in decay_fit([4, 5, 5, 4], [1.0, 0.5, 0.5, 1.0]))
+    alpha, resid = decay_fit([2, 3, 3, 4], [1.0, 0.5, 0.5, 0.25])
+    assert alpha == pytest.approx(1.0) and resid == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_decay_leaves_numpy_ma_unloaded():
+    # the scan's only fit counts its m without np.unique, which imports numpy.ma
+    code = ("import sys; from bhtlab.normscan import decay_fit; "
+            "decay_fit([2, 3, 3, 4], [1.0, 0.5, 0.5, 0.25]); "
+            "sys.exit('numpy.ma' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], env=child_env())
+    assert r.returncode == 0
 
 
 def envelope_check(results, p: float) -> dict:

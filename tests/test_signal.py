@@ -287,6 +287,37 @@ def test_member_support_bounds_profile(kind):
             assert f.with_values(f.values).support == (-math.inf, math.inf)
 
 
+def test_gaussian_block_form_matches_profile():
+    # the split phase a e^{iwx} e^{iwy} against profile(x[:, None] + y) on
+    # `bhtlab bht`'s members: rows over the PV's outer grid extended by 62 * 64
+    # rows, and rows across the first term's z^2 = 700 edge; nodes at +-t and
+    # gamma(+-t) for t^2 and t^3 with t in (0, 64], where most rows are dead
+    shape = EnsembleShape(kind="gaussian", n_terms=3, freq_lo=4.0, freq_hi=8.0,
+                          width_lo_frac=0.02, width_hi_frac=0.04)
+    x0, dx = symmetric_grid(32.0, 2 ** 12)
+    x_outer = x0 + dx * np.arange(-62 * 64, 2 ** 12 + 62 * 64)
+    t = np.linspace(0.0, 64.0, 17)[1:]
+    node_sets = [s * t for s in (1.0, -1.0)] + [(s * t) ** k for s in (1.0, -1.0) for k in (2, 3)]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for f in make_ensemble(seed, 2, shape, x0=x0, dx=dx, n=2 ** 12):
+            # a member's terms draw a (2 numbers), c, s and w (2) in turn
+            u = rng.uniform(size=(shape.n_terms, 6))
+            c = (-0.25 + 0.5 * u[0, 2]) * 64.0
+            s = (0.02 + 0.02 * u[0, 3]) * 64.0
+            edge = c + s * math.sqrt(700.0)
+            for y in node_sets:
+                # steps of one ulp of t = x + y[0] around the edge
+                x_edge = (edge - y[0]) + np.spacing(abs(edge) + abs(y[0])) * np.arange(-64, 65)
+                z2 = ((x_edge + y[0] - c) / s) ** 2
+                assert np.any(z2 < 700.0) and np.any(z2 >= 700.0)
+                x = np.concatenate([x_outer, x_edge])
+                got, want = f.profile.block(x, y), f.profile(x[:, None] + y)
+                assert np.max(np.abs(got - want)) <= 1e-12
+                dead = np.all(want == 0.0, axis=1)
+                assert np.any(dead) and np.all(got[dead] == 0.0)
+
+
 def test_sampled_function_validation():
     with pytest.raises(ValueError):
         SampledFunction(0.0, 0.1, np.ones(24))          # not a power of two
