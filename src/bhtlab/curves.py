@@ -523,7 +523,7 @@ def _line_fit(x, y) -> tuple:
 
 
 def growth_dichotomy(c: Curve) -> dict:
-    """Log-log fit of |gamma'| near 0: regime, sandwich constants, residual.
+    """Log-log fit of |gamma'| near 0: sandwich constants, residual.
 
     Fits K2^-1 |t|^C2 < |gamma'(t)| < K1^-1 |t|^C1 with C1 = C2 the fitted
     slope and the K's from the extreme prefactors on a 256-point log grid
@@ -536,9 +536,7 @@ def growth_dichotomy(c: Curve) -> dict:
     g = np.abs(np.asarray(c.deriv(t), dtype=float))
     slope, rms = _line_fit(np.log(t), np.log(g))
     pref = g / t ** slope
-    regime = "derivative_vanishes_at_zero" if slope > 0 else "derivative_blows_up_at_zero"
     return {
-        "regime": regime,
         "C1": float(slope),
         "C2": float(slope),
         "K1": float(1.0 / np.max(pref)),

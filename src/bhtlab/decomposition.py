@@ -15,11 +15,11 @@ keeping |chirp_filter| = 2^{-m/2} phi(xi/2^{m+j}) pointwise.
 
 The trilinear form pairs (f filtered by f_filter) x (g filtered by
 band_block) x (h filtered by the widened mirror block): the third slot
-window is phi((-D_j zeta - p0)/h_widen), h_widen = 2 by default.  Mirroring
-matters: the first two factors' product has spectrum near +A_{j,p0}, so the
-integral pairs it against h-content near -A_{j,p0}; for real h both
-descriptions carry the same data, and all square-function inequalities use
-moduli where the mirror is invisible.
+window is phi((-D_j zeta - p0)/H_WIDEN), H_WIDEN = 2.  Mirroring matters:
+the first two factors' product has spectrum near +A_{j,p0}, so the integral
+pairs it against h-content near -A_{j,p0}; for real h both descriptions
+carry the same data, and all square-function inequalities use moduli where
+the mirror is invisible.
 
 The trilinear form Lambda_{j,m} has two evaluation routes, and both sample
 these exact multipliers from the bank.  The spatial route is FFT convolution
@@ -67,6 +67,7 @@ __all__ = [
 
 
 ORACLE_SAMPLES = 2 ** 15    # samples (P rows x bins) per block of the oracle's hull scan
+H_WIDEN = 2.0               # widening of the third-slot (mirrored) block window
 
 
 def scale_factor(c: Curve, j: int) -> float:
@@ -146,25 +147,22 @@ class FilterBank:
     defined at every scale j >= 0; which scales a computation uses is the
     caller's (TrilinearMachine.scan_scales).
 
-    h_widen is the widening factor of the third-slot window (2 by default);
-    h_mirror reflects that window to negative frequencies (the pairing
-    geometry); with h_widen=1, h_mirror=False the third slot uses exactly the
-    second slot's family and the form is symmetric under g <-> h.
+    The third slot's window is the second slot's widened by H_WIDEN and
+    reflected to negative frequencies (the pairing geometry, see the module
+    docstring).
 
     Supports (supports(j)): phi is nonzero exactly on
     PHI_INNER < |x| < PHI_OUTER, so at scale j the f filters live on the band
     PHI_INNER 2^{m+j} < |xi| < PHI_OUTER 2^{m+j}, the g window of p0 on the
     two intervals PHI_INNER < |D_j eta - p0| < PHI_OUTER, and the h window on
-    PHI_INNER h_widen < |D_j zeta - p0| < PHI_OUTER h_widen, with zeta
-    replaced by -zeta when mirrored.  Every component is an ordered pair
-    (lo, hi), lo < hi, for either sign of D_j.  At D_j = 0 a block filter is
-    the constant phi(-p0 / widen): supported nowhere or on the whole line.
+    PHI_INNER H_WIDEN < |-D_j zeta - p0| < PHI_OUTER H_WIDEN.  Every
+    component is an ordered pair (lo, hi), lo < hi, for either sign of D_j.
+    At D_j = 0 a block filter is the constant phi(-p0 / widen) (widen 1 for
+    g, H_WIDEN for h): supported nowhere or on the whole line.
     """
 
     curve: Curve
     m: int
-    h_widen: float = 2.0
-    h_mirror: bool = True
 
     def __post_init__(self):
         if self.m < 0:
@@ -207,10 +205,9 @@ class FilterBank:
         return bump_phi(d * xi - self.p0_values[:, None].astype(float))
 
     def h_block_filters(self, j: int, xi: np.ndarray) -> np.ndarray:
-        """Third-slot rows phi((D_j (-)xi - p0) / h_widen), xi as in block_filters."""
+        """Third-slot rows phi((-D_j xi - p0) / H_WIDEN), xi as in block_filters."""
         d = scale_factor(self.curve, j)
-        arg = -xi if self.h_mirror else xi
-        return bump_phi((d * arg - self.p0_values[:, None].astype(float)) / self.h_widen)
+        return bump_phi((d * -xi - self.p0_values[:, None].astype(float)) / H_WIDEN)
 
     def _block_support(self, d: float, widen: float, mirror: bool) -> BandSupport:
         p0 = self.p0_values.astype(float)
@@ -229,12 +226,11 @@ class FilterBank:
         f = BandSupport(np.array([[[-PHI_OUTER * k, -PHI_INNER * k],
                                    [PHI_INNER * k, PHI_OUTER * k]]]), np.zeros(1, dtype=bool))
         d = scale_factor(self.curve, j)
-        return (f, self._block_support(d, 1.0, False),
-                self._block_support(d, self.h_widen, self.h_mirror))
+        return f, self._block_support(d, 1.0, False), self._block_support(d, H_WIDEN, True)
 
     def reach(self, j: int) -> Optional[tuple[float, float]]:
         """Bounds on |xi| over the scale-j supports: the f band's outer edge,
-        and (2^(m+1) + PHI_OUTER h_widen) / |D_j| for the g and h blocks.
+        and (2^(m+1) + PHI_OUTER H_WIDEN) / |D_j| for the g and h blocks.
 
         At D_j = 0 the blocks are constants (see supports): None when every
         p0 has an empty g or h block, so the scale is structurally zero and
@@ -253,7 +249,7 @@ class FilterBank:
                 raise ValueError(f"scale j={j} has D_j = 0 with g and h blocks constant "
                                  "and nonzero on the whole line; no grid represents it")
             return None
-        blocks = (2.0 ** (self.m + 1) + PHI_OUTER * self.h_widen) / d
+        blocks = (2.0 ** (self.m + 1) + PHI_OUTER * H_WIDEN) / d
         return PHI_OUTER * 2.0 ** (self.m + j), blocks
 
 

@@ -66,14 +66,13 @@ __all__ = [
 class PVParams:
     """Quadrature layout and its closure check (see _pv_panels, _bht_core).
 
-    The inner region (0, top), top = min(1, t_max), is one panel (eps, top)
+    The inner region (0, top), top = min(1, n dx), is one panel (eps, top)
     with eps = top / 2 and a closing panel on (0, eps) whose Gauss nodes sit
     in u, t = eps u^2: the pairing near 0 is a sum of powers t^(m + a k)
     (a the curve's exponent), and the map turns those of integer and
     half-integer a into whole powers of u, so one rule serves every curve.
-    Whole-cell outer panels follow out to t_max (default: the full grid
-    width, which captures the cross-domain pairs the periodic multiplier
-    reference sees).
+    Whole-cell outer panels follow out to the grid span n dx, which captures
+    the cross-domain pairs the periodic multiplier reference sees.
 
     The closure check compares the closing panel on (0, eps) with the one on
     (0, eps/2) plus the panel (eps/2, eps), keeps the finer sum, and halves
@@ -81,13 +80,12 @@ class PVParams:
     halvings at most, one at least.  The report gives the last largest
     difference (last_delta), the final eps (eps_final) and the number of
     points still at or above tolerance (flagged_points).  gl_order is the
-    Gauss-Legendre order of every panel.  eps_min only bounds t_max from
-    below (t_max must exceed it); it stays a field because the benchmark's
-    tracer reads it to count halvings.
+    Gauss-Legendre order of every panel.  The quadrature does not read
+    eps_min; its only reader is the benchmark's tracer, which counts halvings
+    from it.
     """
 
     eps_min: float = 1e-7
-    t_max: Optional[float] = None
     tolerance: float = 1e-8
     gl_order: int = 16
     max_halvings: int = 20
@@ -97,12 +95,12 @@ class PVParams:
 class PVLayout:
     """The t > 0 panels of the symmetric PV pairing.
 
-    eps: the inner panel is (eps, 2 eps = min(1, t_max)), the closing panel
+    eps: the inner panel is (eps, 2 eps = min(1, n dx)), the closing panel
     (0, eps) (see PVParams).
     Outer: `count` panels of `cells` grid cells each (width = cells * dx),
     panel q spanning [1 + q width, 1 + (q + 1) width]; a whole number of
     cells apart, they read f(x -+ t) off two shared evaluations.
-    tail: the remainder (1 + count width, t_max), or None.
+    tail: the remainder (1 + count width, n dx), or None.
     """
 
     eps: float
@@ -112,16 +110,15 @@ class PVLayout:
     tail: Optional[tuple]
 
 
-def _pv_panels(params: PVParams, t_max: float, dx: float) -> PVLayout:
-    if t_max <= params.eps_min:
-        raise ValueError(f"t_max = {t_max} must exceed eps_min = {params.eps_min}")
+def _pv_panels(n: int, dx: float) -> PVLayout:
+    span = n * dx
     cells = max(1, round(1.0 / dx))
     width = cells * dx
-    # a t_max that sits on a panel edge up to rounding leaves no sliver of a tail
-    count = max(0, math.floor((t_max - 1.0) / width + 1e-9))
+    # a span that sits on a panel edge up to rounding leaves no sliver of a tail
+    count = max(0, math.floor((span - 1.0) / width + 1e-9))
     end = 1.0 + count * width
-    tail = (end, t_max) if t_max - end > 1e-9 * width else None
-    return PVLayout(min(1.0, t_max) / 2.0, cells, width, count, tail)
+    tail = (end, span) if span - end > 1e-9 * width else None
+    return PVLayout(min(1.0, span) / 2.0, cells, width, count, tail)
 
 
 def bht_direct(c: Curve, f: SampledFunction, g: SampledFunction,
@@ -167,8 +164,7 @@ def _bht_core(c: Curve, f: SampledFunction, g: SampledFunction, params: PVParams
     (f_lo, f_hi), (g_lo, g_hi) = f.support, g.support
     xs = f.x
     n = f.n
-    t_max = params.t_max if params.t_max is not None else n * f.dx
-    layout = _pv_panels(params, t_max, f.dx)
+    layout = _pv_panels(n, f.dx)
     glx, glw = np.polynomial.legendre.leggauss(params.gl_order)
     total = np.zeros(n, dtype=complex)
 

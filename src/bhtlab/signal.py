@@ -191,6 +191,16 @@ class EnsembleShape:
     width_lo_frac: float = 0.02
     width_hi_frac: float = 0.08
 
+    def __post_init__(self):
+        if self.n_terms < 1:
+            raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
+        if not self.freq_lo <= self.freq_hi:
+            raise ValueError(f"freq_lo must be <= freq_hi, got {self.freq_lo} and {self.freq_hi}")
+        # a zero width draws a member that is 0 at every sample
+        if not 0.0 < self.width_lo_frac <= self.width_hi_frac:
+            raise ValueError("width_lo_frac and width_hi_frac must satisfy 0 < lo <= hi, got "
+                             f"{self.width_lo_frac} and {self.width_hi_frac}")
+
 
 # Each maker draws one member's parameters from rng (half: the grid's half
 # span) and returns the member's closed-form profile t -> f(t) with its

@@ -217,8 +217,8 @@ class CZDecomposition:
 def cz_decompose(f: SampledFunction, lam: float) -> CZDecomposition:
     """Maximal dyadic intervals where the |f|-average exceeds lam, by
     top-down recursion on the dyadic average pyramid."""
-    if lam <= 0:
-        raise ValueError("level must be positive")
+    if not lam > 0:    # a nan level would select nothing
+        raise ValueError(f"level must be positive, got {lam}")
     vals = f.values
     n = len(vals)
 

@@ -187,19 +187,16 @@ def test_flat_limit_probe_fails_threshold(curve_t2):
 
 def test_growth_dichotomy():
     rep = growth_dichotomy(builtin_curve("poly: t^2"))
-    assert rep["regime"] == "derivative_vanishes_at_zero"
     assert abs(rep["C1"] - 1.0) < 1e-6 and rep["is_member"]
 
     rep = growth_dichotomy(builtin_curve("pow: 0.5"))
-    assert rep["regime"] == "derivative_blows_up_at_zero"
     assert abs(rep["C1"] + 0.5) < 1e-6
 
     rep = growth_dichotomy(builtin_curve("poly: t^2 + t^4"))
     assert abs(rep["C1"] - 1.0) < 0.01
 
     rep = growth_dichotomy(builtin_curve("powlog: a=2 b=1"))
-    assert rep["regime"] == "derivative_vanishes_at_zero"
-    assert rep["is_member"]
+    assert rep["C1"] > 0 and rep["is_member"]    # gamma' vanishes at 0
 
 
 def test_growth_sandwich_consistency(curve_t3):

@@ -23,24 +23,23 @@ def test_scale_factor(curve_t2, curve_t3):
 def test_supports_contain_filters(curve_t2):
     # t^2 - t^3 has D_0 = -1, so its block components come out mirrored
     for c in (curve_t2, builtin_curve("poly: t^2 - t^3")):
-        for h_widen, h_mirror in ((2.0, True), (1.0, False)):
-            bank = FilterBank(curve=c, m=4, h_widen=h_widen, h_mirror=h_mirror)
-            lim = 1.2 * max(bank.reach(0))
-            xi = np.linspace(-lim, lim, 60001)
-            step = xi[1] - xi[0]
-            mults = (bank.chirp_filters(0, xi), bank.block_filters(0, xi),
-                     bank.h_block_filters(0, xi))
-            for mult, sup in zip(mults, bank.supports(0)):
-                assert not np.any(sup.everywhere)
-                ends = np.broadcast_to(sup.ends, (len(mult),) + sup.ends.shape[1:])
-                for row, comps in zip(np.abs(mult) > 0, ends):
-                    inside = [(lo < xi) & (xi < hi) for lo, hi in comps]
-                    # no nonzero sample lies outside the components ...
-                    assert not np.any(row & ~np.logical_or.reduce(inside))
-                    # ... and the nonzero samples fill each component to its ends
-                    for (lo, hi), ins in zip(comps, inside):
-                        hit = xi[row & ins]
-                        assert lo < hi and hit[0] - lo < 2 * step and hi - hit[-1] < 2 * step
+        bank = FilterBank(curve=c, m=4)
+        lim = 1.2 * max(bank.reach(0))
+        xi = np.linspace(-lim, lim, 60001)
+        step = xi[1] - xi[0]
+        mults = (bank.chirp_filters(0, xi), bank.block_filters(0, xi),
+                 bank.h_block_filters(0, xi))
+        for mult, sup in zip(mults, bank.supports(0)):
+            assert not np.any(sup.everywhere)
+            ends = np.broadcast_to(sup.ends, (len(mult),) + sup.ends.shape[1:])
+            for row, comps in zip(np.abs(mult) > 0, ends):
+                inside = [(lo < xi) & (xi < hi) for lo, hi in comps]
+                # no nonzero sample lies outside the components ...
+                assert not np.any(row & ~np.logical_or.reduce(inside))
+                # ... and the nonzero samples fill each component to its ends
+                for (lo, hi), ins in zip(comps, inside):
+                    hit = xi[row & ins]
+                    assert lo < hi and hit[0] - lo < 2 * step and hi - hit[-1] < 2 * step
 
 
 def test_chirp_filter_unimodular(curve_t2, curve_t3):
@@ -169,19 +168,6 @@ def test_triangle_of_sums_bound(curve_t2):
     assert abs(sum(parts)) <= sum(abs(p) for p in parts) + 1e-15
 
 
-def test_symmetry_with_equal_banks(curve_t2):
-    m, j = 4, 2
-    bank = FilterBank(curve=curve_t2, m=m, h_widen=1.0, h_mirror=False)
-    mach = TrilinearMachine(bank, 2 ** 11, grid_for_bands(bank, [j]), [j])
-    rng = np.random.default_rng(2)
-    fv = rng.normal(size=2 ** 11) + 1j * rng.normal(size=2 ** 11)
-    gv = rng.normal(size=2 ** 11) + 1j * rng.normal(size=2 ** 11)
-    hv = rng.normal(size=2 ** 11) + 1j * rng.normal(size=2 ** 11)
-    a = mach.lam_spatial(fv, gv, hv, j)
-    b = mach.lam_spatial(fv, hv, gv, j)
-    assert abs(a - b) < 1e-12 * abs(a)
-
-
 # dense reference for the short grid: the (P, N) rows sampled from the bank on
 # the machine's whole grid, filtered by ifft(M * fft(v)) at full length
 
@@ -208,10 +194,10 @@ def _scan_case(desc, m, n, j_list=None):
     return scan_machine(builtin_curve(desc), m, n=n, j_list=j_list)
 
 
-def _equal_bank_case(j, edge=None):
-    """Equal banks on the grid_for_bands grid, or on one whose frequency edge
-    sits at `edge` times the block reach."""
-    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=4, h_widen=1.0, h_mirror=False)
+def _bank_case(j, edge=None):
+    """Default t^2 banks at m = 4 on the grid_for_bands grid, or on one whose
+    frequency edge sits at `edge` times the block reach."""
+    bank = FilterBank(curve=builtin_curve("poly: t^2"), m=4)
     dx = grid_for_bands(bank, [j]) if edge is None else math.pi / (edge * bank.reach(j)[1])
     return TrilinearMachine(bank, 2 ** 11, dx, [j])
 
@@ -234,9 +220,10 @@ SHORT_GRID_CASES = {
     "t3": lambda: _scan_case("poly: t^3", 5, 2 ** 12),
     # D_0 = -1: every block window is mirrored
     "t2-t3 j=0": lambda: _scan_case("poly: t^2 - t^3", 4, 2 ** 12, [0]),
-    "equal banks": lambda: _equal_bank_case(2),
-    # the edge cuts the top g and h windows, and k + l + n reaches only N
-    "aliased": lambda: _equal_bank_case(6, edge=0.75),
+    "m=4 j=2": lambda: _bank_case(2),
+    # the edge cuts the top g and h windows; with h mirrored, k + l + n
+    # reaches 0 and no other multiple of N
+    "aliased": lambda: _bank_case(6, edge=0.75),
     # live scales 0 (D_0 = 0: no resonant row) and 1
     "powlog": lambda: _scan_case("powlog: a=2 b=1", 5, 2 ** 12),
     # a grid sized for j = 2 holds the j = 3 windows only at L = N: their

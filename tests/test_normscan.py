@@ -169,7 +169,7 @@ def _node_sum(c, f, g, nodes):
 def _per_node_pv(c, f, g, params, eps_final):
     """The PV sum over the _pv_panels layout, the closure halvings down to
     eps_final and the graded closing panel (0, eps_final), t = eps_final u^2."""
-    layout = _pv_panels(params, params.t_max, f.dx)
+    layout = _pv_panels(f.n, f.dx)
     eps = layout.eps
     panels = [(eps, 2.0 * eps)]
     panels += [(1.0 + q * layout.width, 1.0 + (q + 1) * layout.width)
@@ -186,8 +186,8 @@ def _per_node_pv(c, f, g, params, eps_final):
 
 
 def test_pv_whole_cell_outer_panels_exact():
-    # 1/dx = 81.92, so the outer panels are 82 cells wide (not 1), and
-    # t_max = n dx = 50 leaves a tail panel after the last whole one.
+    # 1/dx = 81.92, so the outer panels are 82 cells wide (not 1), and the
+    # span n dx = 50 leaves a tail panel after the last whole one.
     # Frequencies 8..12: on this 50-wide grid the 4..8 band leaves members
     # with enough low-frequency content that the periodic multiplier and the
     # line integral differ by up to 3.6e-5 (seeds 0..5, any panel layout);
@@ -196,9 +196,9 @@ def test_pv_whole_cell_outer_panels_exact():
     shape = EnsembleShape(kind="gaussian", n_terms=3, freq_lo=8.0, freq_hi=12.0,
                           width_lo_frac=0.02, width_hi_frac=0.04)
     f, g = make_ensemble(3, 2, shape, x0=-(n // 2) * dx, dx=dx, n=n)
-    params = PVParams(t_max=n * dx)
+    params = PVParams()
     c = builtin_curve("poly: 1*t^2 + 0.5*t^3")
-    layout = _pv_panels(params, params.t_max, dx)
+    layout = _pv_panels(n, dx)
     assert layout.cells == 82 and layout.width != 1.0
     assert layout.count == 48 and layout.tail is not None
 
@@ -220,13 +220,14 @@ def test_pv_refuses_member_without_profile(curve_t2, pv_ensemble):
             _bht_core(curve_t2, ff, gg, PVParams())
 
 
-def test_pv_short_t_max_ends_inner_panels():
-    # t_max < 1: the inner panel (0.25, 0.5) ends at t_max and no outer panel is laid
-    params = PVParams(t_max=0.5)
-    layout = _pv_panels(params, params.t_max, 1.0 / 64)
+def test_pv_short_span_ends_inner_panels():
+    # span n dx = 0.5 < 1: the inner panel (0.25, 0.5) ends at the span and no
+    # outer panel is laid
+    n, dx = 32, 1.0 / 64
+    layout = _pv_panels(n, dx)
     assert layout.eps == 0.25 and layout.count == 0 and layout.tail is None
 
-    n, dx = 2 ** 10, 1.0 / 64
+    params = PVParams()
     shape = EnsembleShape(kind="gaussian", n_terms=2, freq_lo=4.0, freq_hi=8.0,
                           width_lo_frac=0.02, width_hi_frac=0.04)
     f, g = make_ensemble(2, 2, shape, x0=-(n // 2) * dx, dx=dx, n=n)
@@ -236,8 +237,9 @@ def test_pv_short_t_max_ends_inner_panels():
         ref = _per_node_pv(c, f, g, params, diag["eps_final"])
         assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    with pytest.raises(ValueError):    # t_max must exceed eps_min = 1e-7
-        bht_direct(c, f, g, PVParams(t_max=1e-7))
+    # a span far below eps_min (`bht --half-width 1e-9 --grid-n 16`) is laid out too
+    layout = _pv_panels(16, 2e-9 / 16)
+    assert layout.eps == 1e-9 and layout.count == 0 and layout.tail is None
 
 
 def test_pv_flagging_params(curve_t2, pv_ensemble):
@@ -274,12 +276,16 @@ FRACTIONAL_POWER_BOUND = {"pow: 1.25": 1e-10, "pow: 1.1": 1e-10}
 @pytest.mark.parametrize("desc", ["poly: t^2", "poly: t^3", "poly: 1*t^2 + 0.5*t^3",
                                   "pow: 1.5", "powlog: a=2 b=1", "pow: 2.5", "pow: 0.5",
                                   "pow: 1.25", "pow: 1.1"])
-def test_pv_inner_region_matches_fine_quadrature(desc):
-    # t_max = 1 leaves the inner region alone.  The reference is plain Gauss
-    # panels of twice the order, (0, 1e-13) and then dyadic up to 1
+def test_pv_inner_region_matches_fine_quadrature(desc, monkeypatch):
+    # the inner region alone: the grid's layout without its outer and tail
+    # panels.  The reference is plain Gauss panels of twice the order,
+    # (0, 1e-13) and then dyadic up to 1
     c = builtin_curve(desc)
     f, g = make_ensemble(11, 2, PV_SHAPE, x0=-32.0, dx=0.125, n=2 ** 9)
-    out, diag = bht_direct(c, f, g, PVParams(t_max=1.0))
+    layout = _pv_panels
+    monkeypatch.setattr(normscan, "_pv_panels", lambda n, dx: dataclasses.replace(
+        layout(n, dx), count=0, tail=None))
+    out, diag = bht_direct(c, f, g)
     edges = [0.0] + [1e-13 * 2.0 ** k for k in range(44)] + [1.0]
     ref = _node_sum(c, f, g, _gauss_nodes(zip(edges, edges[1:]), 32))
     bound = FRACTIONAL_POWER_BOUND.get(desc, 1e-12)

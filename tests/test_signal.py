@@ -264,6 +264,16 @@ def test_ensemble_mean_norm_stable_across_seeds():
     assert max(means) / min(means) < 1.2
 
 
+@pytest.mark.parametrize("bad, field", [
+    ({"n_terms": 0}, "n_terms"),                              # no term to draw
+    ({"width_lo_frac": 0.0, "width_hi_frac": 0.0}, "width"),  # an all-zero member
+    ({"freq_lo": 8.0, "freq_hi": 4.0}, "freq_lo"),            # an empty frequency range
+], ids=["n_terms", "width", "freq"])
+def test_ensemble_shape_refuses(bad, field):
+    with pytest.raises(ValueError, match=field):
+        EnsembleShape(**bad)
+
+
 def test_lacunary_and_step_kinds():
     for kind in ("lacunary", "step"):
         fs = make_ensemble(3, 2, EnsembleShape(kind=kind), n=2 ** 12, dx=64.0 / 2 ** 12)

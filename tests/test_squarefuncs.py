@@ -134,6 +134,13 @@ def test_cz_level_above_sup():
     assert dec.bad_parts == []
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_cz_refuses_level_not_positive(lam):
+    # a nan level selects no interval, so |good| <= 2 lam would hold vacuously
+    with pytest.raises(ValueError, match=f"got {lam}"):
+        cz_decompose(indicator(n=2 ** 6), lam)
+
+
 def test_cz_invariants_random_sweep():
     shape = EnsembleShape(kind="step", n_terms=4, width_lo_frac=0.01, width_hi_frac=0.1)
     fs = make_ensemble(11, 20, shape, x0=-8.0, dx=16.0 / 2 ** 10, n=2 ** 10)
