@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-list", type=_p_list, default="2")
     p.add_argument("--m-list", type=_m_list, default="2..8")
     p.add_argument("--seed", type=_natural, default=7)
-    p.add_argument("--ensemble-size", type=_count, default=32)
+    p.add_argument("--ensemble-size", type=_count, default=2)
     p.add_argument("--rounds", type=_natural, default=6)
     p.add_argument("--grid-n", type=_pow2, default=2 ** 13)
     p.set_defaults(func=cmd_scan)

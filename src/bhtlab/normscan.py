@@ -11,20 +11,19 @@ cross-checked against the multiplier -i pi sign(xi).
 
 Scan side: ensemble sup of |Lambda_m^+| / (||f||_p ||g||_q ||h||_{r'}) over
 seeded triples.  The sums live on the scales where the block geometry is
-alive (10 * 2^m * |gamma'(2^-j)| <= 20); two kinds of members are drawn:
-
-  * resonant random packets: modulated Gaussians whose three modulations sum
-    to zero inside the band windows, so the form is far from degenerate;
-  * matched members: a few rounds of alternating Holder-extremal updates
-    (each slot is linear; its maximizer under the slot norm is closed-form),
-    started from a chirp-matched packet and a quadratic-phase block comb.
-    These track the grid operator norm and keep the measured sup from being
-    an artifact of random-alignment entropy.
+alive (10 * 2^m * |gamma'(2^-j)| <= 20).  The ensemble is a few matched
+members: alternating Holder-extremal ascents (each slot is linear; its
+maximizer under the slot norm is closed-form, Boyd's power method for mixed
+norms), started from a chirp-matched packet and a quadratic-phase block
+comb.  These track the grid operator norm rather than random-alignment
+entropy.  resonant_triple draws random modulated-Gaussian triples whose
+three modulations sum to zero inside the band windows; the scan does not
+use them, the dual-route checks do.
 
 scan_triples measures any set of exponent triples (points of the Banach
-triangle) at each m in one pass: the machine and the resonant draws depend
-on (curve, m, seed) alone, so every triple reuses them and only the matched
-ascents and the three L^p norms are taken per triple.
+triangle) at each m in one pass: the machine depends on (curve, m) alone, so
+every triple reuses it and only the matched ascents and the three L^p norms
+are taken per triple.
 
 Empirical sup ratios lower-bound operator norms; every "boundedness" check
 here is a stability statement across m, seeds and grids, never a norm
@@ -316,7 +315,7 @@ class ScanResult:
 LIVE_SCALE_CAP = 40     # largest j live_scale tries
 SCAN_SCALES = 2         # consecutive scales a scan machine sums, from the live one
 RESONANT_TERMS = 4      # packet triples in one resonant draw
-MATCHED_MEMBERS = 2     # Holder-ascent members in one ensemble, the rest resonant draws
+MATCHED_MEMBERS = 2     # Holder-ascent members in one ensemble, fewer at a smaller ensemble_size
 
 
 def live_scale(c: Curve, m: int) -> int:
@@ -451,11 +450,6 @@ def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
     return tuple(vals), tuple(rows)
 
 
-def _filtered(mach: TrilinearMachine, vals) -> list:
-    """The filtered rows of the values (f, g, h), one mach.slot_rows each."""
-    return [mach.slot_rows(i, v) for i, v in enumerate(vals)]
-
-
 def _ratios(mach: TrilinearMachine, vals, rows, triples) -> list[float]:
     """|sum_j Lambda_j| / (||f||_p ||g||_q ||h||_r') per triple, for the
     values (f, g, h) and their filtered rows (one mach.slot_rows per slot);
@@ -468,16 +462,15 @@ def _ratios(mach: TrilinearMachine, vals, rows, triples) -> list[float]:
     return ratios
 
 
-def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 32,
+def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 2,
                rounds: int = 6, n: int = 2 ** 13) -> list[ScanResult]:
     """Ensemble sup of |Lambda_m^+| normalized by each exponent triple
     (HolderTriples or anything that unpacks into one), one ScanResult each.
 
-    The machine and the resonant draws depend on (c, m, seed) alone, so every
-    triple shares them; only the matched members' ascent runs per triple.
-    An ensemble holds min(MATCHED_MEMBERS, ensemble_size) matched members and
-    resonant draws for the rest.  A triple at a vertex of the triangle (an
-    exponent of 1, whose dual is infinite) is refused (ValueError).
+    The ensemble is min(MATCHED_MEMBERS, ensemble_size) matched ascents per
+    triple, on one machine that depends on (c, m) alone and serves every
+    triple.  A triple at a vertex of the triangle (an exponent of 1, whose
+    dual is infinite) is refused (ValueError).
     """
     triples = [HolderTriple(*t) for t in triples]
     for t in triples:
@@ -486,29 +479,21 @@ def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 32,
             raise ValueError(f"exponent triple {tuple(t)} is {region} of the Banach "
                              "triangle: the Holder-extremal ascent needs every exponent above 1")
     mach = scan_machine(c, m, n=n)
-    rng = np.random.default_rng(seed * 1000003 + m)
-    ascents = min(MATCHED_MEMBERS, ensemble_size)
     best = [0.0] * len(triples)
-    for _ in range(ensemble_size - ascents):
-        *vals, made = resonant_triple(mach, rng)
-        if made:
-            best = [max(b, r) for b, r in zip(best, _ratios(mach, vals, _filtered(mach, vals),
-                                                            triples))]
-        del vals                # no member's values or rows outlast it
     for k, triple in enumerate(triples):
-        for i in range(ascents):
+        for i in range(min(MATCHED_MEMBERS, ensemble_size)):
             vals, rows = matched_triple(mach, seed * 7919 + m * 131 + i, triple, rounds=rounds)
             best[k] = max(best[k], _ratios(mach, vals, rows, [triple])[0])
-            del vals, rows
+            del vals, rows      # no member's values or rows outlast it
     return [ScanResult(triple=t, m=m, sup_ratio=b) for t, b in zip(triples, best)]
 
 
-def scan_triples(c: Curve, triples, m_list, seed: int = 7, ensemble_size: int = 32,
+def scan_triples(c: Curve, triples, m_list, seed: int = 7, ensemble_size: int = 2,
                  n: int = 2 ** 13, rounds: int = 6) -> list[list[ScanResult]]:
     """Per-m ensemble sups at each exponent triple: one list per triple, in
     m_list's order.  This is the one loop over m behind every scan, the CLI's
-    included; each m's machine and resonant draws serve all the triples.  An
-    m with no live scale is refused (ValueError) before any m is computed."""
+    included; each m's machine serves all the triples.  An m with no live
+    scale is refused (ValueError) before any m is computed."""
     triples, m_list = list(triples), list(m_list)
     for m in m_list:
         live_scale(c, m)

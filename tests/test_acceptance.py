@@ -35,7 +35,7 @@ from conftest import child_env
 
 SEED = 7
 SCAN_N = 2 ** 13
-SCAN_ENSEMBLE = 32
+SCAN_ENSEMBLE = 2
 SCAN_ROUNDS = 6
 
 
@@ -62,8 +62,8 @@ AB_L2, AC_L2 = HolderTriple.on_edge("AB", 2.0), HolderTriple.on_edge("AC", 2.0)
 @pytest.fixture(scope="module")
 def edge_scans(t2):
     """Criteria 10 and 11's sups over SCAN_M by (edge, seed), and the seconds
-    they took: seed 7 on AB and AC in one scan (each m's machine and resonant
-    draws serve both points), seed 8 on AB alone."""
+    they took: seed 7 on AB and AC in one scan (each m's machine serves both
+    points), seed 8 on AB alone."""
     t0 = time.time()
     kw = dict(ensemble_size=SCAN_ENSEMBLE, n=SCAN_N, rounds=SCAN_ROUNDS)
     ab, ac = scan_triples(t2, [AB_L2, AC_L2], SCAN_M, SEED, **kw)

@@ -483,13 +483,14 @@ def test_live_scale(curve_t2, curve_t3):
 
 
 def test_mirrored_curve_scans_like_its_mirror(curve_t2):
-    # gamma -> -gamma mirrors every block window, and the resonant packets are
-    # as wide on both: the sups agree up to the mirrored draws
+    # gamma -> -gamma mirrors every block window: the sups agree up to the
+    # ascent, whose structured starts are not mirrored (a gap of 5.2e-5 at
+    # m = 3 and 2.2e-5 at m = 4)
     triple = [HolderTriple.on_edge("AB", 2.0)]
     ref, got = (scan_triples(c, triple, [3, 4], ensemble_size=3, n=2 ** 11, rounds=1)[0]
                 for c in (curve_t2, builtin_curve("poly: -1*t^2")))
     for a, b in zip(ref, got):
-        assert b.sup_ratio == pytest.approx(a.sup_ratio, rel=1e-3)
+        assert b.sup_ratio == pytest.approx(a.sup_ratio, rel=1e-4)
 
 
 def test_live_scale_skips_zero_scale(curve_powlog):
@@ -513,20 +514,22 @@ def test_scan_machine_takes_scale_list_as_given(curve_t2):
     assert scan_machine(curve_t2, 4, n=2 ** 11).scan_scales == [j0, j0 + 1]
 
 
-def test_matched_triple_beats_random(curve_t2):
-    m = 4
+@pytest.mark.parametrize("edge", ["AB", "AC"])
+@pytest.mark.parametrize("m", [3, 5])
+def test_matched_triple_beats_random(curve_t2, edge, m):
+    # the scan's ensemble is its matched ascents: resonant draws stay far
+    # below them, so leaving the draws out loses no sup
     mach = scan_machine(curve_t2, m, n=2 ** 12)
-    exps = [(2.0, 2.0, math.inf)]
+    exps = [HolderTriple.on_edge(edge, 2.0)]
     rng = np.random.default_rng(1)
     best_random = 0.0
     for _ in range(6):
-        f, g, h, made = resonant_triple(mach, rng)
+        *vals, made = resonant_triple(mach, rng)
         if made:
-            vals = (f, g, h)
-            best_random = max(best_random,
-                              normscan._ratios(mach, vals, normscan._filtered(mach, vals), exps)[0])
+            rows = [mach.slot_rows(i, v) for i, v in enumerate(vals)]
+            best_random = max(best_random, normscan._ratios(mach, vals, rows, exps)[0])
     vals, rows = matched_triple(mach, 3, exps[0], rounds=4)
-    assert normscan._ratios(mach, vals, rows, exps)[0] > best_random
+    assert 0.0 < best_random <= 0.5 * normscan._ratios(mach, vals, rows, exps)[0]
 
 
 def test_matched_ascent_filters_each_slot_once_per_value(curve_t2, monkeypatch):
@@ -569,7 +572,8 @@ def test_resonant_draw_transforms_each_slot_once(curve_t2, monkeypatch):
         return fft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counted)
-    [ratio] = normscan._ratios(mach, vals, normscan._filtered(mach, vals), [exps])
+    [ratio] = normscan._ratios(mach, vals, [mach.slot_rows(i, v) for i, v in enumerate(vals)],
+                               [exps])
     assert ffts == [(mach.n,)] * 3
     # the same number as the per-scale form of the values
     monkeypatch.undo()
@@ -579,14 +583,12 @@ def test_resonant_draw_transforms_each_slot_once(curve_t2, monkeypatch):
 
 def test_scan_point_without_rounds(curve_t2):
     # rounds = 0 scores the matched members' structured starts as they are:
-    # the sup is the largest ratio over the draws and those starts, each
-    # recomputed here from values through lam_spatial
+    # the sup is the larger ratio of the two starts, each recomputed here
+    # from values through lam_spatial
     exps = (2.0, 2.0, math.inf)
-    seed, m, size, n = 4, 3, 5, 2 ** 11
-    [r] = scan_point(curve_t2, m, [exps], seed=seed, ensemble_size=size, rounds=0, n=n)
+    seed, m, n = 4, 3, 2 ** 11
+    [r] = scan_point(curve_t2, m, [exps], seed=seed, rounds=0, n=n)
     mach = scan_machine(curve_t2, m, n=n)
-    rng = np.random.default_rng(seed * 1000003 + m)
-    draws = [resonant_triple(mach, rng) for _ in range(size - 2)]
     starts = [matched_triple(mach, seed * 7919 + m * 131 + i, exps, rounds=0)[0]
               for i in range(2)]
 
@@ -594,9 +596,7 @@ def test_scan_point_without_rounds(curve_t2):
         lam = abs(sum(mach.lam_spatial(*vals, j) for j in mach.scan_scales))
         return lam / math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip(vals, exps))
 
-    ratios = [ratio(d[:3]) for d in draws if d[3]] + [ratio(v) for v in starts]
-    assert len(ratios) > 2
-    assert r.sup_ratio == max(ratios) > 0
+    assert r.sup_ratio == max(ratio(v) for v in starts) > 0
 
 
 def test_scan_point_determinism(curve_t2):
@@ -621,9 +621,9 @@ def _counting(monkeypatch, name):
 
 
 def test_scan_triples_share_machine_and_draws(curve_t2, monkeypatch):
-    # the machine and the resonant draws depend on (curve, m, seed) alone:
-    # three triples cost one machine and ensemble_size - 2 draws per m, and
-    # each triple's sups equal a scan of that triple alone, bit for bit
+    # the machine depends on (curve, m) alone: three triples cost one machine
+    # and 2 ascents each per m, and no resonant draw, even at an ensemble_size
+    # above 2; each triple's sups equal a scan of that triple alone, bit for bit
     triples = [HolderTriple.on_edge("AB", 2.0), HolderTriple.on_edge("AC", 1.5),
                HolderTriple(3.0, 3.0, 3.0)]
     m_list, size = [3, 4], 5
@@ -635,7 +635,7 @@ def test_scan_triples_share_machine_and_draws(curve_t2, monkeypatch):
     matched = _counting(monkeypatch, "matched_triple")
     shared = scan_triples(curve_t2, triples, m_list, **kw)
     assert len(machines) == len(m_list)
-    assert len(draws) == (size - 2) * len(m_list)
+    assert draws == []
     assert len(matched) == 2 * len(triples) * len(m_list)
     assert [[r.triple for r in rs] for rs in shared] == [[t] * len(m_list) for t in triples]
     assert [[r.m for r in rs] for rs in shared] == [m_list] * len(triples)
@@ -644,22 +644,24 @@ def test_scan_triples_share_machine_and_draws(curve_t2, monkeypatch):
 
 def test_scan_triples_refuses_dead_m_before_any_work(monkeypatch):
     # pow 0.5 has a live scale at m = 2 but none at m = 3: the scan stops
-    # before it draws a single member of the m = 2 ensemble
-    draws = _counting(monkeypatch, "resonant_triple")
+    # before it builds the m = 2 machine or starts a member of its ensemble
+    machines = _counting(monkeypatch, "scan_machine")
+    matched = _counting(monkeypatch, "matched_triple")
     with pytest.raises(ValueError, match="m=3"):
         scan_triples(builtin_curve("pow: 0.5"), [HolderTriple.on_edge("AC", 2.0)], [2, 3],
                      ensemble_size=3, n=2 ** 10, rounds=1)
-    assert draws == []
+    assert machines == [] and matched == []
 
 
 @pytest.mark.parametrize("size, ascents", [(1, 1), (2, 2), (4, 2)])
 def test_scan_point_ensemble_size_bounds_members(curve_t2, monkeypatch, size, ascents):
-    # ensemble_size counts every member: a one-member ensemble is one matched member
+    # ensemble_size counts matched ascents up to MATCHED_MEMBERS, and a size
+    # above it draws no resonant member
     draws = _counting(monkeypatch, "resonant_triple")
     matched = _counting(monkeypatch, "matched_triple")
     [r] = scan_point(curve_t2, 3, [(2.0, 2.0, math.inf)], seed=5, ensemble_size=size,
                      rounds=1, n=2 ** 11)
-    assert (len(matched), len(draws)) == (ascents, size - ascents)
+    assert (len(matched), len(draws)) == (ascents, 0)
     assert r.sup_ratio > 0
 
 
