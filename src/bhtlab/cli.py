@@ -3,7 +3,7 @@
 `main` runs every subcommand in one frame, and is the only code that writes
 a file.  It refuses, with exit 2 and an `error:` line on stderr, an unknown
 curve, a --grid-n not a power of two >= 16, a --count, --levels,
---ensemble-size or --j-max below 1, a --seed, --rounds, --m, --j-lo or --j-hi
+--ensemble-size, --rounds or --j-max below 1, a --seed, --m, --j-lo or --j-hi
 below 0, a --j-lo above --j-hi, a --half-width outside (0, inf), a --slack or
 --tolerance that is nan or infinite, a --p-list entry or --q outside
 (1, inf), and a --l-list or --m-list that is not a list of integers
@@ -36,8 +36,8 @@ from .curves import (DICHOTOMY_RESIDUAL_TOL, Curve, builtin_curve,
                      growth_dichotomy, inverse_deriv, nonflatness_report,
                      profile_error_sequence, variation_count)
 from .decomposition import overlap_report
-from .normscan import (bht_direct, decay_fit, hilbert_multiplier, resonant_triple,
-                       scan_machine, scan_triples)
+from .normscan import (ASCENT_ROUNDS, SCAN_N, bht_direct, decay_fit, hilbert_multiplier,
+                       resonant_triple, scan_machine, scan_triples)
 from .phase import (phase_residual, phase_value, sample_admissible_queries,
                     sample_scaling_queries, scaling_residual)
 from .signal import (EnsembleShape, HolderTriple, SampledFunction, _check_pow2, lp_norm,
@@ -408,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", type=_m_list, default="2..8")
     p.add_argument("--seed", type=_natural, default=7)
     p.add_argument("--ensemble-size", type=_count, default=2)
-    p.add_argument("--rounds", type=_natural, default=6)
-    p.add_argument("--grid-n", type=_pow2, default=2 ** 13)
+    p.add_argument("--rounds", type=_count, default=ASCENT_ROUNDS)
+    p.add_argument("--grid-n", type=_pow2, default=SCAN_N)
     p.set_defaults(func=cmd_scan)
     p.add_argument("--dat", action="store_true", help="also emit gnuplot-ready scan.dat")
 

@@ -517,10 +517,10 @@ class TrilinearMachine:
         return complex(self.dx / n ** 2 * total)
 
     # -- slot gradients (for matched extremizer search) -----------------------
-    def grad_slot(self, slot: str, a: dict, b: dict) -> np.ndarray:
-        """V with Lambda = int s V dx for the linear slot s in {f,g,h}, summed
-        over the scan scales, from the other two slots' filtered rows a and b
-        (slot_rows, in f, g, h order).
+    def grad_slot(self, i: int, rows) -> np.ndarray:
+        """V with Lambda = int s V dx for the linear slot i (0, 1, 2 for f,
+        g, h), summed over the scan scales, from rows: the three slots'
+        slot_rows in slot order, of which only the two other than i are read.
 
         Uses the transpose rule for a multiplier M: int (Ms) u dx =
         int s (M~ u) dx where M~ carries the reflected symbol xi -> m(-xi).
@@ -529,17 +529,16 @@ class TrilinearMachine:
         position q's reflection -q (mod L), times L/N and the slot's row,
         belongs to the reflection -k (mod N) of q's bin k.
         """
-        if slot not in ("f", "g", "h"):
-            raise ValueError(f"unknown slot {slot!r}")
-        k = "fgh".index(slot)
+        if i not in (0, 1, 2):
+            raise ValueError(f"unknown slot {i!r}")
+        a, b = (r for k, r in enumerate(rows) if k != i)
         vh_total = np.zeros(self.n, dtype=complex)
         for j in self.scan_scales:
-            mults = self.mults(j)
             A, B = a[j], b[j]
             L = A.shape[1]
             uh = self.fwd_batch(A * B)[:, (L - np.arange(L)) % L]
-            w = (L / self.n) * mults[k] * uh
-            target = self._refl_idx[self._bins[j][k]].ravel()
+            w = (L / self.n) * self.mults(j)[i] * uh
+            target = self._refl_idx[self._bins[j][i]].ravel()
             vh_total += (np.bincount(target, w.real.ravel(), self.n)
                          + 1j * np.bincount(target, w.imag.ravel(), self.n))
         return np.fft.ifft(vh_total)

@@ -316,6 +316,8 @@ LIVE_SCALE_CAP = 40     # largest j live_scale tries
 SCAN_SCALES = 2         # consecutive scales a scan machine sums, from the live one
 RESONANT_TERMS = 4      # packet triples in one resonant draw
 MATCHED_MEMBERS = 2     # Holder-ascent members in one ensemble, fewer at a smaller ensemble_size
+ASCENT_ROUNDS = 6       # rounds of one Holder ascent (each updates h, f, g in turn)
+SCAN_N = 2 ** 13        # grid points of a scan machine
 
 
 def live_scale(c: Curve, m: int) -> int:
@@ -333,7 +335,7 @@ def live_scale(c: Curve, m: int) -> int:
                      "(requires the vanishing-derivative regime)")
 
 
-def scan_machine(c: Curve, m: int, n: int = 2 ** 13,
+def scan_machine(c: Curve, m: int, n: int = SCAN_N,
                  j_list: Optional[list] = None) -> TrilinearMachine:
     if j_list is None:
         j0 = live_scale(c, m)
@@ -417,16 +419,18 @@ def _chirped_init(mach: TrilinearMachine, rng, j: int) -> np.ndarray:
     return np.fft.fftshift(np.fft.ifft(fh))
 
 
-def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
-    """Alternating Holder-extremal ascent from the structured start.
-
-    Each update replaces one slot by the exact maximizer of the (linear)
-    form under that slot's norm, so the normalized ratio is nondecreasing;
-    a few rounds land near a local extremizer of the grid object.
+def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = ASCENT_ROUNDS):
+    """Alternating Holder-extremal ascent from the structured start of f
+    and g: each of the rounds (at least one, else ValueError) replaces h, f
+    and g in turn by the exact maximizer of the (linear) form under that
+    slot's norm, so the normalized ratio never falls between updates; a few
+    rounds land near a local extremizer of the grid object.
 
     Returns the values (f, g, h) and their filtered rows (mach.slot_rows),
     one per slot: each update refilters only the slot it replaced.
     """
+    if rounds < 1:
+        raise ValueError(f"rounds={rounds}: the Holder ascent needs at least one round")
     rng = np.random.default_rng(seed)
     j = mach.scan_scales[0]
     x = mach.x0 + mach.dx * np.arange(mach.n)
@@ -437,40 +441,35 @@ def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = 6):
     g = _comb_init(mach, rng, j)
     f = f / max(lp_norm(mach.grid_function(f), exps[0]), 1e-300)
     g = g / max(lp_norm(mach.grid_function(g), exps[1]), 1e-300)
-    vals = [f, g, np.ones(mach.n, dtype=complex) * taper]
+    vals = [f, g, None]
     rows = [mach.slot_rows(0, f), mach.slot_rows(1, g), None]
     for _ in range(rounds):
         for i in (2, 0, 1):
             rows[i] = None      # the update reads only the other two slots
-            others = [r for r in rows if r is not None]
-            vals[i] = _holder_extremal(mach, mach.grad_slot("fgh"[i], *others), exps[i], taper)
+            vals[i] = _holder_extremal(mach, mach.grad_slot(i, rows), exps[i], taper)
             rows[i] = mach.slot_rows(i, vals[i])
-    if rows[2] is None:         # no round ran: the start's h is still unfiltered
-        rows[2] = mach.slot_rows(2, vals[2])
     return tuple(vals), tuple(rows)
 
 
-def _ratios(mach: TrilinearMachine, vals, rows, triples) -> list[float]:
-    """|sum_j Lambda_j| / (||f||_p ||g||_q ||h||_r') per triple, for the
-    values (f, g, h) and their filtered rows (one mach.slot_rows per slot);
-    Lambda is evaluated once, only the norms per triple."""
+def _ratio(mach: TrilinearMachine, vals, rows, exps) -> float:
+    """|sum_j Lambda_j| / (||f||_p ||g||_q ||h||_r') for the exponent triple
+    exps, the values (f, g, h) and their filtered rows (one mach.slot_rows
+    per slot)."""
     lam = abs(sum(mach.lam_rows(*(r[j] for r in rows)) for j in mach.scan_scales))
-    ratios = []
-    for exps in triples:
-        den = math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip(vals, exps))
-        ratios.append(lam / den if den > 0 else 0.0)
-    return ratios
+    den = math.prod(lp_norm(mach.grid_function(v), p) for v, p in zip(vals, exps))
+    return lam / den if den > 0 else 0.0
 
 
 def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 2,
-               rounds: int = 6, n: int = 2 ** 13) -> list[ScanResult]:
+               rounds: int = ASCENT_ROUNDS, n: int = SCAN_N) -> list[ScanResult]:
     """Ensemble sup of |Lambda_m^+| normalized by each exponent triple
     (HolderTriples or anything that unpacks into one), one ScanResult each.
 
-    The ensemble is min(MATCHED_MEMBERS, ensemble_size) matched ascents per
-    triple, on one machine that depends on (c, m) alone and serves every
-    triple.  A triple at a vertex of the triangle (an exponent of 1, whose
-    dual is infinite) is refused (ValueError).
+    The ensemble is min(MATCHED_MEMBERS, ensemble_size) matched ascents of
+    `rounds` rounds per triple, on one machine that depends on (c, m) alone
+    and serves every triple.  A triple at a vertex of the triangle (an
+    exponent of 1, whose dual is infinite) and rounds below 1 are refused
+    (ValueError) before the machine is built.
     """
     triples = [HolderTriple(*t) for t in triples]
     for t in triples:
@@ -478,22 +477,23 @@ def scan_point(c: Curve, m: int, triples, seed: int, ensemble_size: int = 2,
         if region.startswith("vertex"):
             raise ValueError(f"exponent triple {tuple(t)} is {region} of the Banach "
                              "triangle: the Holder-extremal ascent needs every exponent above 1")
+    if rounds < 1:
+        raise ValueError(f"rounds={rounds}: the Holder ascent needs at least one round")
     mach = scan_machine(c, m, n=n)
-    best = [0.0] * len(triples)
-    for k, triple in enumerate(triples):
-        for i in range(min(MATCHED_MEMBERS, ensemble_size)):
-            vals, rows = matched_triple(mach, seed * 7919 + m * 131 + i, triple, rounds=rounds)
-            best[k] = max(best[k], _ratios(mach, vals, rows, [triple])[0])
-            del vals, rows      # no member's values or rows outlast it
-    return [ScanResult(triple=t, m=m, sup_ratio=b) for t, b in zip(triples, best)]
+    results = []
+    for t in triples:
+        scores = (_ratio(mach, *matched_triple(mach, seed * 7919 + m * 131 + i, t, rounds), t)
+                  for i in range(min(MATCHED_MEMBERS, ensemble_size)))
+        results.append(ScanResult(triple=t, m=m, sup_ratio=max(scores, default=0.0)))
+    return results
 
 
 def scan_triples(c: Curve, triples, m_list, seed: int = 7, ensemble_size: int = 2,
-                 n: int = 2 ** 13, rounds: int = 6) -> list[list[ScanResult]]:
+                 n: int = SCAN_N, rounds: int = ASCENT_ROUNDS) -> list[list[ScanResult]]:
     """Per-m ensemble sups at each exponent triple: one list per triple, in
     m_list's order.  This is the one loop over m behind every scan, the CLI's
     included; each m's machine serves all the triples.  An m with no live
-    scale is refused (ValueError) before any m is computed."""
+    scale, or rounds below 1, is refused (ValueError) before any m is computed."""
     triples, m_list = list(triples), list(m_list)
     for m in m_list:
         live_scale(c, m)

@@ -339,6 +339,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     assert not (tmp_path / "u").exists()     # refused before any output
 
 
+def test_scan_rounds_below_one_exit_2(tmp_path, capsys):
+    # without a round the ascent has no h to score: refused while parsing
+    out = tmp_path / "r0"
+    assert cli.main(["--out", str(out), "scan", "--curve", "poly: t^2", "--edge", "AB",
+                     "--rounds", "0"]) == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "--rounds" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     # no live scale at m = 3
     ["scan", "--curve", "pow: 0.5", "--edge", "AC", "--m-list", "2..3",

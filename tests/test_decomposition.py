@@ -182,8 +182,7 @@ def _dense_lam(mach, rows, fv, gv, hv):
     return complex(mach.dx * np.sum(F * G * H))
 
 
-def _dense_grad(mach, rows, slot, fv, gv, hv):
-    k = "fgh".index(slot)
+def _dense_grad(mach, rows, k, fv, gv, hv):
     A, B = (np.fft.ifft(mm * np.fft.fft(v), axis=1)
             for i, (mm, v) in enumerate(zip(rows, (fv, gv, hv))) if i != k)
     refl = (mach.n - np.arange(mach.n)) % mach.n
@@ -412,9 +411,9 @@ def test_short_grid_matches_dense(case):
     if case in ("hull > N", "n=256"):
         assert _hull_block_width(mach) >= mach.n
     filtered = [mach.slot_rows(i, v) for i, v in enumerate((fv, gv, hv))]
-    for k, slot in enumerate("fgh"):
-        ref = sum(_dense_grad(mach, rows[j], slot, fv, gv, hv) for j in j_list)
-        got = mach.grad_slot(slot, *(r for i, r in enumerate(filtered) if i != k))
+    for k in range(3):
+        ref = sum(_dense_grad(mach, rows[j], k, fv, gv, hv) for j in j_list)
+        got = mach.grad_slot(k, filtered)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -431,22 +430,25 @@ def test_ascent_gradients_match_fresh_filtering(curve_t2):
         current[i] = np.array(v)
         return slot_rows(i, v)
 
-    def checking_grad(slot, a, b):
-        got = grad_slot(slot, a, b)
-        k = "fgh".index(slot)
-        ref = fresh.grad_slot(slot, *(fresh.slot_rows(i, current[i]) for i in range(3) if i != k))
+    def checking_grad(k, rows):
+        # the slot being replaced has no rows to read, nor (h at the start) a value
+        assert rows[k] is None
+        got = grad_slot(k, rows)
+        ref = fresh.grad_slot(k, [fresh.slot_rows(i, current[i]) if i != k else None
+                                  for i in range(3)])
         assert got.tobytes() == ref.tobytes()
-        checked.append(slot)
+        checked.append(k)
         return got
 
     mach.slot_rows, mach.grad_slot = recording_rows, checking_grad
     vals, rows = matched_triple(mach, 3, (2.0, 1.5, math.inf), rounds=2)
-    assert "".join(checked) == "hfg" * 2
+    assert checked == [2, 0, 1] * 2
     for i, v in enumerate(vals):
         ref = fresh.slot_rows(i, v)
         assert all(rows[i][j].tobytes() == ref[j].tobytes() for j in mach.scan_scales)
-    with pytest.raises(ValueError, match="unknown slot"):
-        fresh.grad_slot("x", rows[0], rows[1])
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="unknown slot"):
+            fresh.grad_slot(bad, rows)
 
 
 def test_ascent_rows_match_dense_form(curve_t2):

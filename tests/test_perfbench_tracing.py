@@ -41,7 +41,7 @@ def test_tracer_probes_read_the_program():
         while made == 0:
             f, g, h, made = resonant_triple(mach, rng)
         mach.lam_spatial(f, g, h, mach.scan_scales[0])
-        mach.grad_slot("h", mach.slot_rows(0, f), mach.slot_rows(1, g))
+        mach.grad_slot(2, [mach.slot_rows(0, f), mach.slot_rows(1, g), None])
 
         hardy_littlewood_max(SampledFunction(0.0, 1.0, np.arange(64.0)))
     assert not tracer.probe_errors
