@@ -383,12 +383,14 @@ def resonant_triple(mach: TrilinearMachine, rng):
 
 def _holder_extremal(mach: TrilinearMachine, v: np.ndarray, p: float,
                      taper: np.ndarray) -> np.ndarray:
-    """argmax of Re int s v dx under ||s||_p = 1 (Holder equality case)."""
+    """argmax of Re int s v dx under ||s||_p = 1 (Holder equality case), tapered
+    at p = inf.  |v| is scaled by its max so that no power overflows; 0 at v = 0."""
     a = np.abs(v)
+    pp = 1.0 if math.isinf(p) else p / (p - 1.0)
+    phase = np.where(a > 0, np.conj(v) / np.maximum(a, 1e-300), 0.0)
+    s = phase * (a / max(a.max(), 1e-300)) ** (pp - 1.0)
     if math.isinf(p):
-        return np.where(a > 0, np.conj(v) / np.maximum(a, 1e-300), 0.0) * taper
-    pp = p / (p - 1.0)
-    s = np.where(a > 0, np.conj(v) / np.maximum(a, 1e-300), 0.0) * a ** (pp - 1.0)
+        return s * taper
     nrm = lp_norm(mach.grid_function(s), p)
     return s / nrm if nrm > 0 else s
 
@@ -437,12 +439,11 @@ def matched_triple(mach: TrilinearMachine, seed: int, exps, rounds: int = ASCENT
     span = mach.n * mach.dx
     taper = smooth_step((x - x[0]) / (0.08 * span)) * smooth_step((x[-1] - x) / (0.08 * span))
     exps = tuple(exps)
-    f = _chirped_init(mach, rng, j)
-    g = _comb_init(mach, rng, j)
-    f = f / max(lp_norm(mach.grid_function(f), exps[0]), 1e-300)
-    g = g / max(lp_norm(mach.grid_function(g), exps[1]), 1e-300)
-    vals = [f, g, None]
-    rows = [mach.slot_rows(0, f), mach.slot_rows(1, g), None]
+    vals, rows = [None] * 3, [None] * 3
+    for i, v in enumerate((_chirped_init(mach, rng, j), _comb_init(mach, rng, j))):
+        v = v / max(np.abs(v).max(), 1e-300)        # so that |v|^p stays finite
+        vals[i] = v / max(lp_norm(mach.grid_function(v), exps[i]), 1e-300)
+        rows[i] = mach.slot_rows(i, vals[i])
     for _ in range(rounds):
         for i in (2, 0, 1):
             rows[i] = None      # the update reads only the other two slots

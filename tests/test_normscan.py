@@ -608,6 +608,16 @@ def test_rounds_below_one_refused_before_any_work(curve_t2, monkeypatch, rounds)
     assert machines == [] and matched == []
 
 
+@pytest.mark.parametrize("edge", ["AB", "AC"])
+def test_scan_near_triangle_vertices(curve_t2, edge):
+    # p = 1.001 and p = 1000 raise |v| to powers near 1000 in the ascent's
+    # normalizations: scaled by its max first, no power overflows, so the
+    # scan warns of nothing (a warning fails here) and its sups are finite
+    triples = [HolderTriple.on_edge(edge, p) for p in (1.001, 1000.0)]
+    for [r] in scan_triples(curve_t2, triples, [3], n=2 ** 10, rounds=1):
+        assert 0.0 < r.sup_ratio < math.inf
+
+
 def test_scan_point_determinism(curve_t2):
     def sup(seed):
         [r] = scan_point(curve_t2, 3, [(2.0, 2.0, math.inf)], seed=seed, ensemble_size=6,
